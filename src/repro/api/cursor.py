@@ -5,10 +5,10 @@ SELECT results page by page: the underlying plan is evaluated lazily, one
 micro-partition at a time (:func:`repro.engine.executor.stream_evaluate`),
 so ``fetchmany(k)`` holds at most the unserved remainder of a single
 partition beyond the page it returns — a large scan never materializes an
-O(result) row list. Each streamed batch is a columnar
-:class:`~repro.engine.executor.Block` — the partition's column arrays,
-filtered and projected by the vectorized evaluators — which the cursor
-transposes into row tuples once per page served. ``ORDER BY ... LIMIT k``
+O(result) row list. Each streamed batch is a
+:class:`~repro.engine.relation.Relation` — the partition's column arrays,
+filtered and projected by the executor's kernels — which the cursor
+transposes into row tuples once per batch pulled. ``ORDER BY ... LIMIT k``
 streams through a bounded top-k heap (at most ``k`` buffered rows); plans
 whose shape cannot stream (aggregates, joins, unbounded sorts)
 transparently fall back to one materialized batch.
@@ -34,6 +34,7 @@ from repro.errors import UserError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
+    from repro.engine.relation import Relation
 
 #: Default ``fetchmany`` page size.
 DEFAULT_ARRAYSIZE = 64
@@ -47,7 +48,7 @@ class Cursor:
         self.arraysize = DEFAULT_ARRAYSIZE
         self._description: Optional[list[tuple]] = None
         self._rowcount = -1
-        self._batches: Optional[Iterator[list]] = None
+        self._batches: Optional[Iterator[Relation]] = None
         self._buffer: deque[tuple] = deque()
         self._sql: Optional[str] = None
         self._closed = False
@@ -185,14 +186,9 @@ class Cursor:
                 except StopIteration:
                     self._batches = None
                     break
-            # Streamed batches are columnar blocks: one transpose per
-            # partition beats one tuple-unpack per row. The materialized
-            # fallback yields plain ``(row_id, row)`` pair lists.
-            row_tuples = getattr(batch, "row_tuples", None)
-            if row_tuples is not None:
-                self._buffer.extend(row_tuples())
-            else:
-                self._buffer.extend(row for __, row in batch)
+            # Streamed and materialized batches alike are Relations: one
+            # transpose per batch beats one tuple-unpack per row.
+            self._buffer.extend(batch.rows)
         return bool(self._buffer)
 
     # -- lifecycle -----------------------------------------------------------

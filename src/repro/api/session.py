@@ -62,7 +62,9 @@ from repro.api.prepared import ParameterSpec, PreparedStatement
 from repro.api.results import QueryResult
 from repro.engine import types as t
 from repro.engine.executor import evaluate, stream_evaluate
-from repro.engine.expressions import EvalContext, compile_expression
+from repro.engine.expressions import (Cast, ColumnRef, EvalContext,
+                                      Expression)
+from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import Value
 from repro.core.dynamic_table import (apply_policy_options,
@@ -755,7 +757,7 @@ class Session:
                 return total
 
     def _stream_prepared(self, prepared: PreparedStatement, binds: object,
-                         ) -> tuple[Schema, Iterator[list]]:
+                         ) -> tuple[Schema, Iterator[Relation]]:
         """Schema + per-micro-partition batch iterator for a SELECT (the
         cursor's read path); falls back to one materialized batch when the
         plan shape (or an open transaction's overlay read) cannot
@@ -773,9 +775,7 @@ class Session:
                 reader, ctx = self._read_state(values)
                 batches = stream_evaluate(plan, reader, ctx)
                 if batches is None:
-                    relation = evaluate(plan, reader, ctx)
-                    pairs = list(relation.pairs())
-                    batches = iter([pairs] if pairs else [])
+                    batches = iter([evaluate(plan, reader, ctx)])
                 return plan.schema, batches
 
     # -- reads ---------------------------------------------------------------
@@ -1001,59 +1001,64 @@ class Session:
 
         return self._stage_autocommit(stage)
 
-    def _matching_rows(self, txn: Transaction, table_name: str,
-                       where: Optional[n.Expr], spec: ParameterSpec,
-                       ctx: EvalContext) -> list[tuple[str, tuple]]:
-        """Rows of ``table_name`` as seen *by the transaction* (snapshot
-        plus its own staged writes) matching ``where``."""
-        relation = txn.scan(table_name)
-        if where is None:
-            return list(relation.pairs())
+    def _affected_rows_plan(self, table_name: str, where: Optional[n.Expr],
+                            spec: ParameterSpec) -> lp.PlanNode:
+        """``Filter(Scan)``: the rows of ``table_name`` a DML statement's
+        WHERE selects — the plan a ``SELECT * ... WHERE`` would run, so
+        UPDATE / DELETE match rows through the executor's one Filter
+        kernel (zone-map pruned, row ids carried)."""
         table = self.database.catalog.versioned_table(table_name)
         schema = table.schema.requalified(table_name)
-        predicate = compile_expression(
-            bind_expression(where, schema, self.database.registry,
-                            parameters=spec), ctx)
-        return [(row_id, row) for row_id, row in relation.pairs()
-                if t.is_true(predicate(row))]
+        plan: lp.PlanNode = lp.Scan(table_name, schema)
+        if where is not None:
+            plan = lp.Filter(plan, bind_expression(
+                where, schema, self.database.registry, parameters=spec))
+        return plan
 
     def _run_delete(self, statement: n.Delete, spec: ParameterSpec,
                     values: tuple[Value, ...]) -> int:
+        plan = optimize(self._affected_rows_plan(statement.table,
+                                                 statement.where, spec))
         ctx = self._write_ctx(values)
 
         def stage(txn: Transaction) -> int:
-            matches = self._matching_rows(txn, statement.table,
-                                          statement.where, spec, ctx)
-            txn.delete_rows(statement.table,
-                            [row_id for row_id, __ in matches])
-            return len(matches)
+            # Evaluated against the transaction: its snapshot plus its
+            # own staged writes.
+            doomed = evaluate(plan, txn, ctx)
+            txn.delete_rows(statement.table, doomed.row_ids)
+            return len(doomed)
 
         return self._stage_autocommit(stage)
 
     def _run_update(self, statement: n.Update, spec: ParameterSpec,
                     values: tuple[Value, ...]) -> int:
-        db = self.database
-        table = db.catalog.versioned_table(statement.table)
-        schema = table.schema.requalified(statement.table)
+        matched = self._affected_rows_plan(statement.table, statement.where,
+                                           spec)
+        schema = matched.schema
+        # The new row, as a projection over the old one: an assigned
+        # column is its expression cast to the column type, every other
+        # column passes through.
+        exprs: list[Expression] = [
+            ColumnRef(index, column.type, column.name)
+            for index, column in enumerate(schema)]
+        assigned: set[int] = set()
+        for column, expr in statement.assignments:
+            index = schema.resolve(column)
+            if index in assigned:
+                raise UserError(
+                    f"column {column!r} is assigned more than once in UPDATE")
+            assigned.add(index)
+            exprs[index] = Cast(
+                bind_expression(expr, schema, self.database.registry,
+                                parameters=spec), schema[index].type)
+        plan = optimize(lp.Project(matched, tuple(exprs), schema))
         ctx = self._write_ctx(values)
-        assignments = {
-            table.schema.resolve(column): compile_expression(
-                bind_expression(expr, schema, db.registry, parameters=spec),
-                ctx)
-            for column, expr in statement.assignments}
 
         def stage(txn: Transaction) -> int:
-            updates: dict[str, tuple] = {}
-            for row_id, row in self._matching_rows(txn, statement.table,
-                                                   statement.where, spec,
-                                                   ctx):
-                new_row = list(row)
-                for index, expr_fn in assignments.items():
-                    new_row[index] = t.cast_value(expr_fn(row),
-                                                  table.schema[index].type)
-                updates[row_id] = tuple(new_row)
-            txn.update_rows(statement.table, updates)
-            return len(updates)
+            updated = evaluate(plan, txn, ctx)
+            txn.update_rows(statement.table,
+                            dict(zip(updated.row_ids, updated.rows)))
+            return len(updated)
 
         return self._stage_autocommit(stage)
 

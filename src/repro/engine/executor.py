@@ -9,17 +9,20 @@ byte-identical table states — the property the paper's randomized
 production validation (section 6.1) checks.
 
 The executor is a pull-based engine: each operator materializes its
-output. Execution is **vector-at-a-time** on the row-preserving hot path:
-storage hands scans over as columnar blocks (parallel per-column arrays),
-and filters, projections and limits evaluate whole column arrays through
-the vectorized compiler (:func:`compile_expression_columnar`) — one tight
-loop per expression node per batch instead of one closure call per row.
-Aggregation and window partitioning compute their group keys the same
-way. Operators without a columnar kernel (joins, sorts) consume the
-relation's row-tuple compatibility view and still use the closure-compiled
-row evaluators, so every plan shape works on either layout; the
-interpreter (``Expression.eval``) remains the reference semantics for
-both.
+output. Every operator exists once, as a kernel below built from the
+operator's plan node and applied to its materialized input(s);
+:func:`evaluate` applies a kernel to the whole input and
+:func:`stream_evaluate` applies the *same* kernel to one micro-partition
+at a time. The row-preserving kernels (filter, project, limit) are
+**vector-at-a-time**: they read ``Relation.columns`` and evaluate whole
+column arrays through the vectorized compiler
+(:func:`compile_expression_columnar`) — one tight loop per expression node
+per batch instead of one closure call per row. Aggregation and window
+partitioning compute their group keys the same way. The row-shaped
+kernels (joins, sorts, window frames) read the ``Relation.rows`` view and
+use the closure-compiled row evaluators. The interpreter
+(``Expression.eval``, selected by ``force_interpreted``) is the reference
+semantics for both compilers.
 
 Filters directly over scans additionally push simple column-vs-literal
 bounds into the storage layer when the resolver supports it
@@ -32,9 +35,8 @@ reports the partitions-scanned/skipped split so EXPLAIN can surface it.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from itertools import compress as _itercompress, repeat as _repeat
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import types as t
 from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
@@ -42,12 +44,10 @@ from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       DEFAULT_CONTEXT, EvalContext,
                                       compile_expression,
                                       compile_expression_columnar,
-                                      compile_group_key,
                                       compile_group_key_columnar,
                                       compile_row, compile_row_columnar,
                                       conjuncts, emits_tristate)
-from repro.engine.relation import (Relation, SnapshotResolver,
-                                   columnar_enabled)
+from repro.engine.relation import Relation, SnapshotResolver
 from repro.engine.window import (compile_window_calls, evaluate_window_calls,
                                  sort_partition, _compare_with_nulls)
 from repro.errors import InternalError, ReproError, UserError
@@ -60,32 +60,6 @@ def evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
              ctx: EvalContext = DEFAULT_CONTEXT) -> Relation:
     """Evaluate ``plan`` against ``resolver``'s snapshot."""
     return _Executor(resolver, ctx).run(plan)
-
-
-#: When True, the row-preserving kernels convert row-major inputs to the
-#: columnar layout and always take the vectorized path (normally they
-#: vectorize only inputs that are already columnar, i.e. storage scans).
-_FORCE_COLUMNAR = False
-
-
-@contextmanager
-def force_columnar():
-    """Route every row-preserving kernel through the vectorized columnar
-    evaluators, converting row-major inputs as needed. Used by the
-    three-way equivalence property test to pin the vectorized path against
-    the compiled and interpreted row paths."""
-    global _FORCE_COLUMNAR
-    saved = _FORCE_COLUMNAR
-    _FORCE_COLUMNAR = True
-    try:
-        yield
-    finally:
-        _FORCE_COLUMNAR = saved
-
-
-def _vectorize(relation: Relation) -> bool:
-    """Whether a kernel should take the vectorized path for this input."""
-    return columnar_enabled() and (_FORCE_COLUMNAR or relation.is_columnar)
 
 
 #: A pushed-down scan bound: either ``("cmp", column_index, op, value)``
@@ -231,13 +205,9 @@ class _Executor:
     # -- leaves --------------------------------------------------------------
 
     def _run_scan(self, plan: lp.Scan) -> Relation:
-        source = self._resolver.scan(plan.table)
         # Requalify under the plan's schema (alias binding); data unchanged
-        # and shared by reference — columnar when storage is.
-        if source.is_columnar:
-            return Relation.from_columns(plan.schema, source.columns,
-                                         source.row_ids)
-        return Relation(plan.schema, source.rows, source.row_ids)
+        # and shared by reference.
+        return self._resolver.scan(plan.table).with_schema(plan.schema)
 
     def _run_values(self, plan: lp.Values) -> Relation:
         relation = Relation(plan.schema)
@@ -248,32 +218,10 @@ class _Executor:
     # -- row-preserving operators ---------------------------------------------
 
     def _run_project(self, plan: lp.Project) -> Relation:
-        child = self.run(plan.child)
-        if _vectorize(child):
-            columns_fn = compile_row_columnar(plan.exprs, self._ctx)
-            return Relation.from_columns(
-                plan.schema, columns_fn(child.columns, len(child)),
-                child.row_ids)
-        row_fn = compile_row(plan.exprs, self._ctx)
-        return Relation(plan.schema, [row_fn(row) for row in child.rows],
-                        list(child.row_ids))
+        return project_kernel(plan, self._ctx)(self.run(plan.child))
 
     def _run_filter(self, plan: lp.Filter) -> Relation:
-        child = self._filter_input(plan)
-        if _vectorize(child):
-            predicate = compile_expression_columnar(plan.predicate, self._ctx)
-            mask = predicate(child.columns, len(child))
-            columns, ids = _compress(child.columns, child.row_ids, mask,
-                                     emits_tristate(plan.predicate))
-            return Relation.from_columns(plan.schema, columns, ids)
-        predicate = compile_expression(plan.predicate, self._ctx)
-        rows: list[tuple] = []
-        ids: list[str] = []
-        for row_id, row in zip(child.row_ids, child.rows):
-            if predicate(row) is True:
-                rows.append(row)
-                ids.append(row_id)
-        return Relation(plan.schema, rows, ids)
+        return filter_kernel(plan, self._ctx)(self._filter_input(plan))
 
     def _filter_input(self, plan: lp.Filter) -> Relation:
         """The filter's input, zone-map pruned when it is a direct scan and
@@ -284,12 +232,8 @@ class _Executor:
             if scan_pruned is not None:
                 bounds = extract_scan_bounds(plan.predicate, self._ctx)
                 if bounds:
-                    source = scan_pruned(child.table, bounds)
-                    if source.is_columnar:
-                        return Relation.from_columns(child.schema,
-                                                     source.columns,
-                                                     source.row_ids)
-                    return Relation(child.schema, source.rows, source.row_ids)
+                    return scan_pruned(child.table,
+                                       bounds).with_schema(child.schema)
         return self.run(child)
 
     # -- joins ----------------------------------------------------------------
@@ -342,91 +286,18 @@ class _Executor:
         return output
 
     def _run_limit(self, plan: lp.Limit) -> Relation:
-        if plan.count < 0:
-            raise UserError(f"LIMIT count must be non-negative, got {plan.count}")
         # The executor materializes each child, so LIMIT cannot stream the
-        # subtree; it slices the child's backing arrays directly (columnar
-        # when the child is).
-        child = self.run(plan.child)
-        count = plan.count
-        if _vectorize(child):
-            return Relation.from_columns(
-                plan.schema, [column[:count] for column in child.columns],
-                child.row_ids[:count])
-        return Relation(plan.schema, child.rows[:count],
-                        child.row_ids[:count])
+        # subtree; it slices the child's column arrays directly.
+        return limit_relation(plan.schema, self.run(plan.child), plan.count)
 
 
 # ---------------------------------------------------------------------------
 # Streaming evaluation (per-micro-partition, for the cursor API)
 # ---------------------------------------------------------------------------
 
-class Block:
-    """One streamed batch: the rows of a single micro-partition, columnar.
-
-    ``columns[i][j]`` is column ``i`` of row ``j``; ``row_ids[j]`` is row
-    ``j``'s id. The block iterates as ``(row_id, row)`` pairs and supports
-    ``len`` and slicing, so pre-columnar batch consumers keep working; the
-    cursor's fill loop uses :meth:`row_tuples` to materialize each page's
-    tuples in one transpose.
-    """
-
-    __slots__ = ("row_ids", "columns")
-
-    def __init__(self, row_ids: Sequence[str],
-                 columns: Sequence[Sequence]):
-        self.row_ids = row_ids
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.row_ids)
-
-    def row_tuples(self) -> list[tuple]:
-        """The block's rows as tuples (one transpose of the columns)."""
-        if not self.columns:
-            return [()] * len(self.row_ids)
-        return list(zip(*self.columns))
-
-    def pairs(self) -> list[tuple[str, tuple]]:
-        return list(zip(self.row_ids, self.row_tuples()))
-
-    def __iter__(self):
-        return iter(zip(self.row_ids, self.row_tuples()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Block(self.row_ids[index],
-                         [column[index] for column in self.columns])
-        return (self.row_ids[index],
-                tuple(column[index] for column in self.columns))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Block({len(self)} rows x {len(self.columns)} columns)"
-
-
-#: One streamed batch: a columnar :class:`Block` (iterates as
-#: ``(row_id, row)`` pairs) produced from a single micro-partition of the
-#: scanned table.
-RowBatch = Block
-
-
-def _block_of(partition) -> Block:
-    """A partition's rows as a columnar block. Real micro-partitions hand
-    over their column arrays by reference; transaction-overlay partitions
-    (which only carry ``(row_id, row)`` pairs) are transposed."""
-    columns = getattr(partition, "columns", None)
-    if columns is not None:
-        return Block(partition.row_ids, columns)
-    rows = partition.rows
-    if not rows:
-        return Block([], [])
-    return Block([row_id for row_id, __ in rows],
-                 list(zip(*(row for __, row in rows))))
-
-
 def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
                     ctx: EvalContext = DEFAULT_CONTEXT,
-                    ) -> Optional[Iterator[RowBatch]]:
+                    ) -> Optional[Iterator[Relation]]:
     """Evaluate ``plan`` lazily, one micro-partition at a time.
 
     Supports the row-preserving pipeline shapes — a chain of Project /
@@ -434,85 +305,61 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
     streams are concatenated), and ``ORDER BY ... LIMIT k`` (a bounded
     top-k heap over the child stream) — when the resolver exposes
     partition-granular reads (``scan_partitions``). Returns an iterator of
-    columnar :class:`Block` batches, one per surviving partition, or None
-    when the plan (a join, aggregate, unbounded sort, ...) or the resolver
+    :class:`Relation` batches, one per surviving partition, or None when
+    the plan (a join, aggregate, unbounded sort, ...) or the resolver
     cannot stream; callers then fall back to :func:`evaluate`.
 
     The stream produces exactly the rows, ids, and order of the
-    materialized path: filters apply the same vectorized predicates (plus
-    zone-map partition pruning, which only ever skips rows the predicate
-    rejects), projections the same vectorized expressions, and the top-k
-    heap the same total sort order (ORDER BY keys, then the stable
+    materialized path because it *is* the materialized path applied per
+    partition: each batch goes through the same ``filter_kernel`` /
+    ``project_kernel`` / ``limit_relation`` kernels (zone-map partition
+    pruning only ever skips rows the predicate rejects), and the top-k
+    heap keeps the same total sort order (ORDER BY keys, then the stable
     tie-break digest). No list of more than one partition's rows is ever
     built — a sorted-limit cursor holds at most ``k`` rows beyond the
     current partition — which is what lets a cursor serve pages of a large
     scan in O(partition) memory.
     """
     if isinstance(plan, lp.Scan):
-        partitions = _scan_partitions(resolver, plan.table, ())
-        if partitions is None:
-            return None
-        return (_block_of(partition) for partition in partitions)
+        return _scan_batches(plan, resolver, ())
 
     if isinstance(plan, lp.Filter):
-        predicate = compile_expression_columnar(plan.predicate, ctx)
-        strict = emits_tristate(plan.predicate)
-
-        def filter_block(block: Block) -> Block:
-            mask = predicate(block.columns, len(block))
-            columns, ids = _compress(block.columns, block.row_ids, mask,
-                                     strict)
-            return Block(ids, columns)
-
         child = plan.child
         if isinstance(child, lp.Scan):
-            bounds = extract_scan_bounds(plan.predicate, ctx)
-            partitions = _scan_partitions(resolver, child.table, bounds)
-            if partitions is None:
-                return None
-            return (filter_block(_block_of(partition))
-                    for partition in partitions)
-        batches = stream_evaluate(child, resolver, ctx)
+            batches = _scan_batches(
+                child, resolver, extract_scan_bounds(plan.predicate, ctx))
+        else:
+            batches = stream_evaluate(child, resolver, ctx)
         if batches is None:
             return None
-        return (filter_block(batch) for batch in batches)
+        return map(filter_kernel(plan, ctx), batches)
 
     if isinstance(plan, lp.Project):
         batches = stream_evaluate(plan.child, resolver, ctx)
         if batches is None:
             return None
-        columns_fn = compile_row_columnar(plan.exprs, ctx)
-        return (Block(batch.row_ids, columns_fn(batch.columns, len(batch)))
-                for batch in batches)
+        return map(project_kernel(plan, ctx), batches)
 
     if isinstance(plan, lp.Limit):
         if plan.count < 0:
-            raise UserError(
-                f"LIMIT count must be non-negative, got {plan.count}")
+            return None  # evaluate() reports the error (limit_relation)
         child = plan.child
         # ORDER BY ... LIMIT k: a bounded top-k heap over the child
         # stream — the sorted-limit cursor never materializes the full
         # result. The Sort may sit directly below, or below the final
         # Project (how the builder binds ORDER BY over unprojected
         # columns).
-        if isinstance(child, lp.Sort):
-            batches = stream_evaluate(child.child, resolver, ctx)
-            if batches is None:
-                return None
-            return _topk_batches(batches, child.keys, plan.count, ctx, None)
-        if (isinstance(child, lp.Project)
-                and isinstance(child.child, lp.Sort)):
-            sort = child.child
+        project = child if isinstance(child, lp.Project) else None
+        sort = child if project is None else project.child
+        if isinstance(sort, lp.Sort):
             batches = stream_evaluate(sort.child, resolver, ctx)
             if batches is None:
                 return None
-            columns_fn = compile_row_columnar(child.exprs, ctx)
-            return _topk_batches(batches, sort.keys, plan.count, ctx,
-                                 columns_fn)
+            return _topk_batches(batches, sort, plan.count, ctx, project)
         batches = stream_evaluate(child, resolver, ctx)
         if batches is None:
             return None
-        return _limit_batches(batches, plan.count)
+        return _limit_batches(plan, batches)
 
     if isinstance(plan, lp.UnionAll):
         # Branch streams are *created* eagerly — pinning every branch's
@@ -526,46 +373,50 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
             if batches is None:
                 return None  # one branch can't stream -> materialize all
             streams.append(batches)
-        return _union_batches(streams)
+        return _union_batches(plan, streams)
 
     return None  # joins/aggregates/unbounded sorts/etc. must materialize
 
 
-def _scan_partitions(resolver: SnapshotResolver, table: str,
-                     bounds: Sequence[ScanBound]):
-    """Partition iterator for ``table``, zone-map pruned under ``bounds``;
-    None when the resolver has no partition-granular access."""
+def _scan_batches(plan: lp.Scan, resolver: SnapshotResolver,
+                  bounds: Sequence[ScanBound],
+                  ) -> Optional[Iterator[Relation]]:
+    """One relation per micro-partition of the scanned table (column
+    arrays shared by reference), zone-map pruned under ``bounds``; None
+    when the resolver has no partition-granular access."""
     scan_partitions = getattr(resolver, "scan_partitions", None)
     if scan_partitions is None:
         return None
-    partitions = scan_partitions(table)
-    if not bounds:
-        return partitions
-    return (partition for partition in partitions
-            if partition.might_match(bounds))
+    partitions = scan_partitions(plan.table)
+    if bounds:
+        partitions = (partition for partition in partitions
+                      if partition.might_match(bounds))
+    return (Relation.from_columns(plan.schema, partition.columns,
+                                  list(partition.row_ids))
+            for partition in partitions)
 
 
-def _union_batches(streams: list) -> Iterator[RowBatch]:
+def _union_batches(plan: lp.UnionAll, streams: list) -> Iterator[Relation]:
     """Concatenate branch streams, rewriting row ids under the branch's
     union ordinal (identical to the materialized UNION ALL)."""
     union_id = rowid.union_id
     for branch, batches in enumerate(streams):
         for batch in batches:
-            yield Block([union_id(branch, row_id)
-                         for row_id in batch.row_ids], batch.columns)
+            yield Relation.from_columns(
+                plan.schema, batch.columns,
+                [union_id(branch, row_id) for row_id in batch.row_ids])
 
 
-def _limit_batches(batches: Iterator[RowBatch],
-                   count: int) -> Iterator[RowBatch]:
-    remaining = count
-    for batch in batches:
-        if remaining <= 0:
+def _limit_batches(plan: lp.Limit,
+                   batches: Iterator[Relation]) -> Iterator[Relation]:
+    remaining = plan.count
+    while remaining > 0:  # checked before each pull: no partition wasted
+        batch = next(batches, None)
+        if batch is None:
             return
-        if len(batch) >= remaining:
-            yield batch[:remaining]
-            return
-        remaining -= len(batch)
-        yield batch
+        head = limit_relation(plan.schema, batch, remaining)
+        remaining -= len(head)
+        yield head
 
 
 class _TopKEntry:
@@ -599,37 +450,85 @@ class _TopKEntry:
         return self._tie_key() < other._tie_key()
 
 
-def _topk_batches(batches: Iterator[RowBatch], order_by, count: int,
-                  ctx: EvalContext, columns_fn) -> Iterator[RowBatch]:
+def _topk_batches(batches: Iterator[Relation], sort: lp.Sort, count: int,
+                  ctx: EvalContext, project: Optional[lp.Project],
+                  ) -> Iterator[Relation]:
     """Stream implementation of ``ORDER BY ... LIMIT count``: drain the
     child stream through a bounded heap holding at most ``count``
-    candidates, then emit one block in exactly the materialized
-    sort-then-limit order. ``columns_fn`` optionally applies a final
-    projection (vectorized) to the ``count`` surviving rows — evaluated in
-    output order, matching the materialized Project-over-Sort."""
+    candidates, then emit one batch in exactly the materialized
+    sort-then-limit order. ``project`` is the final projection when one
+    sits between the Limit and the Sort — applied to the ``count``
+    surviving rows in output order, matching the materialized
+    Project-over-Sort."""
     key_fns = [(compile_expression(expr, ctx), descending)
-               for expr, descending in order_by]
+               for expr, descending in sort.keys]
     descending = tuple(flag for __, flag in key_fns)
 
     def entries() -> Iterator[_TopKEntry]:
         for batch in batches:
-            for row_id, row in zip(batch.row_ids, batch.row_tuples()):
+            # Heap candidates are row-shaped: the sort keys and the
+            # tie-break digest both read the whole row.
+            rows = batch.rows  # lint: allow-materialize (top-k candidates)
+            for row_id, row in zip(batch.row_ids, rows):
                 keys = tuple(fn(row) for fn, __ in key_fns)
                 yield _TopKEntry(keys, descending, row_id, row)
 
     top = heapq.nsmallest(count, entries()) if count else []
     if not top:
         return
-    row_ids = [entry.row_id for entry in top]
-    columns = list(zip(*(entry.row for entry in top)))
-    if columns_fn is not None:
-        columns = columns_fn(columns, len(row_ids))
-    yield Block(row_ids, columns)
+    relation = Relation(sort.schema, [entry.row for entry in top],
+                        [entry.row_id for entry in top])
+    if project is not None:
+        relation = project_kernel(project, ctx)(relation)
+    yield relation
 
 
 # ---------------------------------------------------------------------------
 # Shared operator kernels (the IVM rules reuse these on delta inputs)
 # ---------------------------------------------------------------------------
+
+#: A compiled row-preserving operator: input relation -> output relation.
+Kernel = Callable[[Relation], Relation]
+
+
+def filter_kernel(plan: lp.Filter, ctx: EvalContext) -> Kernel:
+    """The one Filter kernel — behind SELECT, streamed cursors, and the
+    row matching of UPDATE / DELETE alike: keeps the rows on which the
+    predicate is exactly TRUE, ids and order preserved. The predicate is
+    compiled once here; the kernel then filters any number of inputs (the
+    whole relation, or one micro-partition after another)."""
+    predicate = compile_expression_columnar(plan.predicate, ctx)
+    strict = emits_tristate(plan.predicate)
+    schema = plan.schema
+
+    def filter_relation(child: Relation) -> Relation:
+        mask = predicate(child.columns, len(child))
+        columns, ids = _compress(child.columns, child.row_ids, mask, strict)
+        return Relation.from_columns(schema, columns, ids)
+    return filter_relation
+
+
+def project_kernel(plan: lp.Project, ctx: EvalContext) -> Kernel:
+    """The one Project kernel: one output column per projected
+    expression, evaluated over the child's column arrays; row ids pass
+    through. Compiled once, applied per input like :func:`filter_kernel`."""
+    columns_fn = compile_row_columnar(plan.exprs, ctx)
+    schema = plan.schema
+
+    def project_relation(child: Relation) -> Relation:
+        return Relation.from_columns(
+            schema, columns_fn(child.columns, len(child)), child.row_ids)
+    return project_relation
+
+
+def limit_relation(schema, child: Relation, count: int) -> Relation:
+    """The first ``count`` rows of ``child`` (column-array slices)."""
+    if count < 0:
+        raise UserError(f"LIMIT count must be non-negative, got {count}")
+    return Relation.from_columns(
+        schema, [column[:count] for column in child.columns],
+        child.row_ids[:count])
+
 
 def join_relations(plan: lp.Join, left: Relation, right: Relation,
                    ctx: EvalContext) -> Relation:
@@ -716,21 +615,18 @@ def aggregate_relation(plan: lp.Aggregate, child: Relation,
     """Evaluate grouped (or scalar) aggregation over a materialized input.
 
     Grouping keys are computed vectorized (one pass per group expression
-    over the child's column arrays) when the input is columnar; the
-    per-group aggregate evaluation consumes row tuples either way.
+    over the child's column arrays); the per-group aggregate evaluation
+    consumes row tuples.
     """
     groups: dict[tuple, tuple[tuple, list[tuple]]] = {}
     group_key = t.group_key
     child_rows = child.rows
     if not plan.group_exprs:
         key_values_per_row = _repeat(())  # scalar aggregate: one group
-    elif _vectorize(child):
+    else:
         arrays = compile_row_columnar(plan.group_exprs, ctx)(
             child.columns, len(child))
         key_values_per_row = zip(*arrays)
-    else:
-        values_fn = compile_row(plan.group_exprs, ctx)
-        key_values_per_row = map(values_fn, child_rows)
     for row, key_values in zip(child_rows, key_values_per_row):
         key = group_key(key_values)
         entry = groups.get(key)
@@ -770,18 +666,13 @@ def distinct_relation(schema, child: Relation) -> Relation:
 def window_relation(plan: lp.Window, child: Relation,
                     ctx: EvalContext) -> Relation:
     """Evaluate partitioned window calls, appending one column per call.
-    Partition keys are computed vectorized over columnar inputs."""
+    Partition keys are computed vectorized over the child's columns."""
     partitions: dict[tuple, list[int]] = {}
     child_rows = child.rows
-    if _vectorize(child):
-        keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
-            child.columns, len(child))
-        for index, key in enumerate(keys):
-            partitions.setdefault(key, []).append(index)
-    else:
-        key_fn = compile_group_key(plan.partition_exprs, ctx)
-        for index, row in enumerate(child_rows):
-            partitions.setdefault(key_fn(row), []).append(index)
+    keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
+        child.columns, len(child))
+    for index, key in enumerate(keys):
+        partitions.setdefault(key, []).append(index)
 
     extra: list[list] = [[] for __ in child_rows]
     compiled = compile_window_calls(plan.calls, ctx)

@@ -1170,8 +1170,8 @@ def _compile_function_call(expr: FunctionCall,
 #
 # ``force_interpreted`` applies here too: under it, every columnar
 # evaluator degrades to the reference interpreter applied per row, which
-# is what lets the three-way equivalence property pin interpreted,
-# compiled, and vectorized execution to byte-identical output.
+# is what lets the equivalence properties pin compiled and vectorized
+# execution to the interpreter's byte-identical output.
 
 #: A compiled columnar evaluator: ``(columns, row_count) -> value array``.
 #: ``columns`` are the input's per-column arrays (list or tuple each);

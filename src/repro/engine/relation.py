@@ -1,63 +1,31 @@
 """Relations: schema + columnar row storage + stable row identifiers.
 
 A :class:`Relation` is what flows from storage into the executor and the
-differentiation framework. Since the columnar-execution refactor it is a
-**columnar block**: the canonical layout is a list of parallel per-column
-value arrays plus a ``row_ids`` array carrying the stable per-row
-identifiers that incremental view maintenance threads through every
-operator (section 5.5: "Incremental DTs define a unique ID for every row
-in the query result, and store those IDs alongside the data").
+differentiation framework. It is a **columnar block**: the canonical
+layout is a list of parallel per-column value arrays plus a ``row_ids``
+array carrying the stable per-row identifiers that incremental view
+maintenance threads through every operator (section 5.5: "Incremental DTs
+define a unique ID for every row in the query result, and store those IDs
+alongside the data").
 
-Compatibility view
-------------------
+Row view
+--------
 
-Every pre-existing row-tuple entry point is preserved: ``Relation(schema,
-rows, row_ids)`` construction, ``rows`` access, ``pairs()``, ``__iter__``,
-``append`` and ``from_pairs`` all keep working. Internally the relation
-holds *either* layout (whichever it was built from) and materializes the
-other lazily, caching it; ``append`` keeps every materialized layout in
-sync. Hot paths — storage scans, vectorized filters/projections — build
-and consume the columnar layout directly and never pay for row tuples;
-row-oriented code (joins, sorts, external callers) reads the ``rows``
-view and is none the wiser.
-
-The module-level :func:`row_major_mode` switch exists for the ablation
-benchmark (``bench_t11_columnar_scan``): with columnar execution disabled,
-storage materialization and the executor kernels fall back to the
-pre-refactor row-at-a-time code paths, which is what the reported
-"row-major baseline" numbers measure.
+The row-tuple entry points remain: ``Relation(schema, rows, row_ids)``
+construction, ``rows`` access, ``pairs()``, ``__iter__``, ``append`` and
+``from_pairs``. Internally the relation holds *either* layout (whichever
+it was built from) and materializes the other lazily, caching it;
+``append`` keeps every materialized layout in sync. Storage scans and the
+row-preserving kernels (filter, project, limit) build and consume the
+columnar layout only; the row-shaped operators (joins, sorts, window
+frames, the IVM rules over row-major change sets) read the ``rows`` view.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.engine.schema import Schema
-
-#: Whether hot paths build/consume the columnar layout. Toggled only by
-#: :func:`row_major_mode` (benchmark ablation); normal operation is True.
-_COLUMNAR_ENABLED = True
-
-
-def columnar_enabled() -> bool:
-    """Whether columnar fast paths are active (see :func:`row_major_mode`)."""
-    return _COLUMNAR_ENABLED
-
-
-@contextmanager
-def row_major_mode():
-    """Disable the columnar fast paths, restoring the pre-refactor
-    row-at-a-time behaviour of storage materialization, the executor
-    kernels, and delta building. Results are identical either way; only
-    the ablation benchmark should use this."""
-    global _COLUMNAR_ENABLED
-    saved = _COLUMNAR_ENABLED
-    _COLUMNAR_ENABLED = False
-    try:
-        yield
-    finally:
-        _COLUMNAR_ENABLED = saved
 
 
 class Relation:
@@ -91,25 +59,38 @@ class Relation:
         """Build a relation directly from parallel column arrays.
 
         ``columns`` is adopted by reference (no copy); every column must
-        have the same length, equal to ``len(row_ids)``.
+        have the same length, equal to ``len(row_ids)``. A zero-column
+        relation (``SELECT`` without ``FROM``) takes its row count from
+        ``row_ids`` alone.
         """
         relation = Relation.__new__(Relation)
         relation.schema = schema
         relation._rows = None
         relation._columns = list(columns)
-        count = len(columns[0]) if columns else 0
-        if row_ids is None or not row_ids:
+        if not row_ids:
+            count = len(columns[0]) if columns else 0
             row_ids = [f"pos:{index}" for index in range(count)]
-        elif len(row_ids) != count:
+        elif columns and len(row_ids) != len(columns[0]):
             raise ValueError("row_ids must parallel columns")
         relation.row_ids = row_ids
+        return relation
+
+    def with_schema(self, schema: Schema) -> "Relation":
+        """The same rows and ids, shared by reference in whichever
+        layouts are materialized, under ``schema`` (a scan requalifying
+        stored columns under the plan's alias)."""
+        relation = Relation.__new__(Relation)
+        relation.schema = schema
+        relation._rows = self._rows
+        relation._columns = self._columns
+        relation.row_ids = self.row_ids
         return relation
 
     # -- views ----------------------------------------------------------------
 
     @property
     def rows(self) -> list[tuple]:
-        """Row tuples (compatibility view; materialized lazily)."""
+        """Row tuples (the row view; materialized lazily)."""
         if self._rows is None:
             columns = self._columns
             if columns:
@@ -132,9 +113,9 @@ class Relation:
 
     @property
     def is_columnar(self) -> bool:
-        """Whether the columnar layout is already materialized (hot paths
-        use this to pick the vectorized kernel without forcing a layout
-        conversion)."""
+        """Whether the columnar layout is already materialized (the IVM
+        endpoint restrictions use this to gather column slices only when
+        that costs no layout conversion)."""
         return self._columns is not None
 
     def column(self, index: int) -> Sequence:

@@ -200,7 +200,10 @@ class DirectSerializationGraph:
 
     def pretty(self) -> str:
         lines = [f"nodes: {sorted(self.nodes)}"]
+        # ``reason`` is part of edge identity (two ww edges between the
+        # same pair on different objects), so it must be part of the order.
         for edge in sorted(self.edges,
-                           key=lambda e: (e.source, e.target, e.kind.value)):
+                           key=lambda e: (e.source, e.target, e.kind.value,
+                                          e.reason)):
             lines.append(f"  {edge!r}  [{edge.reason}]")
         return "\n".join(lines)

@@ -33,7 +33,7 @@ from typing import Callable, Protocol
 
 from repro.engine.executor import evaluate
 from repro.engine.expressions import DEFAULT_CONTEXT, EvalContext
-from repro.engine.relation import Relation, columnar_enabled
+from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError, RowIdIntegrityError
 from repro.ivm.changes import ChangeSet, consolidate
 from repro.plan import logical as lp
@@ -328,8 +328,8 @@ def semi_join_keys(relation: Relation, key_fn, affected: set,
     columnar, keys are computed in one pass per column and the restriction
     gathers column slices instead of materializing row tuples.
     """
-    if (key_array_fn is not None and columnar_enabled()
-            and relation.is_columnar and relation.columns):
+    if (key_array_fn is not None and relation.is_columnar
+            and relation.columns):
         keys = key_array_fn(relation.columns, len(relation))
         keep = [index for index, key in enumerate(keys) if key in affected]
         row_ids = relation.row_ids

@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.engine.relation import Relation, columnar_enabled
+from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
 from repro.faults import inject
@@ -224,24 +224,17 @@ class VersionedTable:
         return relation
 
     def _materialize(self, partition_ids: Sequence[int]) -> Relation:
-        """Concatenate partitions into one relation. The columnar path
-        extends per-column accumulators with whole partition column
-        arrays — no row tuples are ever built; the row-major path (kept
-        for the ablation benchmark) appends row by row as before."""
-        if columnar_enabled():
-            ids: list[str] = []
-            columns: list[list] = [[] for __ in range(len(self.schema))]
-            for partition_id in partition_ids:
-                partition = self._partitions[partition_id]
-                ids.extend(partition.row_ids)
-                for accumulator, column in zip(columns, partition.columns):
-                    accumulator.extend(column)
-            return Relation.from_columns(self.schema, columns, ids)
-        relation = Relation(self.schema)
+        """Concatenate partitions into one relation by extending
+        per-column accumulators with whole partition column arrays — no
+        row tuples are ever built."""
+        ids: list[str] = []
+        columns: list[list] = [[] for __ in range(len(self.schema))]
         for partition_id in partition_ids:
-            for row_id, row in self._partitions[partition_id].rows:
-                relation.append(row_id, row)
-        return relation
+            partition = self._partitions[partition_id]
+            ids.extend(partition.row_ids)
+            for accumulator, column in zip(columns, partition.columns):
+                accumulator.extend(column)
+        return Relation.from_columns(self.schema, columns, ids)
 
     def relation_pruned(self, version: TableVersion | None,
                         bounds: Sequence[tuple[int, str, object]]) -> Relation:

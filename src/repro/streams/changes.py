@@ -17,7 +17,6 @@ optimization.
 
 from __future__ import annotations
 
-from repro.engine.relation import columnar_enabled
 from repro.ivm.changes import ChangeSet, consolidate
 from repro.storage.table import TableVersion, VersionedTable
 from repro.util.parallel import fanout_map
@@ -48,32 +47,22 @@ def changes_between(table: VersionedTable, old: TableVersion,
     removed_ids = old.partition_ids - new.partition_ids
     added_ids = new.partition_ids - old.partition_ids
 
-    raw = ChangeSet()
-    if columnar_enabled():
-        # Struct-of-arrays delta building: each partition contributes its
-        # whole row-id and row slices by array extension — no per-row
-        # appends, no per-row Change allocation. The per-partition slice
-        # materialization (the expensive part) fans out to the refresh's
-        # partition pool when one is installed; slices come back in
-        # sorted-partition-id order and are combined serially, so the
-        # change set is byte-identical to the serial build.
-        def slices(partition_id: int) -> tuple:
-            partition = table.partition(partition_id)
-            return partition.row_ids, partition.row_tuples
+    # Struct-of-arrays delta building: each partition contributes its
+    # whole row-id and row slices by array extension — no per-row
+    # appends, no per-row Change allocation. The per-partition slice
+    # materialization (the expensive part) fans out to the refresh's
+    # partition pool when one is installed; slices come back in
+    # sorted-partition-id order and are combined serially, so the
+    # change set is byte-identical to the serial build.
+    def slices(partition_id: int) -> tuple:
+        partition = table.partition(partition_id)
+        return partition.row_ids, partition.row_tuples
 
-        for row_ids, rows in fanout_map("diff", slices,
-                                        sorted(removed_ids)):
-            raw.delete_many(row_ids, rows)
-        for row_ids, rows in fanout_map("diff", slices,
-                                        sorted(added_ids)):
-            raw.insert_many(row_ids, rows)
-    else:  # pre-columnar row-at-a-time path (ablation benchmark)
-        for partition_id in sorted(removed_ids):
-            for row_id, row in table.partition(partition_id).rows:
-                raw.delete(row_id, row)
-        for partition_id in sorted(added_ids):
-            for row_id, row in table.partition(partition_id).rows:
-                raw.insert(row_id, row)
+    raw = ChangeSet()
+    for row_ids, rows in fanout_map("diff", slices, sorted(removed_ids)):
+        raw.delete_many(row_ids, rows)
+    for row_ids, rows in fanout_map("diff", slices, sorted(added_ids)):
+        raw.insert_many(row_ids, rows)
     return consolidate(raw)
 
 

@@ -64,7 +64,8 @@ Snapshot = Union[Timestamp, HlcTimestamp]
 
 
 class _OverlayPartition:
-    """A partition view with a transaction's deletes/updates applied.
+    """A partition view with a transaction's deletes/updates applied —
+    columnar (``row_ids`` + ``columns``) like the partition it overlays.
 
     Zone-map pruning stays sound for pure deletions (removing rows can
     never make a skipped partition match), so ``might_match`` delegates
@@ -72,10 +73,11 @@ class _OverlayPartition:
     voids its zone maps and always reports a possible match.
     """
 
-    __slots__ = ("rows", "_base", "_updated")
+    __slots__ = ("row_ids", "columns", "_base", "_updated")
 
-    def __init__(self, rows, base, updated: bool):
-        self.rows = rows
+    def __init__(self, row_ids: list, rows: list, base, updated: bool):
+        self.row_ids = row_ids
+        self.columns = list(zip(*rows))
         self._base = base
         self._updated = updated
 
@@ -84,19 +86,23 @@ class _OverlayPartition:
 
 
 class _StagedPartition:
-    """A transaction's staged inserts as one synthetic partition."""
+    """A transaction's staged inserts as one synthetic columnar
+    partition."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("row_ids", "columns")
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, row_ids: list, rows: list):
+        self.row_ids = row_ids
+        self.columns = list(zip(*rows))
 
     def might_match(self, bounds) -> bool:
         return True  # no zone maps for uncommitted rows
 
 
-def _overlay_partition_stream(partitions, deletes, updates, staged):
+def _overlay_partition_stream(partitions, deletes, updates, staged_ids,
+                              staged_rows):
     for partition in partitions:
+        row_ids = []
         rows = []
         changed = False
         updated = False
@@ -107,15 +113,15 @@ def _overlay_partition_stream(partitions, deletes, updates, staged):
             new_row = updates.get(row_id)
             if new_row is not None:
                 changed = updated = True
-                rows.append((row_id, new_row))
-            else:
-                rows.append((row_id, row))
+                row = new_row
+            row_ids.append(row_id)
+            rows.append(row)
         if not changed:
             yield partition
         elif rows:
-            yield _OverlayPartition(rows, partition, updated)
-    if staged:
-        yield _StagedPartition(staged)
+            yield _OverlayPartition(row_ids, rows, partition, updated)
+    if staged_rows:
+        yield _StagedPartition(staged_ids, staged_rows)
 
 
 class Transaction:
@@ -217,12 +223,11 @@ class Transaction:
             return iter(versioned.partitions_of(version))
         deletes = frozenset(write.deletes)
         updates = dict(write.updates)
-        staged = list(zip(self._insert_ids.get(table, ()),
-                          list(write.inserts)))
         partitions = ([] if write.overwrite
                       else versioned.partitions_of(version))
-        return _overlay_partition_stream(partitions, deletes, updates,
-                                         staged)
+        return _overlay_partition_stream(
+            partitions, deletes, updates,
+            list(self._insert_ids.get(table, ())), list(write.inserts))
 
     @staticmethod
     def _overlays(write: StagedWrite) -> bool:

@@ -14,7 +14,6 @@ Covers the three layers the columnar refactor introduced:
 import pytest
 
 from repro.engine import types as t
-from repro.engine.executor import Block, evaluate, force_columnar
 from repro.engine.expressions import (Arithmetic, BooleanOp, Case, Cast,
                                       ColumnRef, Comparison, FunctionCall,
                                       InList, IsNull, Like, Literal, Not,
@@ -22,8 +21,7 @@ from repro.engine.expressions import (Arithmetic, BooleanOp, Case, Cast,
                                       compile_expression_columnar,
                                       compile_group_key_columnar,
                                       compile_row_columnar)
-from repro.engine.relation import (DictResolver, Relation, columnar_enabled,
-                                   row_major_mode)
+from repro.engine.relation import Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
 from repro.errors import EvaluationError, RowIdIntegrityError
@@ -79,18 +77,6 @@ class TestRelationBlockLayout:
             Relation(ITEMS, [(1, "a", 10)], ["r0", "r1"])
         with pytest.raises(ValueError):
             Relation.from_columns(ITEMS, [[1], ["a"], [10]], ["r0", "r1"])
-
-
-class TestBlock:
-    def test_iteration_len_and_slicing(self):
-        block = Block(["r0", "r1", "r2"], [[1, 2, 3], ["a", "b", "c"]])
-        assert len(block) == 3
-        assert list(block) == [("r0", (1, "a")), ("r1", (2, "b")),
-                               ("r2", (3, "c"))]
-        head = block[:2]
-        assert isinstance(head, Block)
-        assert head.row_tuples() == [(1, "a"), (2, "b")]
-        assert block[1] == ("r1", (2, "b"))
 
 
 class TestSoAChangeSet:
@@ -255,37 +241,6 @@ class TestVectorizedEvaluators:
 
 
 PROVIDER = DictSchemaProvider({"items": ITEMS})
-
-
-def _relations():
-    rows = [(i, "g" + str(i % 3), (i * 3) % 7) for i in range(25)]
-    return {"items": Relation(ITEMS, rows,
-                              [f"b1:{i}" for i in range(len(rows))])}
-
-
-class TestExecutorPathEquivalence:
-    SQL = ("SELECT id, val + 1 v FROM items WHERE val > 1 AND grp != 'g2'")
-
-    def test_row_major_mode_matches_columnar(self):
-        plan = build_plan(parse_query(self.SQL), PROVIDER)
-        relations = _relations()
-        columnar = evaluate(plan, DictResolver(relations))
-        assert columnar_enabled()
-        with row_major_mode():
-            assert not columnar_enabled()
-            row_major = evaluate(plan, DictResolver(relations))
-        assert columnar.rows == row_major.rows
-        assert columnar.row_ids == row_major.row_ids
-
-    def test_force_columnar_matches_default(self):
-        plan = build_plan(parse_query(
-            "SELECT grp, count(*) n FROM items GROUP BY grp"), PROVIDER)
-        relations = _relations()
-        default = evaluate(plan, DictResolver(relations))
-        with force_columnar():
-            forced = evaluate(plan, DictResolver(relations))
-        assert default.rows == forced.rows
-        assert default.row_ids == forced.row_ids
 
 
 class TestPositionalIdGuard:

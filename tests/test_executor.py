@@ -337,7 +337,7 @@ class TestStreamingTopK:
         materialized = evaluate(plan, resolver)
         batches = stream_evaluate(plan, resolver)
         assert batches is not None, "plan did not stream"
-        streamed = [pair for batch in batches for pair in batch]
+        streamed = [pair for batch in batches for pair in batch.pairs()]
         assert streamed == list(materialized.pairs())
 
     def test_top_k_ascending(self):

@@ -1,5 +1,9 @@
 """Tests for the derivation-extended isolation formalism (section 4)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.isolation import (Abort, Commit, DependencyKind, Derive,
@@ -96,6 +100,25 @@ class TestDsgEdges:
         history = History([Write(1, X1), Abort(1), Write(2, X2)])
         dsg = DirectSerializationGraph(history)
         assert 1 not in dsg.nodes
+
+    def test_pretty_is_hash_seed_independent(self):
+        # The demo's history has two T1 -ww-> T2 edges that differ only
+        # in ``reason``; edges live in a set, so any sort key that omits
+        # a field prints them in hash order.
+        repo = os.path.join(os.path.dirname(__file__), os.pardir)
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.join(repo, "src"))
+            result = subprocess.run(
+                [sys.executable, os.path.join("examples",
+                                              "isolation_demo.py")],
+                cwd=repo, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert "-ww->" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestPhenomena:

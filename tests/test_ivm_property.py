@@ -13,7 +13,7 @@ strategies.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.executor import evaluate, force_columnar
+from repro.engine.executor import evaluate
 from repro.engine.expressions import force_interpreted
 from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
@@ -95,6 +95,17 @@ def mutate(relation, ops, additions, prefix):
     return Relation.from_pairs(relation.schema, pairs), delta
 
 
+def columnar(relations):
+    """Column-major copies of ``relations`` (the layout storage scans
+    produce); the originals stay row-major."""
+    return {name: Relation.from_columns(
+                relation.schema,
+                [[row[index] for row in relation.rows]
+                 for index in range(len(relation.schema))],
+                list(relation.row_ids))
+            for name, relation in relations.items()}
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(items=items_rows, lookups=lookup_rows, item_mutation=mutations,
@@ -136,11 +147,15 @@ def test_delta_reproduces_full_recompute(items, lookups, item_mutation,
        strategy=st.sampled_from(["direct", "rewrite"]))
 def test_three_way_evaluation_equivalence(items, lookups, item_mutation,
                                           lookup_ops, strategy):
-    """The three execution paths must be byte-identical: the row-major
-    reference interpreter, the row-major closure-compiled path, and the
-    columnar-vectorized path — same rows, same row ids, same change sets —
-    for full evaluation AND for differentiation, over every plan in the
-    battery and randomized tables/mutations."""
+    """The production path must be byte-identical to the reference
+    interpreter (``force_interpreted``) — same rows, same row ids, same
+    change sets — for full evaluation AND for differentiation, over every
+    plan in the battery and randomized tables/mutations, whichever layout
+    its inputs arrive in: row-major relations (overlay reads, operator
+    outputs) and the columnar relations storage scans hand over. The
+    kernels read ``Relation.columns`` either way; the input layout decides
+    which view is derived lazily and which arm the ``is_columnar``
+    selections of the affected-key restrictions take."""
     items_old = build_tables(items, "i")
     lookup_old = build_tables(lookups, "l")
     item_ops, additions = item_mutation
@@ -149,36 +164,29 @@ def test_three_way_evaluation_equivalence(items, lookups, item_mutation,
 
     old_rels = {"items": items_old, "lookup": lookup_old}
     new_rels = {"items": items_new, "lookup": lookup_new}
-    source = DictDeltaSource(old_rels, new_rels,
-                             {"items": items_delta, "lookup": lookup_delta})
+    deltas = {"items": items_delta, "lookup": lookup_delta}
+    source = DictDeltaSource(old_rels, new_rels, deltas)
+    old_cols, new_cols = columnar(old_rels), columnar(new_rels)
+    columnar_source = DictDeltaSource(old_cols, new_cols, deltas)
 
     for plan in PLANS:
-        compiled_old = evaluate(plan, DictResolver(old_rels))
-        compiled_new = evaluate(plan, DictResolver(new_rels))
-        compiled_changes, __ = differentiate(plan, source,
-                                             outer_join_strategy=strategy)
         with force_interpreted():
             interpreted_old = evaluate(plan, DictResolver(old_rels))
             interpreted_new = evaluate(plan, DictResolver(new_rels))
             interpreted_changes, __ = differentiate(
                 plan, source, outer_join_strategy=strategy)
-        with force_columnar():
-            columnar_old = evaluate(plan, DictResolver(old_rels))
-            columnar_new = evaluate(plan, DictResolver(new_rels))
-            columnar_changes, __ = differentiate(
-                plan, source, outer_join_strategy=strategy)
+        for old, new, delta_source in ((old_rels, new_rels, source),
+                                       (old_cols, new_cols, columnar_source)):
+            produced_old = evaluate(plan, DictResolver(old))
+            produced_new = evaluate(plan, DictResolver(new))
+            produced_changes, __ = differentiate(
+                plan, delta_source, outer_join_strategy=strategy)
 
-        assert compiled_old.row_ids == interpreted_old.row_ids
-        assert compiled_old.rows == interpreted_old.rows
-        assert compiled_new.row_ids == interpreted_new.row_ids
-        assert compiled_new.rows == interpreted_new.rows
-        assert compiled_changes.changes == interpreted_changes.changes
-
-        assert columnar_old.row_ids == interpreted_old.row_ids
-        assert columnar_old.rows == interpreted_old.rows
-        assert columnar_new.row_ids == interpreted_new.row_ids
-        assert columnar_new.rows == interpreted_new.rows
-        assert columnar_changes.changes == interpreted_changes.changes
+            assert produced_old.row_ids == interpreted_old.row_ids
+            assert produced_old.rows == interpreted_old.rows
+            assert produced_new.row_ids == interpreted_new.row_ids
+            assert produced_new.rows == interpreted_new.rows
+            assert produced_changes.changes == interpreted_changes.changes
 
 
 # Aggregate battery for the stateful three-way property: every

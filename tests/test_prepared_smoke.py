@@ -5,9 +5,11 @@ statement API exploits it across repeat executions. This check runs the
 same point-lookup query N times two ways — as fresh ``query()`` calls
 (each paying tokenize + parse + bind + optimize) and as one
 :class:`~repro.api.prepared.PreparedStatement` re-executed with new binds
-(plan-cache hit, zero frontend work) — asserts the prepared path is at
-least 2x faster, and snapshots both throughputs to
-``benchmarks/BENCH_prepared.json``.
+(plan-cache hit, zero frontend work) — and asserts the prepared path is
+at least 2x faster. The measured throughputs go to the ignored
+``benchmarks/results.txt``; the tracked ``benchmarks/BENCH_prepared.json``
+records only the deterministic scenario and its gate, so a tier-1 run
+leaves the tree clean.
 
 Runs as part of tier-1 (it is fast); deselect with ``-m "not perf"``.
 """
@@ -22,12 +24,14 @@ from repro import Database
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "benchmarks"))
-from reporting import emit_json  # noqa: E402
+from reporting import emit, emit_json  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
 TABLE_ROWS = 100
 EXECUTIONS = 300
+#: The acceptance bar: plan-cache hits make re-execution >= 2x faster.
+MIN_SPEEDUP = 2.0
 
 QUERY_TEMPLATE = ("SELECT id, grp, val * 2 doubled FROM items "
                   "WHERE val >= {} AND id < 10000")
@@ -74,12 +78,14 @@ def test_prepared_reexecution_at_least_2x_fresh_query(db):
         "query": PREPARED_QUERY,
         "table_rows": TABLE_ROWS,
         "executions": EXECUTIONS,
-        "fresh_query_per_second": round(EXECUTIONS / fresh_elapsed, 1),
-        "prepared_per_second": round(EXECUTIONS / prepared_elapsed, 1),
-        "speedup": round(speedup, 2),
+        "min_speedup": MIN_SPEEDUP,
     })
+    emit("prepared statement re-execution (tier-1 perf smoke)", [
+        f"fresh query():      {EXECUTIONS / fresh_elapsed:10.1f} stmts/s",
+        f"prepared statement: {EXECUTIONS / prepared_elapsed:10.1f} stmts/s",
+        f"speedup:            {speedup:10.2f}x (gate >= {MIN_SPEEDUP}x)",
+    ])
 
-    # The acceptance bar: plan-cache hits make re-execution >= 2x faster.
-    assert speedup >= 2.0, (
+    assert speedup >= MIN_SPEEDUP, (
         f"prepared re-execution only {speedup:.2f}x faster "
         f"(fresh {fresh_elapsed:.4f}s vs prepared {prepared_elapsed:.4f}s)")

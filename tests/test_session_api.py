@@ -5,6 +5,9 @@ import pytest
 from repro import Cursor, Database, PreparedStatement, Session
 from repro.api import prepared as prepared_module
 from repro.api import session as session_module
+from repro.engine.relation import Relation
+from repro.engine.schema import schema_of
+from repro.engine.types import SqlType
 from repro.errors import (BindParameterError, CatalogError, EvaluationError,
                           StatementError, UserError)
 from repro.txn.manager import SnapshotReader
@@ -332,23 +335,29 @@ class TestCursor:
         assert len(cursor.fetchall()) == 3
 
 
+PARTITION_ROWS = 50
+TOTAL_ROWS = 500
+
+
+@pytest.fixture
+def paged_db():
+    """``big(id, val)``: ten micro-partitions, ids clustered by insertion
+    order so an id range maps to a partition range."""
+    database = Database()
+    database.create_warehouse("wh")
+    database.execute("CREATE TABLE big (id int, val int)")
+    database.catalog.versioned_table("big").partition_rows = PARTITION_ROWS
+    database.execute("INSERT INTO big VALUES " + ", ".join(
+        f"({i}, {i % 10})" for i in range(TOTAL_ROWS)))
+    return database
+
+
 class TestCursorStreaming:
     """Pagination pulls micro-partitions lazily: fetchmany(k) never holds
     more than one partition beyond the page it serves."""
 
-    PARTITION_ROWS = 50
-    TOTAL_ROWS = 500
-
-    @pytest.fixture
-    def paged_db(self):
-        database = Database()
-        database.create_warehouse("wh")
-        database.execute("CREATE TABLE big (id int, val int)")
-        database.catalog.versioned_table("big").partition_rows = \
-            self.PARTITION_ROWS
-        database.execute("INSERT INTO big VALUES " + ", ".join(
-            f"({i}, {i % 10})" for i in range(self.TOTAL_ROWS)))
-        return database
+    PARTITION_ROWS = PARTITION_ROWS
+    TOTAL_ROWS = TOTAL_ROWS
 
     @pytest.fixture
     def partition_counter(self, monkeypatch):
@@ -404,7 +413,7 @@ class TestCursorStreaming:
         ctx = EvalContext(timestamp=paged_db.now, params=(75,))
         batches = list(stream_evaluate(prepared.plan(), reader, ctx))
         assert len(batches) == 75 // self.PARTITION_ROWS + 1  # pruned to 2
-        rows = [row for batch in batches for __, row in batch]
+        rows = [row for batch in batches for row in batch.rows]
         assert sorted(rows) == [(i,) for i in range(75)]
         # The cursor path serves the same rows.
         cursor = paged_db.cursor()
@@ -469,13 +478,13 @@ class TestCursorStreaming:
         ctx = EvalContext(timestamp=paged_db.now)
         streamed = [pair for batch in
                     stream_evaluate(prepared.plan(), reader, ctx)
-                    for pair in batch]
+                    for pair in batch.pairs()]
         materialized = list(evaluate(prepared.plan(), reader, ctx).pairs())
         assert streamed == materialized
 
     def test_fetch_time_errors_cross_the_boundary(self, paged_db):
         def poisoned_stream():
-            yield [("row:0", (1,))]
+            yield Relation(schema_of(("id", SqlType.INT)), [(1,)], ["row:0"])
             raise KeyError("stream blew up mid-fetch")
 
         cursor = paged_db.cursor()
@@ -494,6 +503,118 @@ class TestCursorStreaming:
         cursor = paged_db.cursor()
         cursor.execute(sql)
         assert sorted(cursor.fetchall()) == sorted(paged_db.query(sql).rows)
+
+    @pytest.mark.parametrize("sql, streams", [
+        ("SELECT id, val * 2 d FROM big WHERE val >= 5", True),
+        ("SELECT id FROM big WHERE id >= 120 LIMIT 70", True),
+        ("SELECT id, val FROM big WHERE val > 2 ORDER BY val DESC, id "
+         "LIMIT 7", True),
+        ("SELECT id FROM big WHERE id < 60 "
+         "UNION ALL SELECT val FROM big WHERE id >= 440", True),
+        ("SELECT val, count(*) n FROM big GROUP BY val", False),
+    ])
+    def test_streamed_and_materialized_batches_are_one_type(self, paged_db,
+                                                            sql, streams):
+        # The cursor consumes one batch type whether the plan streamed
+        # (one Relation per partition, through the executor's kernels) or
+        # fell back to a single materialized Relation; rows, ids and
+        # order are identical either way.
+        from repro.engine.executor import evaluate, stream_evaluate
+
+        session = paged_db.session()
+        prepared = session.prepare(sql)
+        reader, ctx = session._read_state(())
+        assert (stream_evaluate(prepared.plan(), reader, ctx)
+                is not None) == streams
+        __, batches = session._stream_prepared(prepared, None)
+        batches = list(batches)
+        assert all(type(batch) is Relation for batch in batches)
+        materialized = evaluate(prepared.plan(), reader, ctx)
+        assert [pair for batch in batches for pair in batch.pairs()] == \
+            list(materialized.pairs())
+
+
+# ---------------------------------------------------------------------------
+# Planned DML: UPDATE / DELETE run through the executor
+# ---------------------------------------------------------------------------
+
+class TestPlannedDml:
+    @pytest.fixture
+    def scans(self, paged_db, monkeypatch):
+        """Rows handed over per pruned storage read of ``big`` and the
+        number of zone-map consultations, while a statement runs."""
+        from repro.storage.partition import Partition
+        from repro.storage.table import VersionedTable
+
+        seen = {"rows": [], "might_match": 0}
+        original_pruned = VersionedTable.relation_pruned
+
+        def relation_pruned(table, version, bounds):
+            relation = original_pruned(table, version, bounds)
+            if table.name == "big":
+                seen["rows"].append(len(relation))
+            return relation
+
+        monkeypatch.setattr(VersionedTable, "relation_pruned",
+                            relation_pruned)
+        original_might_match = Partition.might_match
+
+        def might_match(partition, bounds):
+            seen["might_match"] += 1
+            return original_might_match(partition, bounds)
+
+        monkeypatch.setattr(Partition, "might_match", might_match)
+        return seen
+
+    @pytest.mark.parametrize("sql, binds", [
+        ("DELETE FROM big WHERE id >= 120 AND id < 130", None),
+        ("DELETE FROM big WHERE id >= ? AND id < ?", (120, 130)),
+        ("UPDATE big SET val = val + 100 WHERE id >= 120 AND id < 130",
+         None),
+        ("UPDATE big SET val = val + ? WHERE id >= ? AND id < ?",
+         (100, 120, 130)),
+    ])
+    def test_ranged_dml_prunes_partitions(self, paged_db, scans, sql, binds):
+        cursor = paged_db.cursor()
+        cursor.execute(sql, binds)
+        assert cursor.rowcount == 10
+        # Every partition's zone map was consulted, and only the one
+        # partition covering the range was materialized.
+        assert scans["might_match"] == TOTAL_ROWS // PARTITION_ROWS
+        assert scans["rows"] == [PARTITION_ROWS]
+
+    def test_duplicate_assignment_rejected_before_staging(self, db):
+        versions = db.catalog.versioned_table("t").version_count
+        with pytest.raises(UserError, match="'a' is assigned more than once"):
+            db.execute("UPDATE t SET a = 5, a = 6 WHERE a = 1")
+        assert db.catalog.versioned_table("t").version_count == versions
+        session = db.session()
+        session.begin()
+        with pytest.raises(UserError, match="assigned more than once"):
+            session.execute("UPDATE t SET b = 'p', a = 1, b = 'q'")
+        session.rollback()
+        assert sorted(db.query("SELECT * FROM t").rows) == \
+            [(1, "x"), (2, "y"), (3, "z")]
+
+    def test_unknown_set_column_is_a_bind_error(self, db):
+        from repro.errors import BindError
+
+        with pytest.raises(BindError, match="unknown column: nope"):
+            db.execute("UPDATE t SET nope = 1")
+
+    def test_where_type_error_is_located(self, db):
+        for sql, column in (("DELETE FROM t WHERE a = 'x'", 21),
+                            ("UPDATE t SET b = 'q' WHERE a = 'x'", 28)):
+            with pytest.raises(UserError, match="cannot compare INT with "
+                                                "TEXT") as excinfo:
+                db.execute(sql)
+            assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_uncastable_assignment_stages_nothing(self, db):
+        with pytest.raises(EvaluationError, match="cannot cast 'x' to INT"):
+            db.execute("UPDATE t SET a = b")
+        assert sorted(db.query("SELECT * FROM t").rows) == \
+            [(1, "x"), (2, "y"), (3, "z")]
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,6 @@ _MATERIALIZE_PREFIX = ("ivm/rules_",)
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_block_of"),
-    ("engine/executor.py", "_filter_input"),
-    ("engine/executor.py", "_run_filter"),
-    ("engine/executor.py", "_run_limit"),
-    ("engine/executor.py", "_run_project"),
-    ("engine/executor.py", "_run_scan"),
     ("engine/executor.py", "_run_sort"),
     ("engine/executor.py", "_run_unionall"),
     ("engine/executor.py", "_run_values"),
@@ -144,7 +138,6 @@ MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
     ("ivm/rules_window.py", "delta_window"),
     ("storage/table.py", "_apply_changeset"),
     ("storage/table.py", "_apply_dml"),
-    ("storage/table.py", "_materialize"),
     ("storage/table.py", "recluster"),
     ("storage/table.py", "rows_by_id"),
 }
