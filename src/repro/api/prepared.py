@@ -13,7 +13,8 @@ same text in another session reuses the plan.
 Bind values travel to execution inside the
 :class:`~repro.engine.expressions.EvalContext` (``ctx.params``), where
 each :class:`~repro.engine.expressions.BoundParameter` slot reads — and
-the closure compiler pins — the value for that one execution.
+the vectorized compiler folds to a constant — the value for that one
+execution.
 """
 
 from __future__ import annotations

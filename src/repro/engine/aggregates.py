@@ -1,9 +1,10 @@
 """Aggregate function evaluation: full recomputation and accumulators.
 
 :func:`evaluate_aggregate` computes one aggregate by full recomputation
-over a group's rows — the reference semantics, used by the executor and
-by the *affected-group* incremental strategy (recompute exactly the
-groups whose inputs changed), which matches the paper's production stance
+over a group's already-evaluated argument values — the reference
+semantics, used by the executor and by the *affected-group* incremental
+strategy (recompute exactly the groups whose inputs changed), which
+matches the paper's production stance
 (section 5.5.3: "none of our derivatives so far reuse the state from
 preceding data timestamps already stored in the DT").
 
@@ -25,33 +26,28 @@ Listing 1.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.engine import types as t
-from repro.engine.expressions import EvalContext, Expression, compile_expression
 from repro.engine.types import SqlType, Value
 from repro.errors import EvaluationError, InternalError
 
 
-def evaluate_aggregate(function: str, arg: Optional[Expression],
-                       distinct: bool, rows: Sequence[tuple],
-                       ctx: EvalContext,
-                       arg_fn: Optional[Callable[[tuple], Value]] = None,
-                       ) -> Value:
-    """Evaluate one aggregate over the rows of a single group.
+def evaluate_aggregate(function: str, distinct: bool,
+                       values: Optional[Sequence[Value]],
+                       row_count: int) -> Value:
+    """Evaluate one aggregate over a single group.
 
-    ``arg_fn`` is an optional pre-compiled evaluator for ``arg``; callers
-    evaluating many groups compile once and pass it to avoid recompiling
-    per group.
+    ``values`` are the aggregate's argument, already evaluated, one per
+    row of the group (None for an argument-less call, i.e. ``COUNT(*)``);
+    ``row_count`` is the group's size. Callers evaluate the argument once
+    over their whole input and gather each group's values by index.
     """
-    if function == "count" and arg is None:
-        return len(rows)
+    if function == "count" and values is None:
+        return row_count
 
-    if arg is None:
+    if values is None:
         raise EvaluationError(f"aggregate {function} requires an argument")
-    if arg_fn is None:
-        arg_fn = compile_expression(arg, ctx)
-    values: Iterable[Value] = (arg_fn(row) for row in rows)
 
     if function == "count_if":
         # count_if counts rows where the predicate is TRUE.

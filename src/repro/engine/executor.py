@@ -13,16 +13,16 @@ output. Every operator exists once, as a kernel below built from the
 operator's plan node and applied to its materialized input(s);
 :func:`evaluate` applies a kernel to the whole input and
 :func:`stream_evaluate` applies the *same* kernel to one micro-partition
-at a time. The row-preserving kernels (filter, project, limit) are
-**vector-at-a-time**: they read ``Relation.columns`` and evaluate whole
+at a time. Every kernel evaluates its expressions **vector-at-a-time**:
+it reads ``Relation.columns`` and runs each expression once over whole
 column arrays through the vectorized compiler
 (:func:`compile_expression_columnar`) — one tight loop per expression node
-per batch instead of one closure call per row. Aggregation and window
-partitioning compute their group keys the same way. The row-shaped
-kernels (joins, sorts, window frames) read the ``Relation.rows`` view and
-use the closure-compiled row evaluators. The interpreter
-(``Expression.eval``, selected by ``force_interpreted``) is the reference
-semantics for both compilers.
+per batch, never one evaluator call per row, group or partition. Join
+keys, sort keys, grouping keys, aggregate and window arguments are value
+arrays gathered by row index. What stays row-shaped is *bookkeeping*:
+joins, DISTINCT, FLATTEN and the top-k heap assemble their output rows
+from the ``Relation.rows`` view. The interpreter (``Expression.eval``,
+selected by ``force_interpreted``) is the reference semantics.
 
 Filters directly over scans additionally push simple column-vs-literal
 bounds into the storage layer when the resolver supports it
@@ -35,21 +35,20 @@ reports the partitions-scanned/skipped split so EXPLAIN can surface it.
 from __future__ import annotations
 
 import heapq
-from itertools import compress as _itercompress, repeat as _repeat
+from itertools import compress as _itercompress
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import types as t
 from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       Expression, IsNull, Literal,
                                       DEFAULT_CONTEXT, EvalContext,
-                                      compile_expression,
                                       compile_expression_columnar,
                                       compile_group_key_columnar,
-                                      compile_row, compile_row_columnar,
-                                      conjuncts, emits_tristate)
+                                      compile_row_columnar, conjuncts,
+                                      emits_tristate, gather_columns)
 from repro.engine.relation import Relation, SnapshotResolver
-from repro.engine.window import (compile_window_calls, evaluate_window_calls,
-                                 sort_partition, _compare_with_nulls)
+from repro.engine.window import (evaluate_window_calls, sort_partition,
+                                 _compare_with_nulls)
 from repro.errors import InternalError, ReproError, UserError
 from repro.ivm import rowid
 from repro.plan import logical as lp
@@ -279,11 +278,17 @@ class _Executor:
 
     def _run_sort(self, plan: lp.Sort) -> Relation:
         child = self.run(plan.child)
-        ordered = sort_partition(child.rows, child.row_ids, plan.keys, self._ctx)
-        output = Relation(plan.schema)
-        for index in ordered:
-            output.append(child.row_ids[index], child.rows[index])
-        return output
+        count = len(child)
+        keys = compile_row_columnar([expr for expr, __ in plan.keys],
+                                    self._ctx)(child.columns, count)
+        ordered = sort_partition(child.columns, child.row_ids, keys,
+                                 [flag for __, flag in plan.keys],
+                                 range(count))
+        return Relation.from_columns(
+            plan.schema,
+            [[column[index] for index in ordered]
+             for column in child.columns],
+            [child.row_ids[index] for index in ordered])
 
     def _run_limit(self, plan: lp.Limit) -> Relation:
         # The executor materializes each child, so LIMIT cannot stream the
@@ -460,18 +465,17 @@ def _topk_batches(batches: Iterator[Relation], sort: lp.Sort, count: int,
     sits between the Limit and the Sort — applied to the ``count``
     surviving rows in output order, matching the materialized
     Project-over-Sort."""
-    key_fns = [(compile_expression(expr, ctx), descending)
-               for expr, descending in sort.keys]
-    descending = tuple(flag for __, flag in key_fns)
+    keys_fn = compile_row_columnar([expr for expr, __ in sort.keys], ctx)
+    descending = tuple(flag for __, flag in sort.keys)
 
     def entries() -> Iterator[_TopKEntry]:
         for batch in batches:
-            # Heap candidates are row-shaped: the sort keys and the
-            # tie-break digest both read the whole row.
+            keys = zip(*keys_fn(batch.columns, len(batch)))
+            # Heap candidates are row-shaped: the survivors become the
+            # output rows and the tie-break digest reads the whole row.
             rows = batch.rows  # lint: allow-materialize (top-k candidates)
-            for row_id, row in zip(batch.row_ids, rows):
-                keys = tuple(fn(row) for fn, __ in key_fns)
-                yield _TopKEntry(keys, descending, row_id, row)
+            for row_id, row, row_keys in zip(batch.row_ids, rows, keys):
+                yield _TopKEntry(row_keys, descending, row_id, row)
 
     top = heapq.nsmallest(count, entries()) if count else []
     if not top:
@@ -530,83 +534,131 @@ def limit_relation(schema, child: Relation, count: int) -> Relation:
         child.row_ids[:count])
 
 
+#: How many candidate pairs a join condition is evaluated over at once.
+#: Bounds the gathered columns of a non-equi (or residual) join to
+#: O(batch) — never the L x R candidate space — while keeping each
+#: vectorized evaluation long enough to amortize its per-batch overhead.
+JOIN_PAIR_BATCH = 1 << 16
+
+
+def _equi_keys(exprs: Sequence[Expression], relation: Relation,
+               ctx: EvalContext) -> list:
+    """One hashable equi-join key per row of ``relation`` (the key
+    expressions evaluated once over its columns); None where any key
+    value is NULL, since NULL keys never match."""
+    count = len(relation)
+    arrays = compile_row_columnar(exprs, ctx)(relation.columns, count)
+    keys = t.group_key_columns(arrays, count)
+    for array in arrays:
+        if None in array:
+            keys = [None if value is None else key
+                    for value, key in zip(array, keys)]
+    return keys
+
+
+def _matching(candidates: Iterator[tuple[int, Sequence[int]]],
+              condition: Expression, left: Relation, right: Relation,
+              ctx: EvalContext) -> Iterator[tuple[int, Sequence[int]]]:
+    """Restrict each left row's candidate right rows to those on which
+    ``condition`` is TRUE. ``candidates`` and the result are
+    ``(left_index, right_indices)`` per left row, in left order.
+
+    The condition is evaluated vectorized over gathered candidate pairs,
+    ``JOIN_PAIR_BATCH`` at a time (whole left rows; at least one), so
+    memory stays O(|L| + |R| + |out|).
+    """
+    predicate = compile_expression_columnar(condition, ctx)
+    # The condition reads the concatenated row: left columns first.
+    needed = condition.column_indices()
+    left_width = len(left.columns)
+    right_needed = {index - left_width for index in needed}
+
+    def flush(batch: list) -> Iterator[tuple[int, Sequence[int]]]:
+        lefts = [left_index for left_index, indices in batch
+                 for __ in indices]
+        rights = [index for __, indices in batch for index in indices]
+        mask = predicate(
+            gather_columns(left.columns, needed, lefts)
+            + gather_columns(right.columns, right_needed, rights),
+            len(lefts))
+        hits = [value is True for value in mask]
+        position = 0
+        for left_index, indices in batch:
+            end = position + len(indices)
+            yield left_index, list(_itercompress(indices,
+                                                 hits[position:end]))
+            position = end
+
+    batch: list = []
+    pairs = 0
+    for candidate in candidates:
+        batch.append(candidate)
+        pairs += len(candidate[1])
+        if pairs >= JOIN_PAIR_BATCH:
+            yield from flush(batch)
+            batch, pairs = [], 0
+    yield from flush(batch)
+
+
 def join_relations(plan: lp.Join, left: Relation, right: Relation,
                    ctx: EvalContext) -> Relation:
-    """Evaluate any join kind over two materialized inputs."""
+    """Evaluate any join kind over two materialized inputs.
+
+    Equi-keys and the residual / non-equi condition are evaluated over
+    column arrays (:func:`_equi_keys`, :func:`_matching`); the output rows
+    are assembled from the inputs' row views.
+    """
     output = Relation(plan.schema)
-    left_width = len(plan.left.schema)
-    right_width = len(plan.right.schema)
+    left_rows, right_rows = left.rows, right.rows
+    left_ids, right_ids = left.row_ids, right.row_ids
 
     if plan.kind == "cross":
-        for left_id, left_row in left.pairs():
-            for right_id, right_row in right.pairs():
+        for left_id, left_row in zip(left_ids, left_rows):
+            for right_id, right_row in zip(right_ids, right_rows):
                 output.append(rowid.join_id(left_id, right_id),
                               left_row + right_row)
         return output
 
     keys = lp.extract_equi_keys(plan)
-    matched_right: set[int] = set()
-    group_key = t.group_key
-
     if keys.left_keys:
-        # Hash join on the equi-keys.
-        left_key_fn = compile_row(keys.left_keys, ctx)
-        right_key_fn = compile_row(keys.right_keys, ctx)
-        residual = (compile_expression(keys.residual, ctx)
-                    if keys.residual is not None else None)
+        # Hash join on the equi-keys; the residual filters the buckets.
         buckets: dict[tuple, list[int]] = {}
-        for index, row in enumerate(right.rows):
-            values = right_key_fn(row)
-            if any(value is None for value in values):
-                continue  # NULL keys never match
-            buckets.setdefault(group_key(values), []).append(index)
-
-        right_rows = right.rows
-        right_ids = right.row_ids
-        for left_index, left_row in enumerate(left.rows):
-            values = left_key_fn(left_row)
-            candidates: Sequence[int]
-            if any(value is None for value in values):
-                candidates = ()
-            else:
-                candidates = buckets.get(group_key(values), ())
-            found = False
-            for right_index in candidates:
-                combined = left_row + right_rows[right_index]
-                if residual is not None and residual(combined) is not True:
-                    continue
-                found = True
-                matched_right.add(right_index)
-                output.append(
-                    rowid.join_id(left.row_ids[left_index],
-                                  right_ids[right_index]), combined)
-            if not found and plan.kind in ("left", "full"):
-                output.append(rowid.outer_left_id(left.row_ids[left_index]),
-                              left_row + (None,) * right_width)
+        for index, key in enumerate(_equi_keys(keys.right_keys, right, ctx)):
+            if key is not None:
+                buckets.setdefault(key, []).append(index)
+        no_match: Sequence[int] = ()
+        candidates = ((index, buckets.get(key, no_match)) for index, key
+                      in enumerate(_equi_keys(keys.left_keys, left, ctx)))
+        condition = keys.residual
     else:
-        # No equi-keys: nested loops on the full condition.
-        condition = (compile_expression(plan.condition, ctx)
-                     if plan.condition is not None else None)
-        for left_index, left_row in enumerate(left.rows):
-            found = False
-            for right_index, right_row in enumerate(right.rows):
-                combined = left_row + right_row
-                if condition is not None and condition(combined) is not True:
-                    continue
-                found = True
-                matched_right.add(right_index)
-                output.append(
-                    rowid.join_id(left.row_ids[left_index],
-                                  right.row_ids[right_index]), combined)
-            if not found and plan.kind in ("left", "full"):
-                output.append(rowid.outer_left_id(left.row_ids[left_index]),
-                              left_row + (None,) * right_width)
+        # No equi-keys: every pair is a candidate for the full condition.
+        every_right = range(len(right))
+        candidates = ((index, every_right) for index in range(len(left)))
+        condition = plan.condition
 
-    if plan.kind in ("right", "full"):
-        for right_index, right_row in enumerate(right.rows):
+    pad_right = (None,) * len(plan.right.schema)
+    keep_unmatched_left = plan.kind in ("left", "full")
+    keep_unmatched_right = plan.kind in ("right", "full")
+    matched_right: set[int] = set()
+    if condition is not None:
+        candidates = _matching(candidates, condition, left, right, ctx)
+    for left_index, matches in candidates:
+        left_row = left_rows[left_index]
+        left_id = left_ids[left_index]
+        for right_index in matches:
+            output.append(rowid.join_id(left_id, right_ids[right_index]),
+                          left_row + right_rows[right_index])
+        if keep_unmatched_right:
+            matched_right.update(matches)
+        if not matches and keep_unmatched_left:
+            output.append(rowid.outer_left_id(left_id), left_row + pad_right)
+
+    if keep_unmatched_right:
+        pad_left = (None,) * len(plan.left.schema)
+        for right_index, right_row in enumerate(right_rows):
             if right_index not in matched_right:
-                output.append(rowid.outer_right_id(right.row_ids[right_index]),
-                              (None,) * left_width + right_row)
+                output.append(rowid.outer_right_id(right_ids[right_index]),
+                              pad_left + right_row)
     return output
 
 
@@ -614,38 +666,36 @@ def aggregate_relation(plan: lp.Aggregate, child: Relation,
                        ctx: EvalContext) -> Relation:
     """Evaluate grouped (or scalar) aggregation over a materialized input.
 
-    Grouping keys are computed vectorized (one pass per group expression
-    over the child's column arrays); the per-group aggregate evaluation
-    consumes row tuples.
+    Grouping keys and aggregate arguments are each evaluated once over the
+    child's column arrays; a group is the list of its row indices, and
+    each aggregate consumes its argument values gathered at those indices.
     """
-    groups: dict[tuple, tuple[tuple, list[tuple]]] = {}
-    group_key = t.group_key
-    child_rows = child.rows
-    if not plan.group_exprs:
-        key_values_per_row = _repeat(())  # scalar aggregate: one group
-    else:
-        arrays = compile_row_columnar(plan.group_exprs, ctx)(
-            child.columns, len(child))
-        key_values_per_row = zip(*arrays)
-    for row, key_values in zip(child_rows, key_values_per_row):
-        key = group_key(key_values)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = entry = (key_values, [])
-        entry[1].append(row)
-
-    output = Relation(plan.schema)
+    count = len(child)
+    columns = child.columns
+    key_arrays = compile_row_columnar(plan.group_exprs, ctx)(columns, count)
+    groups: dict[tuple, list[int]] = {}
+    for index, key in enumerate(t.group_key_columns(key_arrays, count)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = members = []
+        members.append(index)
     if plan.is_scalar and not groups:
         # Scalar aggregate over empty input still yields one row.
-        groups[group_key(())] = ((), [])
-    arg_fns = [(None if call.arg is None
-                else compile_expression(call.arg, ctx))
-               for call in plan.aggregates]
-    for key_values, rows in groups.values():
+        groups[()] = []
+
+    arg_arrays = [None if call.arg is None else
+                  compile_expression_columnar(call.arg, ctx)(columns, count)
+                  for call in plan.aggregates]
+    output = Relation(plan.schema)
+    for members in groups.values():
+        whole = len(members) == count  # one group: nothing to gather
         aggregates = tuple(
-            evaluate_aggregate(call.function, call.arg, call.distinct, rows,
-                               ctx, arg_fn=arg_fn)
-            for call, arg_fn in zip(plan.aggregates, arg_fns))
+            evaluate_aggregate(
+                call.function, call.distinct,
+                values if values is None or whole
+                else [values[index] for index in members], len(members))
+            for call, values in zip(plan.aggregates, arg_arrays))
+        key_values = tuple(array[members[0]] for array in key_arrays)
         output.append(rowid.group_id(key_values), key_values + aggregates)
     return output
 
@@ -666,28 +716,17 @@ def distinct_relation(schema, child: Relation) -> Relation:
 def window_relation(plan: lp.Window, child: Relation,
                     ctx: EvalContext) -> Relation:
     """Evaluate partitioned window calls, appending one column per call.
-    Partition keys are computed vectorized over the child's columns."""
+    Partition keys, ORDER BY keys and call arguments are all computed
+    vectorized over the child's columns."""
     partitions: dict[tuple, list[int]] = {}
-    child_rows = child.rows
     keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
         child.columns, len(child))
     for index, key in enumerate(keys):
         partitions.setdefault(key, []).append(index)
-
-    extra: list[list] = [[] for __ in child_rows]
-    compiled = compile_window_calls(plan.calls, ctx)
-    for indices in partitions.values():
-        rows = [child_rows[index] for index in indices]
-        ids = [child.row_ids[index] for index in indices]
-        outputs = evaluate_window_calls(plan.calls, rows, ids, ctx,
-                                        compiled=compiled)
-        for local, index in enumerate(indices):
-            extra[index] = outputs[local]
-
-    output = Relation(plan.schema)
-    for index, (row_id, row) in enumerate(child.pairs()):
-        output.append(row_id, row + tuple(extra[index]))
-    return output
+    extra = evaluate_window_calls(plan.calls, child,
+                                  list(partitions.values()), ctx)
+    return Relation.from_columns(plan.schema, child.columns + extra,
+                                 child.row_ids)
 
 
 def flatten_relation(plan: lp.Flatten, child: Relation,
@@ -695,9 +734,9 @@ def flatten_relation(plan: lp.Flatten, child: Relation,
     """LATERAL FLATTEN: one output row per array element; non-array or NULL
     inputs contribute no rows (Snowflake's default OUTER => FALSE)."""
     output = Relation(plan.schema)
-    input_fn = compile_expression(plan.input_expr, ctx)
-    for row_id, row in zip(child.row_ids, child.rows):
-        value = input_fn(row)
+    values = compile_expression_columnar(plan.input_expr, ctx)(
+        child.columns, len(child))
+    for row_id, row, value in zip(child.row_ids, child.rows, values):
         if not isinstance(value, list):
             continue
         for index, element in enumerate(value):

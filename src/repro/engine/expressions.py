@@ -26,11 +26,12 @@ Every expression knows:
 
 from __future__ import annotations
 
+import decimal
+import math
 import operator as _operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.engine import types as t
@@ -70,16 +71,6 @@ class Expression:
 
     def eval(self, row: tuple, ctx: EvalContext) -> Value:
         raise NotImplementedError
-
-    def compile(self, ctx: EvalContext = DEFAULT_CONTEXT) -> "RowEvaluator":
-        """A closure evaluating this expression over a row.
-
-        The compiled form is semantically identical to :meth:`eval` under
-        the same (pinned) context — same values, same NULL handling, same
-        runtime errors — but avoids the per-row recursive method dispatch.
-        See :func:`compile_expression`.
-        """
-        return compile_expression(self, ctx)
 
     @property
     def is_deterministic(self) -> bool:
@@ -511,6 +502,22 @@ def _substr(text: str, start: int, length: int | None = None) -> str:
     return text[begin:begin + max(length, 0)]
 
 
+#: Wide enough to quantize any finite float (|x| < 10**309) at any
+#: sensible scale without overflowing the context precision.
+_ROUND_CONTEXT = decimal.Context(prec=400, rounding=decimal.ROUND_HALF_UP)
+
+
+def _round(x, digits: int = 0):
+    """SQL ``ROUND``: ties round away from zero (Python's ``round`` rounds
+    them to even), decided on the value's shortest decimal form so
+    ``round(2.675, 2)`` is 2.68 rather than its binary neighbour's 2.67."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return x
+    quantum = decimal.Decimal(1).scaleb(-digits)
+    return type(x)(decimal.Decimal(repr(x)).quantize(quantum,
+                                                     context=_ROUND_CONTEXT))
+
+
 _BUILTIN_FUNCTIONS: dict[str, ScalarFunction] = {}
 
 
@@ -528,7 +535,7 @@ _register("lower", str.lower, _fixed(SqlType.TEXT))
 _register("trim", str.strip, _fixed(SqlType.TEXT))
 _register("concat", lambda *parts: "".join(str(p) for p in parts), _fixed(SqlType.TEXT))
 _register("substr", _substr, _fixed(SqlType.TEXT))
-_register("round", lambda x, digits=0: round(x, digits), _same_as_arg(0))
+_register("round", _round, _same_as_arg(0))
 _register("floor", lambda x: int(x // 1), _fixed(SqlType.INT))
 _register("ceil", lambda x: int(-(-x // 1)), _fixed(SqlType.INT))
 _register("mod", lambda a, b: a % b, _same_as_arg(0))
@@ -542,9 +549,6 @@ _register("to_char", lambda x: t.cast_value(x, SqlType.TEXT), _fixed(SqlType.TEX
 _register("coalesce", lambda *args: next((a for a in args if a is not None), None),
           _unify_args, null_on_null=False)
 _register("nvl", lambda a, b: b if a is None else a, _unify_args, null_on_null=False)
-_register("iff", lambda cond, then, other: then if cond is True else other,
-          lambda args: t.unify_types(args[1], args[2]) if len(args) == 3 else SqlType.NULL,
-          null_on_null=False)
 _register("nullif", lambda a, b: None if (a is not None and b is not None
                                           and t.compare(a, b) == 0) else a,
           _same_as_arg(0), null_on_null=False)
@@ -714,32 +718,57 @@ def conjoin(parts: Sequence[Expression]) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# The closure compiler
+# The vectorized compiler
 # ---------------------------------------------------------------------------
 #
 # ``eval`` is a recursive interpreter: every node pays a bound-method call,
 # an attribute load per child, and a string compare for operator dispatch —
-# *per row*. The compiler pays those costs once, at compile time, and
-# returns a closure ``row -> value`` built from the closures of the node's
-# children. Operator dispatch happens while compiling (one closure per op),
-# column loads become C-level ``itemgetter`` calls, and any sub-expression
-# that reads no columns and is deterministic is folded to a constant (the
-# context is pinned, so context functions fold too).
+# *per row*. The vectorized compiler pays those costs once per expression
+# node *per column batch*: a compiled ``ColumnEvaluator`` takes the input's
+# per-column value arrays (plus the row count) and returns one output
+# array, evaluating each node with a single tight loop over its children's
+# arrays. Operator dispatch happens while compiling, a ``ColumnRef`` just
+# returns the input array, and any sub-expression that reads no columns
+# and is deterministic is folded to a constant (the context is pinned, so
+# context functions and bind parameters fold too). It is the only compiled
+# form: every operator and every derivative rule evaluates through it,
+# once per input relation or delta.
 #
-# Invariant (load-bearing for the repro): for every row, the compiled
-# closure returns exactly what ``eval`` returns — same values, same NULL
-# semantics, same error types. ``force_interpreted`` swaps every compiled
-# closure for an ``eval`` shim so a property test can assert this.
+# Invariant (load-bearing for the repro): for every input, the vectorized
+# evaluator returns exactly what ``eval`` would return row by row — same
+# values, same NULL semantics, same error types — and evaluates a
+# sub-expression on a row only if ``eval`` would. ``force_interpreted``
+# degrades every evaluator to ``eval`` applied per row, which is what lets
+# the equivalence properties pin production output to the interpreter's.
+#
+# Laziness rule: ``CASE`` only evaluates the branch its condition selects,
+# ``AND``/``OR`` stop at the first dominating value, and ``IN`` stops at
+# the first matching item — the guard idioms ``b != 0 AND 10 / b > 1`` and
+# ``CASE WHEN b <> 0 THEN 10 / b ELSE 0 END`` rely on the skipped rows
+# never being evaluated. Those nodes evaluate with *selection vectors*:
+# the first condition / operand / item runs over the whole batch, and each
+# later one only over the rows still undecided (gather their columns,
+# evaluate, scatter the results back). ``AND``/``OR`` whose operands are
+# all statically *total* (provably cannot raise on any row — see
+# ``_never_raises``) skip that bookkeeping and evaluate every operand over
+# the whole batch. A node type with no vectorized form, or an operator the
+# compiler does not know, defers to ``eval`` per row — the oracle, never a
+# second compiler.
 
-RowEvaluator = Callable[[tuple], Value]
+#: A compiled columnar evaluator: ``(columns, row_count) -> value array``.
+#: ``columns`` are the input's per-column arrays (list or tuple each);
+#: the result is a fresh array of ``row_count`` values (a ``ColumnRef``
+#: may return the input array itself — callers must not mutate results).
+ColumnEvaluator = Callable[[Sequence[Sequence], int], Sequence]
 
 _FORCE_INTERPRET = False
 
 
 @contextmanager
 def force_interpreted():
-    """Make :func:`compile_expression` return interpreter shims, so callers
-    can diff the batched path against the reference interpreter."""
+    """Make :func:`compile_expression_columnar` return interpreter shims,
+    so callers can diff production output against the reference
+    interpreter."""
     global _FORCE_INTERPRET
     saved = _FORCE_INTERPRET
     _FORCE_INTERPRET = True
@@ -749,81 +778,21 @@ def force_interpreted():
         _FORCE_INTERPRET = saved
 
 
-_COMPILERS: dict[type, Callable[..., RowEvaluator]] = {}
-
-
-def _compiles(cls: type):
-    def register(fn):
-        _COMPILERS[cls] = fn
-        return fn
-    return register
-
-
-def compile_expression(expr: Expression,
-                       ctx: EvalContext = DEFAULT_CONTEXT) -> RowEvaluator:
-    """Compile ``expr`` into a ``row -> value`` closure under ``ctx``."""
-    if _FORCE_INTERPRET:
-        return lambda row: expr.eval(row, ctx)
-    if not expr.column_indices() and expr.is_deterministic:
-        # Constant folding. If folding raises, the expression is an
-        # always-erroring constant (e.g. ``1/0``): compile it normally so
-        # the error still surfaces at run time, per-row, like eval does.
-        try:
-            value = expr.eval((), ctx)
-        except EvaluationError:
-            pass
-        else:
-            return lambda row: value
-    compiler = _COMPILERS.get(type(expr))
-    if compiler is None:
-        return lambda row: expr.eval(row, ctx)
-    return compiler(expr, ctx)
-
-
-def compile_row(exprs: Sequence[Expression],
-                ctx: EvalContext = DEFAULT_CONTEXT) -> Callable[[tuple], tuple]:
-    """Compile a projection list into a ``row -> tuple`` closure."""
-    fns = [compile_expression(expr, ctx) for expr in exprs]
-    if len(fns) == 1:
-        f0, = fns
-        return lambda row: (f0(row),)
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda row: (f0(row), f1(row))
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-        return lambda row: (f0(row), f1(row), f2(row))
-    if len(fns) == 4:
-        f0, f1, f2, f3 = fns
-        return lambda row: (f0(row), f1(row), f2(row), f3(row))
-    return lambda row: tuple(fn(row) for fn in fns)
-
-
-def compile_group_key(exprs: Sequence[Expression],
-                      ctx: EvalContext = DEFAULT_CONTEXT,
-                      ) -> Callable[[tuple], tuple]:
-    """Compile grouping expressions into a ``row -> group_key`` closure
-    (NULL-safe hashable key, per :func:`repro.engine.types.group_key`)."""
-    values = compile_row(exprs, ctx)
-    key = t.group_key
-    return lambda row: key(values(row))
-
-
-@_compiles(Literal)
-def _compile_literal(expr: Literal, ctx: EvalContext) -> RowEvaluator:
-    value = expr.value
-    return lambda row: value
-
-
-@_compiles(ColumnRef)
-def _compile_column(expr: ColumnRef, ctx: EvalContext) -> RowEvaluator:
-    return itemgetter(expr.index)
+def _interpreted(expr: Expression, ctx: EvalContext) -> ColumnEvaluator:
+    """``expr.eval`` applied to each row of the block — the oracle."""
+    def run(columns, count):
+        rows = zip(*columns) if columns else iter([()] * count)
+        return [expr.eval(row, ctx) for row in rows]
+    return run
 
 
 def _constant_of(expr: Expression, ctx: EvalContext):
     """``(True, value)`` when ``expr`` folds to a constant, else
-    ``(False, None)``. Used to specialize binary operators whose one side
-    is constant — the overwhelmingly common shape of filter predicates."""
+    ``(False, None)``. An always-erroring constant (``1/0``) does not
+    fold: it compiles normally so the error still surfaces at run time,
+    per row, like ``eval``. Also used to specialize binary operators whose
+    one side is constant — the overwhelmingly common shape of filter
+    predicates."""
     if not expr.column_indices() and expr.is_deterministic:
         try:
             return True, expr.eval((), ctx)
@@ -832,367 +801,12 @@ def _constant_of(expr: Expression, ctx: EvalContext):
     return False, None
 
 
-_ARITH_APPLY = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul}
-
-
-@_compiles(Arithmetic)
-def _compile_arithmetic(expr: Arithmetic, ctx: EvalContext) -> RowEvaluator:
-    left = compile_expression(expr.left, ctx)
-    op = expr.op
-
-    apply = _ARITH_APPLY.get(op)
-    if apply is not None:
-        is_const, const = _constant_of(expr.right, ctx)
-        if is_const and const is not None:
-            def run(row):
-                a = left(row)
-                if a is None:
-                    return None
-                try:
-                    return apply(a, const)
-                except TypeError as exc:
-                    raise EvaluationError(
-                        f"bad operands for {op}: {a!r}, {const!r}") from exc
-            return run
-
-        right = compile_expression(expr.right, ctx)
-
-        def run(row):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return apply(a, b)
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad operands for {op}: {a!r}, {b!r}") from exc
-        return run
-
-    if op in ("/", "%"):
-        right = compile_expression(expr.right, ctx)
-
-        def run(row):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                raise EvaluationError("division by zero")
-            try:
-                return a / b if op == "/" else a % b
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad operands for {op}: {a!r}, {b!r}") from exc
-        return run
-
-    def run(row):  # unknown operator: defer to eval's error
-        return expr.eval(row, ctx)
-    return run
-
-
-_COMPARISON_TESTS = {
-    "=": lambda c: c == 0,
-    "!=": lambda c: c != 0,
-    "<>": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-}
-
-
-_DIRECT_COMPARE = {"=": _operator.eq, "!=": _operator.ne, "<>": _operator.ne,
-                   "<": _operator.lt, "<=": _operator.le,
-                   ">": _operator.gt, ">=": _operator.ge}
-
-
-@_compiles(Comparison)
-def _compile_comparison(expr: Comparison, ctx: EvalContext) -> RowEvaluator:
-    left = compile_expression(expr.left, ctx)
-    test = _COMPARISON_TESTS.get(expr.op)
-    if test is None:
-        return lambda row: expr.eval(row, ctx)
-    compare = t.compare
-
-    # Constant right operand of a uniform scalar kind: compare directly,
-    # falling back to t.compare (which may raise, matching eval) whenever
-    # the row value is not of the same kind.
-    is_const, const = _constant_of(expr.right, ctx)
-    if is_const and const is not None:
-        direct = _DIRECT_COMPARE[expr.op]
-        if (isinstance(const, (int, float)) and not isinstance(const, bool)
-                and const == const):  # NaN keeps t.compare's odd semantics
-            def run(row):
-                a = left(row)
-                if a is None:
-                    return None
-                if type(a) is int or (type(a) is float and a == a):
-                    return direct(a, const)
-                result = compare(a, const)
-                return None if result is None else test(result)
-            return run
-        if isinstance(const, str):
-            def run(row):
-                a = left(row)
-                if a is None:
-                    return None
-                if type(a) is str:
-                    return direct(a, const)
-                result = compare(a, const)
-                return None if result is None else test(result)
-            return run
-
-    right = compile_expression(expr.right, ctx)
-
-    def run(row):
-        result = compare(left(row), right(row))
-        if result is None:
-            return None
-        return test(result)
-    return run
-
-
-@_compiles(BooleanOp)
-def _compile_boolean(expr: BooleanOp, ctx: EvalContext) -> RowEvaluator:
-    fns = [compile_expression(operand, ctx) for operand in expr.operands]
-    if expr.op == "and":
-        def run(row):
-            result: Value = True
-            for fn in fns:
-                value = fn(row)
-                if value is False:
-                    return False
-                if value is None:
-                    result = None
-            return result
-        return run
-
-    def run(row):
-        result: Value = False
-        for fn in fns:
-            value = fn(row)
-            if value is True:
-                return True
-            if value is None:
-                result = None
-        return result
-    return run
-
-
-@_compiles(Not)
-def _compile_not(expr: Not, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-
-    def run(row):
-        value = operand(row)
-        if value is None:
-            return None
-        return not value
-    return run
-
-
-@_compiles(IsNull)
-def _compile_is_null(expr: IsNull, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-    if expr.negated:
-        return lambda row: operand(row) is not None
-    return lambda row: operand(row) is None
-
-
-@_compiles(InList)
-def _compile_in_list(expr: InList, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-    items = [compile_expression(item, ctx) for item in expr.items]
-    negated = expr.negated
-    compare = t.compare
-
-    def run(row):
-        needle = operand(row)
-        if needle is None:
-            return None
-        saw_null = False
-        for item in items:
-            value = item(row)
-            if value is None:
-                saw_null = True
-                continue
-            if compare(needle, value) == 0:
-                return not negated
-        if saw_null:
-            return None
-        return negated
-    return run
-
-
-@_compiles(Like)
-def _compile_like(expr: Like, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-    negated = expr.negated
-
-    is_const, const = _constant_of(expr.pattern, ctx)
-    if is_const and isinstance(const, str):
-        # Constant pattern (the common case): translate and compile the
-        # regex once instead of per row.
-        matcher = re.compile(_like_regex(const), re.DOTALL).fullmatch
-
-        def run(row):
-            text = operand(row)
-            if text is None:
-                return None
-            if not isinstance(text, str):
-                raise EvaluationError("LIKE requires text operands")
-            matched = matcher(text) is not None
-            return not matched if negated else matched
-        return run
-
-    pattern_fn = compile_expression(expr.pattern, ctx)
-
-    def run(row):
-        text = operand(row)
-        pattern = pattern_fn(row)
-        if text is None or pattern is None:
-            return None
-        if not isinstance(text, str) or not isinstance(pattern, str):
-            raise EvaluationError("LIKE requires text operands")
-        matched = re.fullmatch(_like_regex(pattern), text,
-                               flags=re.DOTALL) is not None
-        return not matched if negated else matched
-    return run
-
-
-@_compiles(Case)
-def _compile_case(expr: Case, ctx: EvalContext) -> RowEvaluator:
-    whens = [(compile_expression(cond, ctx), compile_expression(value, ctx))
-             for cond, value in expr.whens]
-    otherwise = compile_expression(expr.otherwise, ctx)
-
-    def run(row):
-        for cond, value in whens:
-            if cond(row) is True:
-                return value(row)
-        return otherwise(row)
-    return run
-
-
-@_compiles(Cast)
-def _compile_cast(expr: Cast, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-    target = expr.target
-    cast = t.cast_value
-    return lambda row: cast(operand(row), target)
-
-
-@_compiles(VariantPath)
-def _compile_variant_path(expr: VariantPath, ctx: EvalContext) -> RowEvaluator:
-    operand = compile_expression(expr.operand, ctx)
-    path = expr.path
-
-    def run(row):
-        value = operand(row)
-        for key in path:
-            if value is None:
-                return None
-            if isinstance(value, dict):
-                value = value.get(key)
-            elif isinstance(value, list):
-                try:
-                    value = value[int(key)]
-                except (ValueError, IndexError):
-                    return None
-            else:
-                return None
-        return value
-    return run
-
-
-@_compiles(ContextFunction)
-def _compile_context_function(expr: ContextFunction,
-                              ctx: EvalContext) -> RowEvaluator:
-    value = expr.eval((), ctx)  # pinned context: a constant per compilation
-    return lambda row: value
-
-
-@_compiles(BoundParameter)
-def _compile_bound_parameter(expr: BoundParameter,
-                             ctx: EvalContext) -> RowEvaluator:
-    # The context (and with it the binds) is pinned per execution, so the
-    # parameter compiles to a constant load — the cached plan itself stays
-    # bind-independent.
-    value = expr.eval((), ctx)
-    return lambda row: value
-
-
-@_compiles(FunctionCall)
-def _compile_function_call(expr: FunctionCall,
-                           ctx: EvalContext) -> RowEvaluator:
-    args = [compile_expression(arg, ctx) for arg in expr.args]
-    impl = expr.function.impl
-    name = expr.function.name
-    null_on_null = expr.function.null_on_null
-
-    def run(row):
-        values = [arg(row) for arg in args]
-        if null_on_null and None in values:
-            return None
-        try:
-            return impl(*values)
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"error in function {name}: {exc}") from exc
-    return run
-
-
-# ---------------------------------------------------------------------------
-# The vectorized (columnar) compiler
-# ---------------------------------------------------------------------------
-#
-# The closure compiler above removes interpretation overhead but still pays
-# one Python call per expression node *per row*. The columnar compiler pays
-# it once per expression node *per column batch*: a compiled
-# ``ColumnEvaluator`` takes the input's per-column value arrays (plus the
-# row count) and returns one output array, evaluating each node with a
-# single tight loop over its children's arrays. Column loads vanish
-# entirely — a ``ColumnRef`` just returns the input array.
-#
-# Invariant (same as the row compiler's): for every input, the vectorized
-# evaluator returns exactly what ``eval`` would return row by row — same
-# values, same NULL semantics, same error types. Two node classes are
-# *lazy* per row and therefore unsafe to evaluate over whole arrays:
-# ``CASE`` only evaluates the branch its condition selects, and
-# ``AND``/``OR`` stop at the first dominating value — the classic guard
-# idiom ``b != 0 AND 1/b > 0`` relies on the skipped rows never being
-# evaluated. CASE (and IN-lists, which short-circuit their item list)
-# always falls back to the row closure applied per row; AND/OR vectorize
-# only when every operand is statically *total* (provably cannot raise on
-# any row — see ``_never_raises``), and fall back otherwise.
-#
-# ``force_interpreted`` applies here too: under it, every columnar
-# evaluator degrades to the reference interpreter applied per row, which
-# is what lets the equivalence properties pin compiled and vectorized
-# execution to the interpreter's byte-identical output.
-
-#: A compiled columnar evaluator: ``(columns, row_count) -> value array``.
-#: ``columns`` are the input's per-column arrays (list or tuple each);
-#: the result is a fresh array of ``row_count`` values (a ``ColumnRef``
-#: may return the input array itself — callers must not mutate results).
-ColumnEvaluator = Callable[[Sequence[Sequence], int], Sequence]
-
-
-def _iter_rows(columns: Sequence[Sequence], count: int):
-    """Row-tuple iterator over a column block (fallback/interpret paths)."""
-    if columns:
-        return zip(*columns)
-    return iter([()] * count)
-
-
-_COLUMNAR_COMPILERS: dict[type, Callable[..., ColumnEvaluator]] = {}
+_COMPILE_DISPATCH: dict[type, Callable[..., ColumnEvaluator]] = {}
 
 
 def _compiles_columnar(cls: type):
     def register(fn):
-        _COLUMNAR_COMPILERS[cls] = fn
+        _COMPILE_DISPATCH[cls] = fn
         return fn
     return register
 
@@ -1202,24 +816,16 @@ def compile_expression_columnar(expr: Expression,
                                 ) -> ColumnEvaluator:
     """Compile ``expr`` into a ``(columns, n) -> array`` evaluator."""
     if _FORCE_INTERPRET:
-        return lambda columns, count: [expr.eval(row, ctx)
-                                       for row in _iter_rows(columns, count)]
-    if not expr.column_indices() and expr.is_deterministic:
-        # Constant folding, exactly as in the row compiler: an erroring
-        # constant compiles normally so the error surfaces at run time.
-        try:
-            value = expr.eval((), ctx)
-        except EvaluationError:
-            pass
-        else:
-            return lambda columns, count: [value] * count
-    compiler = _COLUMNAR_COMPILERS.get(type(expr))
+        return _interpreted(expr, ctx)
+    is_const, value = _constant_of(expr, ctx)
+    if is_const:
+        return lambda columns, count: [value] * count
+    compiler = _COMPILE_DISPATCH.get(type(expr))
     if compiler is None:
-        # No vectorized form (CASE, IN, non-total AND/OR, unknown nodes):
-        # apply the row closure per row of the block.
-        fn = compile_expression(expr, ctx)
-        return lambda columns, count: [fn(row)
-                                       for row in _iter_rows(columns, count)]
+        # Only nodes that read no columns get here (an erroring context
+        # function, an unbound parameter): every row raises what eval
+        # raises.
+        return _interpreted(expr, ctx)
     return compiler(expr, ctx)
 
 
@@ -1227,7 +833,7 @@ def compile_row_columnar(exprs: Sequence[Expression],
                          ctx: EvalContext = DEFAULT_CONTEXT,
                          ) -> Callable[[Sequence[Sequence], int], list]:
     """Compile a projection list into a ``(columns, n) -> output columns``
-    closure (the columnar analogue of :func:`compile_row`)."""
+    closure."""
     fns = [compile_expression_columnar(expr, ctx) for expr in exprs]
     return lambda columns, count: [fn(columns, count) for fn in fns]
 
@@ -1236,19 +842,35 @@ def compile_group_key_columnar(exprs: Sequence[Expression],
                                ctx: EvalContext = DEFAULT_CONTEXT,
                                ) -> Callable[[Sequence[Sequence], int], list]:
     """Compile grouping expressions into a ``(columns, n) -> [group_key]``
-    closure (the columnar analogue of :func:`compile_group_key`)."""
-    fns = [compile_expression_columnar(expr, ctx) for expr in exprs]
-    key = t.group_key
+    closure (NULL-safe hashable keys, per
+    :func:`repro.engine.types.group_key_columns`)."""
+    values = compile_row_columnar(exprs, ctx)
+    key_columns = t.group_key_columns
+    return lambda columns, count: key_columns(values(columns, count), count)
 
-    def run(columns, count):
-        if not fns:
-            empty = key(())
-            return [empty] * count
-        arrays = [fn(columns, count) for fn in fns]
-        if len(arrays) == 1:
-            only, = arrays
-            return [key((value,)) for value in only]
-        return [key(values) for values in zip(*arrays)]
+
+def gather_columns(columns: Sequence[Sequence], needed,
+                   indices: Sequence[int]) -> list:
+    """The rows at ``indices`` of a column block. Only the columns whose
+    position is in ``needed`` (the ones the consumer reads) are gathered;
+    the rest are NULL-filled so the block keeps its shape."""
+    blank = [None] * len(indices)
+    return [list(map(column.__getitem__, indices)) if position in needed
+            else blank for position, column in enumerate(columns)]
+
+
+def _compile_selective(expr: Expression, ctx: EvalContext):
+    """``expr`` compiled for selection-vector evaluation:
+    ``(columns, count, indices) -> values`` evaluates it only over the
+    rows at ``indices`` (ascending positions into the ``count``-row
+    block) and returns values parallel to ``indices``."""
+    fn = compile_expression_columnar(expr, ctx)
+    needed = expr.column_indices()
+
+    def run(columns, count, indices):
+        if len(indices) == count:
+            return fn(columns, count)  # every row selected: nothing to gather
+        return fn(gather_columns(columns, needed, indices), len(indices))
     return run
 
 
@@ -1271,7 +893,7 @@ def _comparison_total(expr: Comparison) -> bool:
 
 
 def emits_tristate(expr: Expression) -> bool:
-    """Whether every evaluation path of ``expr`` (interpreted, compiled,
+    """Whether every evaluation path of ``expr`` (interpreted,
     vectorized) yields exactly ``True`` / ``False`` / ``None`` — never a
     merely truthy value. Lets the filter kernel feed the predicate mask
     straight into C-level compression without normalizing it first."""
@@ -1283,9 +905,9 @@ def _never_raises(expr: Expression) -> bool:
     """Statically total: evaluation provably cannot raise on any row.
 
     Used to decide whether AND/OR may evaluate an operand over the whole
-    array — which evaluates it on rows the row-at-a-time path would have
-    short-circuited past. Deliberately conservative: anything not
-    recognized is treated as possibly raising.
+    array — which evaluates it on rows ``eval`` would have short-circuited
+    past. Deliberately conservative: anything not recognized is treated
+    as possibly raising.
     """
     if isinstance(expr, (Literal, ColumnRef, BoundParameter,
                          ContextFunction)):
@@ -1306,6 +928,9 @@ def _columnar_column(expr: ColumnRef, ctx: EvalContext) -> ColumnEvaluator:
     return lambda columns, count: columns[index]
 
 
+_ARITH_APPLY = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul}
+
+
 @_compiles_columnar(Arithmetic)
 def _columnar_arithmetic(expr: Arithmetic,
                          ctx: EvalContext) -> ColumnEvaluator:
@@ -1322,8 +947,7 @@ def _columnar_arithmetic(expr: Arithmetic,
                     return [None if a is None else apply(a, const)
                             for a in values]
                 except TypeError:
-                    # Re-raise as the row path would, at the first
-                    # offending row.
+                    # Re-raise as eval would, at the first offending row.
                     for a in values:
                         if a is None:
                             continue
@@ -1379,9 +1003,18 @@ def _columnar_arithmetic(expr: Arithmetic,
             return output
         return run
 
-    def run(columns, count):  # unknown operator: defer to eval's error
-        return [expr.eval(row, ctx) for row in _iter_rows(columns, count)]
-    return run
+    return _interpreted(expr, ctx)  # unknown operator: eval's error
+
+
+_COMPARISON_TESTS = {
+    "=": lambda c: c == 0,
+    "!=": lambda c: c != 0,
+    "<>": lambda c: c != 0,
+    "<": lambda c: c < 0,
+    "<=": lambda c: c <= 0,
+    ">": lambda c: c > 0,
+    ">=": lambda c: c >= 0,
+}
 
 
 #: Python source of the vectorized column-vs-constant comparison, built
@@ -1413,14 +1046,15 @@ _CONST_COMPARE_STR = {
 @_compiles_columnar(Comparison)
 def _columnar_comparison(expr: Comparison,
                          ctx: EvalContext) -> ColumnEvaluator:
-    left = compile_expression_columnar(expr.left, ctx)
     test = _COMPARISON_TESTS.get(expr.op)
     if test is None:
-        fn = compile_expression(expr, ctx)
-        return lambda columns, count: [fn(row)
-                                       for row in _iter_rows(columns, count)]
+        return _interpreted(expr, ctx)  # unknown operator: eval's error
+    left = compile_expression_columnar(expr.left, ctx)
     compare = t.compare
 
+    # Constant right operand of a uniform scalar kind: compare directly,
+    # falling back to t.compare (which may raise, matching eval) whenever
+    # the row value is not of the same kind.
     is_const, const = _constant_of(expr.right, ctx)
     if is_const and const is not None:
 
@@ -1429,7 +1063,7 @@ def _columnar_comparison(expr: Comparison,
             return None if result is None else test(result)
 
         if (isinstance(const, (int, float)) and not isinstance(const, bool)
-                and const == const):
+                and const == const):  # NaN keeps t.compare's odd semantics
             return _CONST_COMPARE_NUM[expr.op](left, const, slow)
         if isinstance(const, str):
             return _CONST_COMPARE_STR[expr.op](left, const, slow)
@@ -1449,15 +1083,10 @@ def _columnar_comparison(expr: Comparison,
 @_compiles_columnar(BooleanOp)
 def _columnar_boolean(expr: BooleanOp, ctx: EvalContext) -> ColumnEvaluator:
     if not all(_never_raises(operand) for operand in expr.operands):
-        # An operand might raise on rows the row path would short-circuit
-        # past (the ``b != 0 AND 1/b > 0`` guard idiom): evaluate lazily,
-        # row by row, through the (short-circuiting) row closure.
-        fn = compile_expression(expr, ctx)
-        return lambda columns, count: [fn(row)
-                                       for row in _iter_rows(columns, count)]
+        return _lazy_boolean(expr, ctx)
+    conjunction = expr.op == "and"
     fns = [compile_expression_columnar(operand, ctx)
            for operand in expr.operands]
-    conjunction = expr.op == "and"
 
     if len(fns) == 2:
         # The overwhelmingly common shape (two conjuncts): a single
@@ -1512,6 +1141,34 @@ def _columnar_boolean(expr: BooleanOp, ctx: EvalContext) -> ColumnEvaluator:
     return run
 
 
+def _lazy_boolean(expr: BooleanOp, ctx: EvalContext) -> ColumnEvaluator:
+    """AND/OR with an operand that might raise on rows an earlier operand
+    already decided (the ``b != 0 AND 10 / b > 1`` guard idiom): each
+    operand is evaluated only over the rows no earlier operand dominated."""
+    operands = [_compile_selective(operand, ctx) for operand in expr.operands]
+    conjunction = expr.op == "and"
+    dominant = not conjunction  # FALSE decides an AND, TRUE an OR
+
+    def run(columns, count):
+        output = [conjunction] * count
+        pending: Sequence[int] = range(count)
+        for operand in operands:
+            undecided = []
+            for index, value in zip(pending,
+                                    operand(columns, count, pending)):
+                if value is dominant:
+                    output[index] = dominant
+                    continue
+                if value is None:
+                    output[index] = None
+                undecided.append(index)
+            pending = undecided
+            if not pending:
+                break
+        return output
+    return run
+
+
 @_compiles_columnar(Not)
 def _columnar_not(expr: Not, ctx: EvalContext) -> ColumnEvaluator:
     operand = compile_expression_columnar(expr.operand, ctx)
@@ -1532,6 +1189,95 @@ def _columnar_is_null(expr: IsNull, ctx: EvalContext) -> ColumnEvaluator:
                                    for value in operand(columns, count)]
 
 
+@_compiles_columnar(InList)
+def _columnar_in_list(expr: InList, ctx: EvalContext) -> ColumnEvaluator:
+    operand = compile_expression_columnar(expr.operand, ctx)
+    items = [_compile_selective(item, ctx) for item in expr.items]
+    negated = expr.negated
+    compare = t.compare
+
+    def run(columns, count):
+        needles = operand(columns, count)
+        # No match is the default; a NULL needle or a NULL item seen
+        # before any match makes the row NULL.
+        output = [None if needle is None else negated for needle in needles]
+        pending = [index for index, needle in enumerate(needles)
+                   if needle is not None]
+        for item in items:
+            if not pending:
+                break
+            unmatched = []
+            for index, value in zip(pending, item(columns, count, pending)):
+                if value is None:
+                    output[index] = None
+                elif compare(needles[index], value) == 0:
+                    output[index] = not negated
+                    continue
+                unmatched.append(index)
+            pending = unmatched
+        return output
+    return run
+
+
+@_compiles_columnar(Like)
+def _columnar_like(expr: Like, ctx: EvalContext) -> ColumnEvaluator:
+    operand = compile_expression_columnar(expr.operand, ctx)
+    pattern = compile_expression_columnar(expr.pattern, ctx)
+    negated = expr.negated
+
+    def run(columns, count):
+        # Each distinct pattern (one, for the common constant pattern) is
+        # translated and compiled once per batch, not per row.
+        matchers: dict[str, Callable] = {}
+        output = []
+        append = output.append
+        for text, like in zip(operand(columns, count),
+                              pattern(columns, count)):
+            if text is None or like is None:
+                append(None)
+                continue
+            if not isinstance(text, str) or not isinstance(like, str):
+                raise EvaluationError("LIKE requires text operands")
+            matcher = matchers.get(like)
+            if matcher is None:
+                matcher = matchers[like] = re.compile(
+                    _like_regex(like), re.DOTALL).fullmatch
+            matched = matcher(text) is not None
+            append(not matched if negated else matched)
+        return output
+    return run
+
+
+@_compiles_columnar(Case)
+def _columnar_case(expr: Case, ctx: EvalContext) -> ColumnEvaluator:
+    whens = [(_compile_selective(condition, ctx),
+              _compile_selective(value, ctx))
+             for condition, value in expr.whens]
+    otherwise = _compile_selective(expr.otherwise, ctx)
+
+    def run(columns, count):
+        output = [None] * count
+        pending: Sequence[int] = range(count)
+        for condition, value in whens:
+            if not pending:
+                return output
+            mask = condition(columns, count, pending)
+            taken = [index for index, hit in zip(pending, mask)
+                     if hit is True]
+            if taken:
+                for index, result in zip(taken,
+                                         value(columns, count, taken)):
+                    output[index] = result
+                pending = [index for index, hit in zip(pending, mask)
+                           if hit is not True]
+        if pending:
+            for index, result in zip(pending,
+                                     otherwise(columns, count, pending)):
+                output[index] = result
+        return output
+    return run
+
+
 @_compiles_columnar(Cast)
 def _columnar_cast(expr: Cast, ctx: EvalContext) -> ColumnEvaluator:
     operand = compile_expression_columnar(expr.operand, ctx)
@@ -1539,32 +1285,6 @@ def _columnar_cast(expr: Cast, ctx: EvalContext) -> ColumnEvaluator:
     cast = t.cast_value
     return lambda columns, count: [cast(value, target)
                                    for value in operand(columns, count)]
-
-
-@_compiles_columnar(Like)
-def _columnar_like(expr: Like, ctx: EvalContext) -> ColumnEvaluator:
-    is_const, const = _constant_of(expr.pattern, ctx)
-    if not (is_const and isinstance(const, str)):
-        fn = compile_expression(expr, ctx)
-        return lambda columns, count: [fn(row)
-                                       for row in _iter_rows(columns, count)]
-    operand = compile_expression_columnar(expr.operand, ctx)
-    matcher = re.compile(_like_regex(const), re.DOTALL).fullmatch
-    negated = expr.negated
-
-    def run(columns, count):
-        output = []
-        append = output.append
-        for text in operand(columns, count):
-            if text is None:
-                append(None)
-                continue
-            if not isinstance(text, str):
-                raise EvaluationError("LIKE requires text operands")
-            matched = matcher(text) is not None
-            append(not matched if negated else matched)
-        return output
-    return run
 
 
 @_compiles_columnar(VariantPath)
@@ -1607,7 +1327,7 @@ def _columnar_function_call(expr: FunctionCall,
     def run(columns, count):
         if not arg_fns:
             # Zero-arg (necessarily volatile, else it folded): one call
-            # per row, like the row path.
+            # per row, like eval.
             output = []
             for __ in range(count):
                 try:

@@ -15,10 +15,10 @@ The row-tuple entry points remain: ``Relation(schema, rows, row_ids)``
 construction, ``rows`` access, ``pairs()``, ``__iter__``, ``append`` and
 ``from_pairs``. Internally the relation holds *either* layout (whichever
 it was built from) and materializes the other lazily, caching it;
-``append`` keeps every materialized layout in sync. Storage scans and the
-row-preserving kernels (filter, project, limit) build and consume the
-columnar layout only; the row-shaped operators (joins, sorts, window
-frames, the IVM rules over row-major change sets) read the ``rows`` view.
+``append`` keeps every materialized layout in sync. Storage scans build
+the columnar layout and every kernel evaluates its expressions over it;
+the operators that assemble output rows tuple by tuple (joins, DISTINCT,
+FLATTEN, the top-k heap, row-id diffs) read the ``rows`` view.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class Relation:
 
     @property
     def is_columnar(self) -> bool:
-        """Whether the columnar layout is already materialized (the IVM
-        endpoint restrictions use this to gather column slices only when
-        that costs no layout conversion)."""
+        """Whether the columnar layout is already materialized (the
+        aggregate state store uses this to read column arrays without a
+        cached layout conversion)."""
         return self._columns is not None
 
     def column(self, index: int) -> Sequence:

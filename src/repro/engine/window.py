@@ -1,4 +1,4 @@
-"""Window function evaluation over a single partition.
+"""Window function evaluation over the partitions of one input.
 
 Section 5.5.1 of the paper implements window-function differentiation by
 recomputing *changed partitions*; that only yields consistent results when
@@ -7,10 +7,11 @@ BY are broken repeatably". We therefore always break ORDER BY ties with a
 stable final key (the row's own encoded value plus its row id), making a
 partition's output a pure function of its row multiset.
 
-Evaluation is batched: ORDER BY keys, tie-break digests, and call
-arguments are computed once per row (via compiled closures from
-:mod:`repro.engine.expressions`) rather than once per comparison, which
-turns the sort from O(n log n) expression evaluations into O(n).
+Evaluation is batched: each call's ORDER BY keys and argument are
+evaluated once over the whole input through the vectorized compiler
+(:mod:`repro.engine.expressions`), and every partition then sorts and
+frames by row index into those arrays — O(n) expression evaluations
+instead of one per comparison, and none per partition.
 
 Frames follow the SQL defaults:
 
@@ -22,56 +23,53 @@ Frames follow the SQL defaults:
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.engine import types as t
 from repro.engine.aggregates import evaluate_aggregate
-from repro.engine.expressions import EvalContext, compile_expression
+from repro.engine.expressions import (EvalContext,
+                                      compile_expression_columnar,
+                                      compile_row_columnar)
+from repro.engine.relation import Relation
 from repro.engine.types import Value
 from repro.errors import EvaluationError
 from repro.plan.logical import WindowCall
 
 
-def sort_partition(rows: Sequence[tuple], row_ids: Sequence[str],
-                   order_by, ctx: EvalContext,
-                   key_fns: Optional[list] = None,
-                   keys: Optional[list[tuple]] = None,
+def sort_partition(columns: Sequence[Sequence], row_ids: Sequence[str],
+                   keys: Sequence[Sequence], descending: Sequence[bool],
+                   indices: Sequence[int],
                    tie_cache: Optional[list] = None) -> list[int]:
-    """Return row indices in window evaluation order.
+    """Return the row indices ``indices`` in window evaluation order.
 
-    Sorts by the ORDER BY keys (NULLS LAST ascending / NULLS FIRST
-    descending, Snowflake's defaults), breaking ties with the stable hash
-    of the full row and finally the row id — the "repeatable tie-break" the
-    paper's window derivative requires.
+    ``columns`` / ``row_ids`` are the whole input; ``keys`` holds one
+    already-evaluated value array per ORDER BY key (parallel to the
+    input) and ``descending`` that key's direction. Sorts by the ORDER BY
+    keys (NULLS LAST ascending / NULLS FIRST descending, Snowflake's
+    defaults), breaking ties with the stable hash of the full row and
+    finally the row id — the "repeatable tie-break" the paper's window
+    derivative requires.
 
-    Key values are computed once per row (``keys`` lets callers supply
-    them precomputed; ``key_fns`` reuses already-compiled evaluators). The
-    tie-break digest is computed lazily — only for rows that actually tie
-    — and memoized in ``tie_cache``, which callers sorting the same rows
-    repeatedly (one Window node, several calls) can share across calls.
+    The tie-break digest is computed lazily — only for rows that actually
+    tie — and memoized in ``tie_cache`` (parallel to the input), which
+    callers sorting the same rows repeatedly (one Window node, several
+    calls) share across calls.
     """
-    if key_fns is None:
-        key_fns = [(compile_expression(expr, ctx), descending)
-                   for expr, descending in order_by]
-    if keys is None:
-        keys = [tuple(fn(row) for fn, __ in key_fns) for row in rows]
     if tie_cache is None:
-        tie_cache = [None] * len(rows)
-    descending_flags = [descending for __, descending in key_fns]
+        tie_cache = [None] * len(row_ids)
+    ordering = list(zip(keys, descending))
 
     def tie_key(index: int) -> tuple:
         value = tie_cache[index]
         if value is None:
-            value = tie_cache[index] = (t.stable_hash(rows[index]),
-                                        row_ids[index])
+            row = tuple(column[index] for column in columns)
+            value = tie_cache[index] = (t.stable_hash(row), row_ids[index])
         return value
 
     def compare_rows(left: int, right: int) -> int:
-        left_keys = keys[left]
-        right_keys = keys[right]
-        for position, descending in enumerate(descending_flags):
-            result = _compare_with_nulls(left_keys[position],
-                                         right_keys[position], descending)
+        for values, reverse in ordering:
+            result = _compare_with_nulls(values[left], values[right],
+                                         reverse)
             if result != 0:
                 return result
         left_tie = tie_key(left)
@@ -82,9 +80,7 @@ def sort_partition(rows: Sequence[tuple], row_ids: Sequence[str],
             return 1
         return 0
 
-    indices = list(range(len(rows)))
-    indices.sort(key=functools.cmp_to_key(compare_rows))
-    return indices
+    return sorted(indices, key=functools.cmp_to_key(compare_rows))
 
 
 def _compare_with_nulls(left: Value, right: Value, descending: bool) -> int:
@@ -100,62 +96,49 @@ def _compare_with_nulls(left: Value, right: Value, descending: bool) -> int:
     return -result if descending else result
 
 
-class CompiledWindowCall:
-    """A window call with its argument and ORDER BY keys compiled once."""
+def evaluate_window_calls(calls: Sequence[WindowCall], child: Relation,
+                          partitions: Sequence[Sequence[int]],
+                          ctx: EvalContext) -> list[list[Value]]:
+    """Evaluate every window call over every partition of ``child``.
 
-    __slots__ = ("call", "arg_fn", "key_fns")
-
-    def __init__(self, call: WindowCall, ctx: EvalContext):
-        self.call = call
-        self.arg_fn: Optional[Callable[[tuple], Value]] = (
-            compile_expression(call.arg, ctx) if call.arg is not None else None)
-        self.key_fns = [(compile_expression(expr, ctx), descending)
-                        for expr, descending in call.order_by]
-
-
-def compile_window_calls(calls: Sequence[WindowCall],
-                         ctx: EvalContext) -> list[CompiledWindowCall]:
-    return [CompiledWindowCall(call, ctx) for call in calls]
-
-
-def evaluate_window_calls(calls: Sequence[WindowCall], rows: Sequence[tuple],
-                          row_ids: Sequence[str], ctx: EvalContext,
-                          compiled: Optional[Sequence[CompiledWindowCall]] = None,
-                          ) -> list[list[Value]]:
-    """Evaluate every window call over one partition.
-
-    Returns ``outputs[row_index][call_index]`` aligned with the *input*
-    order of ``rows`` (the caller appends these as extra columns).
-    ``compiled`` lets the executor share compiled calls across partitions.
+    ``partitions`` lists each partition's row indices into ``child``.
+    Returns one value array per call, parallel to ``child`` (the caller
+    appends these as extra columns).
     """
-    if compiled is None:
-        compiled = compile_window_calls(calls, ctx)
-    outputs: list[list[Value]] = [[None] * len(calls) for __ in rows]
-    tie_cache: list = [None] * len(rows)  # shared: ties are key-independent
-    for call_index, cc in enumerate(compiled):
-        keys = [tuple(fn(row) for fn, __ in cc.key_fns) for row in rows]
-        ordered = sort_partition(rows, row_ids, cc.call.order_by, ctx,
-                                 key_fns=cc.key_fns, keys=keys,
-                                 tie_cache=tie_cache)
-        values = _evaluate_one(cc, rows, ordered, ctx, keys)
-        for position, row_index in enumerate(ordered):
-            outputs[row_index][call_index] = values[position]
+    count = len(child)
+    columns = child.columns
+    tie_cache: list = [None] * count  # shared: ties are key-independent
+    outputs: list[list[Value]] = []
+    for call in calls:
+        keys = compile_row_columnar([expr for expr, __ in call.order_by],
+                                    ctx)(columns, count)
+        descending = [flag for __, flag in call.order_by]
+        args = (None if call.arg is None else
+                compile_expression_columnar(call.arg, ctx)(columns, count))
+        output: list[Value] = [None] * count
+        for partition in partitions:
+            ordered = sort_partition(columns, child.row_ids, keys,
+                                     descending, partition, tie_cache)
+            for index, value in zip(ordered,
+                                    _evaluate_one(call, args, keys, ordered)):
+                output[index] = value
+        outputs.append(output)
     return outputs
 
 
-def _order_keys(keys: Sequence[tuple], ordered: Sequence[int]) -> list[tuple]:
-    """Group keys of the (already computed) ORDER BY values, aligned with
+def _order_keys(keys: Sequence[Sequence], ordered: Sequence[int]) -> list[tuple]:
+    """Group keys of the (already evaluated) ORDER BY values, aligned with
     ``ordered``."""
-    group_key = t.group_key
-    return [group_key(keys[index]) for index in ordered]
+    return t.group_key_columns(
+        [[values[index] for index in ordered] for values in keys],
+        len(ordered))
 
 
-def _evaluate_one(cc: CompiledWindowCall, rows: Sequence[tuple],
-                  ordered: Sequence[int], ctx: EvalContext,
-                  keys: Sequence[tuple]) -> list[Value]:
-    """Values for one call, positionally aligned with ``ordered``."""
-    call = cc.call
-    arg_fn = cc.arg_fn
+def _evaluate_one(call: WindowCall, args: Optional[Sequence[Value]],
+                  keys: Sequence[Sequence],
+                  ordered: Sequence[int]) -> list[Value]:
+    """Values for one call over one partition, positionally aligned with
+    ``ordered`` (the partition's row indices in evaluation order)."""
     size = len(ordered)
 
     if call.function == "row_number":
@@ -166,40 +149,40 @@ def _evaluate_one(cc: CompiledWindowCall, rows: Sequence[tuple],
                             dense=call.function == "dense_rank")
 
     if call.function in ("lag", "lead"):
-        assert arg_fn is not None
+        assert args is not None
         values: list[Value] = []
         direction = -call.offset if call.function == "lag" else call.offset
         for position in range(size):
             source = position + direction
             if 0 <= source < size:
-                values.append(arg_fn(rows[ordered[source]]))
+                values.append(args[ordered[source]])
             else:
                 values.append(None)
         return values
 
     if call.function == "first_value":
-        assert arg_fn is not None
-        first = arg_fn(rows[ordered[0]]) if size else None
+        assert args is not None
+        first = args[ordered[0]] if size else None
         return [first] * size
 
     if call.function == "last_value":
-        assert arg_fn is not None
-        last = arg_fn(rows[ordered[-1]]) if size else None
+        assert args is not None
+        last = args[ordered[-1]] if size else None
         return [last] * size
 
     if call.function in ("sum", "count", "avg", "min", "max", "count_if"):
+        frame = (None if args is None
+                 else [args[index] for index in ordered])
         if not call.order_by:
             # Whole-partition frame.
-            frame = [rows[index] for index in ordered]
-            value = evaluate_aggregate(call.function, call.arg, False, frame,
-                                       ctx, arg_fn=arg_fn)
-            return [value] * size
-        return _cumulative_values(cc, rows, ordered, ctx, keys)
+            return [evaluate_aggregate(call.function, False, frame,
+                                       size)] * size
+        return _cumulative_values(call, frame, keys, ordered)
 
     raise EvaluationError(f"unknown window function {call.function}")
 
 
-def _rank_values(keys: Sequence[tuple], ordered: Sequence[int],
+def _rank_values(keys: Sequence[Sequence], ordered: Sequence[int],
                  dense: bool) -> list[Value]:
     order_keys = _order_keys(keys, ordered)
     values: list[Value] = []
@@ -215,10 +198,11 @@ def _rank_values(keys: Sequence[tuple], ordered: Sequence[int],
     return values
 
 
-def _cumulative_values(cc: CompiledWindowCall, rows: Sequence[tuple],
-                       ordered: Sequence[int], ctx: EvalContext,
-                       keys: Sequence[tuple]) -> list[Value]:
-    """Cumulative (RANGE UNBOUNDED PRECEDING) frame: peers share results."""
+def _cumulative_values(call: WindowCall, frame: Optional[Sequence[Value]],
+                       keys: Sequence[Sequence],
+                       ordered: Sequence[int]) -> list[Value]:
+    """Cumulative (RANGE UNBOUNDED PRECEDING) frame: peers share results.
+    ``frame`` holds the call's argument values in evaluation order."""
     # Identify peer groups by order-key equality.
     order_keys = _order_keys(keys, ordered)
     values: list[Value] = [None] * len(ordered)
@@ -228,9 +212,9 @@ def _cumulative_values(cc: CompiledWindowCall, rows: Sequence[tuple],
         end = position + 1
         while end < len(ordered) and order_keys[end] == key:
             end += 1
-        frame = [rows[index] for index in ordered[:end]]
-        value = evaluate_aggregate(cc.call.function, cc.call.arg, False, frame,
-                                   ctx, arg_fn=cc.arg_fn)
+        value = evaluate_aggregate(call.function, False,
+                                   None if frame is None else frame[:end],
+                                   end)
         for index in range(position, end):
             values[index] = value
         position = end

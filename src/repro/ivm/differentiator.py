@@ -29,6 +29,7 @@ us to skip the final change-consolidation step").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Protocol
 
 from repro.engine.executor import evaluate
@@ -317,32 +318,21 @@ def differentiate(plan: lp.PlanNode, source: DeltaSource,
     return consolidate(raw), differ.stats
 
 
-def semi_join_keys(relation: Relation, key_fn, affected: set,
-                   key_array_fn=None) -> Relation:
-    """Rows of ``relation`` whose compiled key is in ``affected`` — the
+def semi_join_keys(relation: Relation, key_fn, affected: set) -> Relation:
+    """Rows of ``relation`` whose key is in ``affected`` — the
     ``Q ⋉_k ΔQ`` restriction shared by the affected-key rules (outer
     joins, aggregates, DISTINCT, windows).
 
-    ``key_array_fn`` is an optional columnar key evaluator
-    (``(columns, n) -> [key]``); when provided and the relation is
-    columnar, keys are computed in one pass per column and the restriction
-    gathers column slices instead of materializing row tuples.
+    ``key_fn`` is a columnar key evaluator (``(columns, n) -> [key]``):
+    keys are computed in one pass per column and the restriction gathers
+    column slices, never row tuples.
     """
-    if (key_array_fn is not None and relation.is_columnar
-            and relation.columns):
-        keys = key_array_fn(relation.columns, len(relation))
-        keep = [index for index, key in enumerate(keys) if key in affected]
-        row_ids = relation.row_ids
-        return Relation.from_columns(
-            relation.schema,
-            [[column[index] for index in keep]
-             for column in relation.columns],
-            [row_ids[index] for index in keep])
-    restricted = Relation(relation.schema)
-    for row_id, row in zip(relation.row_ids, relation.rows):
-        if key_fn(row) in affected:
-            restricted.append(row_id, row)
-    return restricted
+    keys = key_fn(relation.columns, len(relation))
+    keep = [key in affected for key in keys]
+    return Relation.from_columns(
+        relation.schema,
+        [list(compress(column, keep)) for column in relation.columns],
+        list(compress(relation.row_ids, keep)))
 
 
 def diff_relations(old: Relation, new: Relation) -> ChangeSet:

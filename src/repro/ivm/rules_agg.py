@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from repro.engine import types as t
 from repro.engine.executor import aggregate_relation, distinct_relation
-from repro.engine.expressions import (compile_group_key,
-                                      compile_group_key_columnar)
+from repro.engine.expressions import compile_group_key_columnar
 from repro.errors import RowIdIntegrityError
 from repro.ivm import aggstate
 from repro.ivm.aggstate import AggStateInconsistency, transpose_rows
@@ -85,15 +84,12 @@ def delta_aggregate(differ: Differentiator, plan: lp.Aggregate) -> ChangeSet:
     differ.stats.agg_recomputes += 1
 
     # Affected group keys, one columnar pass over the delta arrays.
-    key_array_fn = compile_group_key_columnar(plan.group_exprs, differ.ctx)
-    affected = set(key_array_fn(transpose_rows(child_delta.rows),
-                                len(child_delta)))
+    key_fn = compile_group_key_columnar(plan.group_exprs, differ.ctx)
+    affected = set(key_fn(transpose_rows(child_delta.rows),
+                          len(child_delta)))
 
-    key_fn = compile_group_key(plan.group_exprs, differ.ctx)
-    child_old = semi_join_keys(differ.old(plan.child), key_fn, affected,
-                               key_array_fn=key_array_fn)
-    child_new = semi_join_keys(differ.new(plan.child), key_fn, affected,
-                               key_array_fn=key_array_fn)
+    child_old = semi_join_keys(differ.old(plan.child), key_fn, affected)
+    child_new = semi_join_keys(differ.new(plan.child), key_fn, affected)
 
     old_result = aggregate_relation(plan, child_old, differ.ctx)
     new_result = aggregate_relation(plan, child_new, differ.ctx)
@@ -115,16 +111,12 @@ def delta_distinct(differ: Differentiator, plan: lp.Distinct) -> ChangeSet:
         return stateful
     differ.stats.agg_recomputes += 1
 
-    key_array_fn = t.group_key_columns
-    affected = set(key_array_fn(transpose_rows(child_delta.rows),
-                                len(child_delta)))
+    key_fn = t.group_key_columns
+    affected = set(key_fn(transpose_rows(child_delta.rows),
+                          len(child_delta)))
 
     old_result = distinct_relation(
-        plan.schema,
-        semi_join_keys(differ.old(plan.child), t.group_key, affected,
-                       key_array_fn=key_array_fn))
+        plan.schema, semi_join_keys(differ.old(plan.child), key_fn, affected))
     new_result = distinct_relation(
-        plan.schema,
-        semi_join_keys(differ.new(plan.child), t.group_key, affected,
-                       key_array_fn=key_array_fn))
+        plan.schema, semi_join_keys(differ.new(plan.child), key_fn, affected))
     return diff_relations(old_result, new_result)

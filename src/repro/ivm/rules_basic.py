@@ -8,9 +8,11 @@ scale linearly with the amount of changed data in the sources" (section
 3.3.2).
 
 The rules operate directly on the change set's struct-of-arrays store
-(``actions`` / ``row_ids`` / ``rows`` parallel arrays): filtering and
-projecting a 100k-row delta builds the output arrays in bulk without
-allocating one ``Change`` object per row.
+(``actions`` / ``row_ids`` / ``rows`` parallel arrays) and evaluate their
+expressions once per delta through the vectorized compiler, over the
+delta's rows transposed to column arrays: filtering and projecting a
+100k-row delta builds the output arrays in bulk without one evaluator
+call, or one ``Change`` object, per row.
 
 Sort and Limit deliberately have **no** rules: plans containing them take
 the FULL refresh path (the properties checker reports them as
@@ -19,9 +21,13 @@ non-incrementalizable), mirroring the operator coverage of section 3.3.2.
 
 from __future__ import annotations
 
-from repro.engine.expressions import compile_expression, compile_row
+from itertools import compress
+
+from repro.engine.expressions import (compile_expression_columnar,
+                                      compile_row_columnar)
 from repro.errors import NotIncrementalizableError
 from repro.ivm import rowid
+from repro.ivm.aggstate import transpose_rows
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import Differentiator, rule
 from repro.plan import logical as lp
@@ -53,16 +59,12 @@ def delta_filter(differ: Differentiator, plan: lp.Filter) -> ChangeSet:
     child = differ.delta(plan.child)
     if not child:
         return ChangeSet()
-    predicate = compile_expression(plan.predicate, differ.ctx)
-    actions = []
-    row_ids = []
-    rows = []
-    for action, row_id, row in zip(child.actions, child.row_ids, child.rows):
-        if predicate(row) is True:
-            actions.append(action)
-            row_ids.append(row_id)
-            rows.append(row)
-    return ChangeSet.from_arrays(actions, row_ids, rows)
+    predicate = compile_expression_columnar(plan.predicate, differ.ctx)
+    mask = predicate(transpose_rows(child.rows), len(child))
+    kept = [value is True for value in mask]
+    return ChangeSet.from_arrays(list(compress(child.actions, kept)),
+                                 list(compress(child.row_ids, kept)),
+                                 list(compress(child.rows, kept)))
 
 
 @rule("Project")
@@ -72,9 +74,10 @@ def delta_project(differ: Differentiator, plan: lp.Project) -> ChangeSet:
     child = differ.delta(plan.child)
     if not child:
         return ChangeSet()
-    row_fn = compile_row(plan.exprs, differ.ctx)
+    columns = compile_row_columnar(plan.exprs, differ.ctx)(
+        transpose_rows(child.rows), len(child))
     return ChangeSet.from_arrays(list(child.actions), list(child.row_ids),
-                                 [row_fn(row) for row in child.rows])
+                                 list(zip(*columns)))
 
 
 @rule("UnionAll")
@@ -99,11 +102,12 @@ def delta_flatten(differ: Differentiator, plan: lp.Flatten) -> ChangeSet:
     child = differ.delta(plan.child)
     if not child:
         return ChangeSet()
-    input_fn = compile_expression(plan.input_expr, differ.ctx)
+    values = compile_expression_columnar(plan.input_expr, differ.ctx)(
+        transpose_rows(child.rows), len(child))
     flatten_id = rowid.flatten_id
     output = ChangeSet()
-    for action, row_id, row in zip(child.actions, child.row_ids, child.rows):
-        value = input_fn(row)
+    for action, row_id, row, value in zip(child.actions, child.row_ids,
+                                          child.rows, values):
         if not isinstance(value, list):
             continue
         for index, element in enumerate(value):

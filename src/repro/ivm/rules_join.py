@@ -34,9 +34,10 @@ difference.
 from __future__ import annotations
 
 from repro.engine.executor import join_relations
-from repro.engine.expressions import compile_group_key
+from repro.engine.expressions import compile_group_key_columnar
 from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError
+from repro.ivm.aggstate import transpose_rows
 from repro.ivm.changes import Action, ChangeSet
 from repro.ivm.differentiator import (OUTER_JOIN_REWRITE, Differentiator,
                                       diff_relations, rule, semi_join_keys)
@@ -124,11 +125,13 @@ def _delta_outer_direct(differ: Differentiator, plan: lp.Join) -> ChangeSet:
         # endpoint diff (still correct, cost ∝ |Q| + |R|).
         return diff_relations(differ.old(plan), differ.new(plan))
 
-    left_key_fn = compile_group_key(keys.left_keys, differ.ctx)
-    right_key_fn = compile_group_key(keys.right_keys, differ.ctx)
+    left_key_fn = compile_group_key_columnar(keys.left_keys, differ.ctx)
+    right_key_fn = compile_group_key_columnar(keys.right_keys, differ.ctx)
     affected: set[tuple] = set()
-    affected.update(map(left_key_fn, delta_left.rows))
-    affected.update(map(right_key_fn, delta_right.rows))
+    for key_fn, delta in ((left_key_fn, delta_left),
+                          (right_key_fn, delta_right)):
+        if delta:  # an empty delta has no columns to evaluate over
+            affected.update(key_fn(transpose_rows(delta.rows), len(delta)))
 
     left_old = semi_join_keys(differ.old(plan.left), left_key_fn, affected)
     left_new = semi_join_keys(differ.new(plan.left), left_key_fn, affected)

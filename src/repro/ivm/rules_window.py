@@ -30,7 +30,8 @@ ablation benchmark honest.
 from __future__ import annotations
 
 from repro.engine.executor import window_relation
-from repro.engine.expressions import compile_group_key
+from repro.engine.expressions import compile_group_key_columnar
+from repro.ivm.aggstate import transpose_rows
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import (Differentiator, diff_relations, rule,
                                       semi_join_keys)
@@ -44,9 +45,10 @@ def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
         return ChangeSet()
 
     # Changed partitions: partition keys of every delta row (Q|_I ⋉_k ΔQ),
-    # computed straight off the delta's struct-of-arrays row array.
-    key_fn = compile_group_key(plan.partition_exprs, differ.ctx)
-    affected = set(map(key_fn, child_delta.rows))
+    # one columnar pass over the delta's row array.
+    key_fn = compile_group_key_columnar(plan.partition_exprs, differ.ctx)
+    affected = set(key_fn(transpose_rows(child_delta.rows),
+                          len(child_delta)))
 
     old_windows = window_relation(
         plan, semi_join_keys(differ.old(plan.child), key_fn, affected),

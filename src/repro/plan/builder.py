@@ -330,6 +330,14 @@ class _ExprBinder:
             if ast.args:
                 raise BindError(f"{ast.name} takes no arguments")
             return e.ContextFunction(ast.name)
+        if ast.name == "iff":
+            # IFF is CASE, not a function: only the selected branch is
+            # evaluated (``iff(b <> 0, 10 / b, 0)`` must not divide by 0).
+            if len(ast.args) != 3:
+                raise BindError("iff takes 3 arguments (condition, then, else)")
+            condition, then, otherwise = (self.bind(arg, scope)
+                                          for arg in ast.args)
+            return e.Case(((condition, then),), otherwise)
         args = list(ast.args)
         if ast.name in DATE_PART_FUNCTIONS and args:
             # Bare date-part names (``date_trunc(hour, ts)``) become strings.

@@ -1,6 +1,6 @@
 """Regression tests for the batched execution layer and its hot-path fixes.
 
-Covers: the expression closure-compiler (constant folding, deferred
+Covers: the vectorized expression compiler (constant folding, deferred
 errors, interpreter equivalence), zone-map partition pruning, the
 streaming LIMIT, the bounded relation cache, O(1) version access,
 HLC-precise ``version_at``, the data-equivalent change-query skip, and the
@@ -15,8 +15,8 @@ from repro.engine.expressions import (BooleanOp, Case, ColumnRef, Comparison,
                                       ContextFunction, EvalContext,
                                       FunctionCall, DEFAULT_REGISTRY, InList,
                                       IsNull, Like, Literal, Arithmetic,
-                                      compile_expression, compile_row,
-                                      force_interpreted)
+                                      compile_expression_columnar,
+                                      compile_row_columnar, force_interpreted)
 from repro.engine.relation import DictResolver
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
@@ -41,29 +41,33 @@ def insert(table, rows, wall):
 
 
 # ---------------------------------------------------------------------------
-# The closure compiler
+# The vectorized compiler
 # ---------------------------------------------------------------------------
+
+_TEN_OVER_ID = Arithmetic("/", Literal(10), ColumnRef(0, SqlType.INT))
+
 
 class TestCompiler:
     def test_column_and_literal(self):
-        fn = compile_expression(ColumnRef(1, SqlType.TEXT))
-        assert fn((7, "x", 9)) == "x"
-        assert compile_expression(Literal(42))(()) == 42
+        fn = compile_expression_columnar(ColumnRef(1, SqlType.TEXT))
+        assert list(fn([[7, 8], ["x", "y"], [9, 9]], 2)) == ["x", "y"]
+        assert compile_expression_columnar(Literal(42))([], 3) == [42] * 3
 
     def test_constant_folding(self):
         expr = Arithmetic("+", Literal(2), Literal(3))
-        assert compile_expression(expr)(()) == 5
+        assert compile_expression_columnar(expr)([], 2) == [5, 5]
 
     def test_context_function_folds_to_pinned_timestamp(self):
-        fn = compile_expression(ContextFunction("current_timestamp"),
-                                EvalContext(timestamp=123))
-        assert fn(()) == 123
+        fn = compile_expression_columnar(ContextFunction("current_timestamp"),
+                                         EvalContext(timestamp=123))
+        assert fn([], 1) == [123]
 
     def test_erroring_constant_defers_to_runtime(self):
         expr = Arithmetic("/", Literal(1), Literal(0))
-        fn = compile_expression(expr)  # compiling must not raise
+        fn = compile_expression_columnar(expr)  # compiling must not raise
+        assert fn([], 0) == []  # ... nor does running over no rows
         with pytest.raises(EvaluationError):
-            fn(())
+            fn([], 1)
 
     def test_volatile_udf_not_folded(self):
         registry_calls = []
@@ -76,9 +80,9 @@ class TestCompiler:
         registry.register_udf("ticker", volatile, SqlType.INT,
                               immutable=False)
         call = FunctionCall(registry.lookup("ticker"), ())
-        fn = compile_expression(call)
-        assert fn(()) == 1
-        assert fn(()) == 2  # evaluated per row, not folded
+        fn = compile_expression_columnar(call)
+        assert fn([], 2) == [1, 2]  # evaluated per row, not folded
+        assert fn([], 1) == [3]
 
     @pytest.mark.parametrize("expr", [
         Comparison(">=", ColumnRef(2, SqlType.INT), Literal(5)),
@@ -97,29 +101,49 @@ class TestCompiler:
                Literal("big")),), Literal("small")),
         Arithmetic("*", ColumnRef(2, SqlType.INT), Literal(3)),
         Arithmetic("%", ColumnRef(0, SqlType.INT), Literal(7)),
+        # Lazy constructs: column 0 is 0 on one row, so each guard decides
+        # where the division may be evaluated (selection vectors).
+        BooleanOp("and", (Comparison("<>", ColumnRef(0, SqlType.INT),
+                                     Literal(0)),
+                          Comparison(">", _TEN_OVER_ID, Literal(1)))),
+        BooleanOp("or", (IsNull(ColumnRef(2, SqlType.INT)),
+                         Comparison("=", ColumnRef(0, SqlType.INT),
+                                    Literal(0)),
+                         Comparison(">", _TEN_OVER_ID, Literal(1)))),
+        Case(((Comparison("<>", ColumnRef(0, SqlType.INT), Literal(0)),
+               _TEN_OVER_ID),
+              (IsNull(ColumnRef(1, SqlType.TEXT)), Literal(-1))),
+             ColumnRef(2, SqlType.INT)),
+        InList(ColumnRef(0, SqlType.INT), (Literal(0), _TEN_OVER_ID,
+                                           ColumnRef(2, SqlType.INT))),
+        InList(ColumnRef(2, SqlType.INT),
+               (Literal(None), ColumnRef(0, SqlType.INT)), negated=True),
+        Like(ColumnRef(1, SqlType.TEXT),
+             FunctionCall(DEFAULT_REGISTRY.lookup("concat"),
+                          (ColumnRef(1, SqlType.TEXT), Literal("%")))),
     ])
     def test_compiled_matches_eval_over_sample_rows(self, expr):
         ctx = EvalContext(timestamp=99)
         rows = [(1, "a", 10), (2, "b", 2), (9, None, None), (0, "abc", 5),
                 (15, "b", -1)]
-        compiled = compile_expression(expr, ctx)
-        for row in rows:
-            assert compiled(row) == expr.eval(row, ctx)
+        compiled = compile_expression_columnar(expr, ctx)
+        assert list(compiled(list(zip(*rows)), len(rows))) == [
+            expr.eval(row, ctx) for row in rows]
 
     def test_compile_row_matches_tuple_of_evals(self):
         exprs = (ColumnRef(0, SqlType.INT),
                  Arithmetic("+", ColumnRef(2, SqlType.INT), Literal(1)),
                  Literal("k"))
-        fn = compile_row(exprs)
-        row = (4, "g", 7)
-        assert fn(row) == tuple(e.eval(row, EvalContext()) for e in exprs)
+        fn = compile_row_columnar(exprs)
+        rows = [(4, "g", 7), (5, "h", None)]
+        assert list(zip(*fn(list(zip(*rows)), len(rows)))) == [
+            tuple(e.eval(row, EvalContext()) for e in exprs) for row in rows]
 
     def test_force_interpreted_round_trips(self):
         expr = Comparison(">=", ColumnRef(0, SqlType.INT), Literal(2))
         with force_interpreted():
-            shim = compile_expression(expr)
-        assert shim((3,)) is True
-        assert shim((1,)) is False
+            shim = compile_expression_columnar(expr)
+        assert shim([[3, 1]], 2) == [True, False]
 
 
 # ---------------------------------------------------------------------------

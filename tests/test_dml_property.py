@@ -81,7 +81,50 @@ def _id_range(bounds):
                      (low, high), lambda r: low <= r[ID] < high)
 
 
+# The lazy constructs: a guard decides which rows the raising operand
+# (``1000 / score`` on a zero score) is evaluated on, so the vectorized
+# compiler must evaluate it on the guarded rows only (selection vectors).
+def _guarded_and(k):
+    return Predicate(
+        f"score <> 0 AND 1000 / score > {k}",
+        "score <> 0 AND 1000 / score > ?", (k,),
+        lambda r: _known(r[SCORE]) and r[SCORE] != 0
+        and 1000 / r[SCORE] > k)
+
+
+def _guarded_or_mixed(k):
+    # A total operand (amount IS NULL) beside non-total ones.
+    return Predicate(
+        f"amount IS NULL OR score = 0 OR 1000 / score > {k}",
+        "amount IS NULL OR score = 0 OR 1000 / score > ?", (k,),
+        lambda r: r[AMOUNT] is None or (
+            _known(r[SCORE]) and (r[SCORE] == 0 or 1000 / r[SCORE] > k)))
+
+
+def _case_quotient(r):
+    return 1000 / r[SCORE] if _known(r[SCORE]) and r[SCORE] != 0 else 0
+
+
+def _case_gt(k):
+    return Predicate(
+        f"CASE WHEN score <> 0 THEN 1000 / score ELSE 0 END > {k}",
+        "CASE WHEN score <> 0 THEN 1000 / score ELSE 0 END > ?", (k,),
+        lambda r: _case_quotient(r) > k)
+
+
+def _amount_not_in(k):
+    # An IN list holding a column: a NULL item makes a non-match NULL.
+    return Predicate(
+        f"amount NOT IN ({k}, score)", "amount NOT IN (?, score)", (k,),
+        lambda r: _known(r[AMOUNT], r[SCORE])
+        and r[AMOUNT] not in (k, r[SCORE]))
+
+
 predicates = st.one_of(
+    st.integers(0, 60).map(_guarded_and),
+    st.integers(0, 60).map(_guarded_or_mixed),
+    st.integers(0, 60).map(_case_gt),
+    st.integers(0, 60).map(_amount_not_in),
     st.just(Predicate(None, None, (), lambda r: True)),
     st.just(Predicate("amount IS NULL", "amount IS NULL", (),
                       lambda r: r[AMOUNT] is None)),
@@ -123,7 +166,19 @@ def _set_category(name):
                       lambda r: _replace(r, category=name))
 
 
+def _guarded_modulo(k):
+    def rewrite(r):
+        if not _known(r[SCORE]) or r[SCORE] == 0:
+            return _replace(r, amount=k)
+        return _replace(r, amount=None if r[AMOUNT] is None
+                        else r[AMOUNT] % r[SCORE])
+    return Assignment(f"amount = iff(score <> 0, amount % score, {k})",
+                      "amount = iff(score <> 0, amount % score, ?)", (k,),
+                      rewrite)
+
+
 assignments = st.one_of(
+    st.integers(0, 60).map(_guarded_modulo),
     st.integers(1, 9).map(_bump_score),
     st.integers(0, 60).map(_set_amount),
     st.sampled_from(CATEGORIES).map(_set_category),
@@ -154,15 +209,17 @@ def _statement(assignment, predicate, use_binds):
 
 
 def _session(seed, in_txn):
-    """A seeded multi-partition ``facts`` table (with NULL amounts/scores)
-    and a session on it — inside an open transaction that already staged
-    inserts, an update and a delete on ``facts`` when ``in_txn``."""
+    """A seeded multi-partition ``facts`` table (with NULL amounts/scores
+    and zero scores) and a session on it — inside an open transaction that
+    already staged inserts, an update and a delete on ``facts`` when
+    ``in_txn``."""
     db = Database()
     create_workload_schema(db)
     db.catalog.versioned_table("facts").partition_rows = PARTITION_ROWS
     UpdateWorkload(rng=random.Random(seed)).seed(db, facts=FACT_ROWS, dims=1)
     db.execute("UPDATE facts SET amount = NULL WHERE id % 7 = 3")
     db.execute("UPDATE facts SET score = NULL WHERE id % 11 = 5")
+    db.execute("UPDATE facts SET score = 0 WHERE id % 9 = 4")
     session = db.session()
     if in_txn:
         session.begin()

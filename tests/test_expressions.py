@@ -167,8 +167,46 @@ class TestFunctions:
         assert expr.eval((), CTX) == 3
 
     def test_iff(self):
-        expr = e.FunctionCall(self.lookup("iff"), (lit(True), lit(1), lit(2)))
+        # IFF is bound as a lazy CASE (plan/builder.py), not looked up in
+        # the registry: only the selected branch is evaluated.
+        from repro.errors import BindError
+        from repro.plan.builder import DictSchemaProvider, build_plan
+        from repro.sql.parser import parse_query
+
+        def bound(sql):
+            plan = build_plan(parse_query(sql), DictSchemaProvider({}, {}))
+            return plan.exprs[0]
+
+        expr = bound("SELECT iff(true, 1, 2)")
+        assert isinstance(expr, e.Case)
         assert expr.eval((), CTX) == 1
+        assert bound("SELECT iff(NULL, 1, 2)").eval((), CTX) == 2
+        assert bound("SELECT iff(false, 1 / 0, 7)").eval((), CTX) == 7
+        with pytest.raises(TypeError_):
+            self.lookup("iff")
+        with pytest.raises(BindError):
+            bound("SELECT iff(true, 1)")
+
+    @pytest.mark.parametrize("args, expected", [
+        ((0.5,), 1.0), ((1.5,), 2.0), ((2.5,), 3.0),       # ties: away from 0
+        ((-0.5,), -1.0), ((-1.5,), -2.0), ((-2.5,), -3.0),
+        ((2.4,), 2.0), ((-2.6,), -3.0),
+        ((0.125, 2), 0.13), ((-0.125, 2), -0.13), ((2.675, 2), 2.68),
+        ((3.14159, 3), 3.142), ((25, -1), 30), ((7,), 7),
+        ((1e300, 2), 1e300),
+    ])
+    def test_round_half_away_from_zero(self, args, expected):
+        call = e.FunctionCall(self.lookup("round"),
+                              tuple(lit(arg) for arg in args))
+        result = call.eval((), CTX)
+        assert result == expected
+        assert type(result) is type(expected)
+        assert e.compile_expression_columnar(call)([], 1) == [expected]
+
+    def test_round_null(self):
+        for args in ((lit(None),), (lit(None), lit(2)), (lit(1.5), lit(None))):
+            call = e.FunctionCall(self.lookup("round"), args)
+            assert call.eval((), CTX) is None
 
     def test_date_trunc(self):
         hour_ns = 3_600_000_000_000

@@ -48,6 +48,21 @@ QUERIES = [
     " FROM items",
     "SELECT l.label, count(*) n FROM items i JOIN lookup l "
     "ON i.grp = l.key GROUP BY l.label",
+    # The lazy constructs (selection-vector evaluation): ``val`` is 0 on
+    # some rows, so every guard below decides where ``60 / val`` may run.
+    "SELECT id, CASE WHEN val <> 0 THEN 60 / val ELSE 0 END q, "
+    "iff(val = 0, -1, 60 % val) r FROM items "
+    "WHERE val = 0 OR id > 28 OR 60 / val > 5",
+    "SELECT id, val IN (0, id) m, grp NOT IN ('a', NULL) n FROM items "
+    "WHERE id >= 0 AND val <> 0 AND 60 / val > 5",
+    "SELECT i.id, l.label FROM items i LEFT JOIN lookup l "
+    "ON i.grp = l.key AND (i.val = 0 OR 60 / i.val > 5)",
+    "SELECT i.id, l.key FROM items i JOIN lookup l "
+    "ON i.val <> 0 AND 60 / i.val > 5 AND i.grp <= l.key",
+    "SELECT grp, sum(CASE WHEN val <> 0 THEN 60 % val ELSE 0 END) s, "
+    "count_if(val <> 0 AND 60 / val > 5) c FROM items GROUP BY grp",
+    "SELECT id, grp, sum(iff(val <> 0, 60 % val, 0)) over (partition by grp "
+    "order by CASE WHEN val <> 0 THEN 60 / val ELSE 0 END, id) w FROM items",
 ]
 
 PLANS = [build_plan(parse_query(sql), PROVIDER) for sql in QUERIES]
@@ -153,9 +168,9 @@ def test_three_way_evaluation_equivalence(items, lookups, item_mutation,
     plan in the battery and randomized tables/mutations, whichever layout
     its inputs arrive in: row-major relations (overlay reads, operator
     outputs) and the columnar relations storage scans hand over. The
-    kernels read ``Relation.columns`` either way; the input layout decides
-    which view is derived lazily and which arm the ``is_columnar``
-    selections of the affected-key restrictions take."""
+    kernels and the affected-key restrictions read ``Relation.columns``
+    either way; the input layout only decides which view is derived
+    lazily."""
     items_old = build_tables(items, "i")
     lookup_old = build_tables(lookups, "l")
     item_ops, additions = item_mutation

@@ -116,14 +116,11 @@ _MATERIALIZE_PREFIX = ("ivm/rules_",)
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_run_sort"),
     ("engine/executor.py", "_run_unionall"),
     ("engine/executor.py", "_run_values"),
-    ("engine/executor.py", "aggregate_relation"),
     ("engine/executor.py", "distinct_relation"),
     ("engine/executor.py", "flatten_relation"),
     ("engine/executor.py", "join_relations"),
-    ("engine/executor.py", "window_relation"),
     ("ivm/rules_agg.py", "delta_aggregate"),
     ("ivm/rules_agg.py", "delta_distinct"),
     ("ivm/rules_basic.py", "delta_filter"),
