@@ -14,7 +14,7 @@ import time
 from repro.engine.relation import Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, Change, ChangeSet
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
@@ -39,14 +39,12 @@ BASE = _base_relation()
 
 
 def _source_for_delta(delta_rows: int):
-    delta = ChangeSet()
-    new_pairs = list(BASE.pairs())
-    for offset in range(delta_rows):
-        row = (TABLE_ROWS + offset, f"g{offset % 50}", offset)
-        row_id = f"b:n{offset}"
-        delta.insert(row_id, row)
-        new_pairs.append((row_id, row))
-    new_relation = Relation.from_pairs(ITEMS, new_pairs)
+    added = [(f"b:n{offset}",
+              (TABLE_ROWS + offset, f"g{offset % 50}", offset))
+             for offset in range(delta_rows)]
+    delta = ChangeSet(Change(Action.INSERT, row_id, row)
+                      for row_id, row in added)
+    new_relation = Relation.from_pairs(ITEMS, list(BASE.pairs()) + added)
     return DictDeltaSource({"items": BASE}, {"items": new_relation},
                            {"items": delta})
 

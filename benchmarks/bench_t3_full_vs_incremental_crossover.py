@@ -29,7 +29,7 @@ from repro.engine.executor import evaluate
 from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, Change, ChangeSet
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
@@ -58,17 +58,17 @@ BASE = _base()
 
 def _mutated(fraction: float):
     count = int(TABLE_ROWS * fraction)
-    delta = ChangeSet()
+    delta = []
     pairs = []
     for index, (row_id, row) in enumerate(BASE.pairs()):
         if index < count:
             new_row = (row[0], row[1], row[2] + 1)
-            delta.delete(row_id, row)
-            delta.insert(row_id, new_row)
+            delta.append(Change(Action.DELETE, row_id, row))
+            delta.append(Change(Action.INSERT, row_id, new_row))
             pairs.append((row_id, new_row))
         else:
             pairs.append((row_id, row))
-    return Relation.from_pairs(ITEMS, pairs), delta
+    return Relation.from_pairs(ITEMS, pairs), ChangeSet(delta)
 
 
 def _time(function, repeats=3):

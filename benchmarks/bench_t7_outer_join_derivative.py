@@ -18,7 +18,7 @@ import time
 from repro.engine.relation import Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, Change, ChangeSet
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
@@ -58,21 +58,17 @@ FACTS_REL, DIM1_REL, DIM2_REL = _tables()
 
 def _source_with_small_delta():
     """Insert 5 facts and update one dim1 row."""
-    delta_facts = ChangeSet()
-    new_fact_pairs = list(FACTS_REL.pairs())
-    for offset in range(5):
-        row = (ROWS + offset, f"k{offset}", f"k{offset + 1}")
-        row_id = f"f:n{offset}"
-        delta_facts.insert(row_id, row)
-        new_fact_pairs.append((row_id, row))
-    facts_new = Relation.from_pairs(FACTS, new_fact_pairs)
+    added = [(f"f:n{offset}", (ROWS + offset, f"k{offset}", f"k{offset + 1}"))
+             for offset in range(5)]
+    delta_facts = ChangeSet(Change(Action.INSERT, row_id, row)
+                            for row_id, row in added)
+    facts_new = Relation.from_pairs(FACTS, list(FACTS_REL.pairs()) + added)
 
-    delta_dim1 = ChangeSet()
     dim1_pairs = list(DIM1_REL.pairs())
     old_id, old_row = dim1_pairs[3]
     new_row = (old_row[0], old_row[1] + 1000)
-    delta_dim1.delete(old_id, old_row)
-    delta_dim1.insert(old_id, new_row)
+    delta_dim1 = ChangeSet([Change(Action.DELETE, old_id, old_row),
+                            Change(Action.INSERT, old_id, new_row)])
     dim1_pairs[3] = (old_id, new_row)
     dim1_new = Relation.from_pairs(DIM1, dim1_pairs)
 

@@ -14,7 +14,7 @@ from repro.engine.executor import evaluate
 from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, Change, ChangeSet
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
@@ -47,15 +47,12 @@ BASE = _base()
 
 def _source_touching(partitions: int):
     """Insert one row into each of the first `partitions` partitions."""
-    delta = ChangeSet()
-    pairs = list(BASE.pairs())
-    for partition in range(partitions):
-        row = (partition * 1000 + 999, f"g{partition}", 1)
-        row_id = f"b:n{partition}"
-        delta.insert(row_id, row)
-        pairs.append((row_id, row))
-    return DictDeltaSource({"items": BASE},
-                           {"items": Relation.from_pairs(ITEMS, pairs)},
+    added = [(f"b:n{partition}", (partition * 1000 + 999, f"g{partition}", 1))
+             for partition in range(partitions)]
+    delta = ChangeSet(Change(Action.INSERT, row_id, row)
+                      for row_id, row in added)
+    new_relation = Relation.from_pairs(ITEMS, list(BASE.pairs()) + added)
+    return DictDeltaSource({"items": BASE}, {"items": new_relation},
                            {"items": delta})
 
 

@@ -150,8 +150,8 @@ class Database:
         the scheduler's modeled durations queue on as many dispatch
         slots. ``None`` restores the exact serial legacy scheduler.
 
-        ``partition_fanout`` — intra-refresh: one refresh's partition
-        diffs and aggregate-state scans fan out across a pool of that
+        ``partition_fanout`` — intra-refresh: one refresh's
+        aggregate-state scans and folds fan out across a pool of that
         size (``None`` keeps them inline). The pools are separate by
         design, so a refresh occupying a DAG worker never blocks on the
         partition pool it submits to.

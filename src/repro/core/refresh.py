@@ -44,7 +44,7 @@ from repro.errors import (ChangeIntegrityError, DurabilityError,
                           NotInitializedError, TransactionError,
                           TransientError, UserError, is_transient)
 from repro.faults import inject
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, ChangeSet
 from repro.ivm.differentiator import (OUTER_JOIN_DIRECT, differentiate)
 from repro.plan import logical as lp
 from repro.plan.builder import build_plan
@@ -148,8 +148,8 @@ class RefreshEngine:
         #: key, so stale plans are never served and age out of the LRU.
         self._plan_cache = PlanCache(limit=_PLAN_CACHE_LIMIT)
         #: Intra-refresh partition pool (None = fully serial refreshes).
-        #: Installed thread-locally around each refresh, so partition
-        #: diffs and aggregate-state scans fan out; distinct from any
+        #: Installed thread-locally around each refresh, so aggregate-state
+        #: scans and folds fan out; distinct from any
         #: DAG-level coordinator pool, so a refresh running on a DAG
         #: worker never waits on the pool it occupies.
         self.partition_pool: Optional[WorkerPool] = None
@@ -298,16 +298,15 @@ class RefreshEngine:
             record.source_rows_scanned = (stats.delta_rows_in
                                           + stats.endpoint_rows)
             txn.stage_changeset(dt.name, changes, overwrite=False)
-            record.rows_inserted = len(changes.inserts())
-            record.rows_deleted = len(changes.deletes())
+            record.rows_inserted = changes.actions.count(Action.INSERT)
+            record.rows_deleted = len(changes) - record.rows_inserted
         else:
             # INITIAL / REINITIALIZE / FULL: INSERT OVERWRITE from scratch.
             resolver = _VersionResolver(self.catalog, new_versions)
             result = evaluate(plan, resolver, ctx)
             record.source_rows_scanned = self._source_row_count(new_versions)
-            changes = ChangeSet()
-            for row_id, row in result.pairs():
-                changes.insert(row_id, row)
+            changes = ChangeSet.signed(Action.INSERT, result.row_ids,
+                                       result.columns)
             txn.stage_changeset(dt.name, changes, overwrite=True)
             record.rows_inserted = len(changes)
             record.rows_deleted = dt.table.row_count()

@@ -89,12 +89,12 @@ def _replicate_base_table(primary: Database, secondary: Database,
         # Refresh an existing replica: overwrite its contents with the
         # primary's current rows, preserving row ids.
         target = secondary.catalog.versioned_table(name)
-        from repro.ivm.changes import ChangeSet
+        from repro.ivm.changes import Action, ChangeSet
         from repro.storage.table import StagedWrite
 
-        changes = ChangeSet()
-        for row_id, row in source.relation().pairs():
-            changes.insert(row_id, row)
+        contents = source.relation()
+        changes = ChangeSet.signed(Action.INSERT, contents.row_ids,
+                                   contents.columns)
         target.apply(StagedWrite(changeset=changes, overwrite=True),
                      commit_ts)
         return

@@ -129,7 +129,7 @@ def _snapshot_node(kind: str, state: object) -> Optional[dict]:
     assert isinstance(state, DistinctNodeState)
     return {"initialized": state.initialized,
             "rows": [[entry[0], codec.encode(tuple(entry[1]))]
-                     for entry in state.rows.values()]}
+                     for entry in state.entries.values()]}
 
 
 def snapshot_agg_store(store: Optional[AggStateStore]) -> Optional[dict]:
@@ -181,7 +181,7 @@ def _hydrate_distinct(snap: dict) -> Callable:
         state = DistinctNodeState(plan)
         for count, row in snap["rows"]:
             decoded = codec.decode(row)
-            state.rows[t.group_key(decoded)] = [count, decoded]
+            state.entries[t.group_key(decoded)] = [count, decoded]
         state.initialized = snap["initialized"]
         return state
     return hydrate

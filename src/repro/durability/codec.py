@@ -101,7 +101,8 @@ def encode(value: Any) -> Any:
         return {"$t": "changeset",
                 "a": [action.value for action in value.actions],
                 "i": list(value.row_ids),
-                "r": [encode(row) for row in value.rows]}
+                "c": [[encode(item) for item in column]
+                      for column in value.columns]}
     if isinstance(value, enum.Enum):
         cls = type(value)
         if REGISTRY.get(cls.__name__) is not cls:
@@ -149,10 +150,10 @@ def decode(value: Any) -> Any:
     if tag == "schema":
         return Schema(decode(column) for column in value["v"])
     if tag == "changeset":
-        return ChangeSet.from_arrays(
+        return ChangeSet.from_columns(
             [Action(action) for action in value["a"]],
             list(value["i"]),
-            [decode(row) for row in value["r"]])
+            [[decode(item) for item in column] for column in value["c"]])
     if tag == "enum":
         cls = REGISTRY.get(value["c"])
         if cls is None or not issubclass(cls, enum.Enum):

@@ -1,9 +1,9 @@
 """The write-ahead log: an append-only file of framed JSON records.
 
-On-disk layout (format version 1)::
+On-disk layout (format version 2)::
 
     +--------------------------+
-    | magic  "RPRWAL" 0x00 0x01|   8 bytes; last byte = format version
+    | magic  "RPRWAL" 0x00 0x02|   8 bytes; last byte = format version
     +--------------------------+
     | len (u32 BE) | crc (u32) |   per record: payload length + CRC32
     | payload (UTF-8 JSON)     |
@@ -48,8 +48,8 @@ from repro.errors import DurabilityError
 from repro.faults import inject
 
 #: File magic; the final byte is the on-disk format version.
-WAL_MAGIC = b"RPRWAL\x00\x01"
-FORMAT_VERSION = 1
+WAL_MAGIC = b"RPRWAL\x00\x02"
+FORMAT_VERSION = 2
 
 _FRAME = struct.Struct(">II")  # (payload length, CRC32 of payload)
 

@@ -19,10 +19,13 @@ column arrays through the vectorized compiler
 (:func:`compile_expression_columnar`) — one tight loop per expression node
 per batch, never one evaluator call per row, group or partition. Join
 keys, sort keys, grouping keys, aggregate and window arguments are value
-arrays gathered by row index. What stays row-shaped is *bookkeeping*:
-joins, DISTINCT, FLATTEN and the top-k heap assemble their output rows
-from the ``Relation.rows`` view. The interpreter (``Expression.eval``,
-selected by ``force_interpreted``) is the reference semantics.
+arrays gathered by row index; a join records ``(left, right)`` index
+matches and gathers its output columns by index, and UNION ALL
+concatenates column arrays. What stays row-shaped are the producers whose
+unit of work is a row: VALUES, DISTINCT, FLATTEN and the top-k heap
+assemble their output rows through the ``Relation`` row view. The
+interpreter (``Expression.eval``, selected by ``force_interpreted``) is
+the reference semantics.
 
 Filters directly over scans additionally push simple column-vs-literal
 bounds into the storage layer when the resolver supports it
@@ -245,12 +248,16 @@ class _Executor:
     # -- union ------------------------------------------------------------------
 
     def _run_unionall(self, plan: lp.UnionAll) -> Relation:
-        output = Relation(plan.schema)
+        union_id = rowid.union_id
+        row_ids: list[str] = []
+        columns: list[list] = [[] for __ in plan.schema]
         for branch, child in enumerate(plan.inputs):
             relation = self.run(child)
-            for row_id, row in relation.pairs():
-                output.append(rowid.union_id(branch, row_id), row)
-        return output
+            row_ids.extend(union_id(branch, row_id)
+                           for row_id in relation.row_ids)
+            for accumulator, column in zip(columns, relation.columns):
+                accumulator.extend(column)
+        return Relation.from_columns(plan.schema, columns, row_ids)
 
     # -- aggregation ---------------------------------------------------------
 
@@ -600,25 +607,27 @@ def _matching(candidates: Iterator[tuple[int, Sequence[int]]],
     yield from flush(batch)
 
 
+def _gather_padded(column: Sequence, take: Sequence[Optional[int]]) -> list:
+    """``column`` at the ``take`` indices; None where the index is None
+    (the NULL padding of an outer join's unmatched side)."""
+    return [None if index is None else column[index] for index in take]
+
+
+def _gather(column: Sequence, take: Sequence[int]) -> list:
+    return [column[index] for index in take]
+
+
 def join_relations(plan: lp.Join, left: Relation, right: Relation,
                    ctx: EvalContext) -> Relation:
     """Evaluate any join kind over two materialized inputs.
 
     Equi-keys and the residual / non-equi condition are evaluated over
-    column arrays (:func:`_equi_keys`, :func:`_matching`); the output rows
-    are assembled from the inputs' row views.
+    column arrays (:func:`_equi_keys`, :func:`_matching`). The join itself
+    only records which ``(left_index, right_index)`` pairs it emits — None
+    on the padded side of an unmatched outer row — and the output columns
+    are gathered from the inputs' columns by those indices.
     """
-    output = Relation(plan.schema)
-    left_rows, right_rows = left.rows, right.rows
     left_ids, right_ids = left.row_ids, right.row_ids
-
-    if plan.kind == "cross":
-        for left_id, left_row in zip(left_ids, left_rows):
-            for right_id, right_row in zip(right_ids, right_rows):
-                output.append(rowid.join_id(left_id, right_id),
-                              left_row + right_row)
-        return output
-
     keys = lp.extract_equi_keys(plan)
     if keys.left_keys:
         # Hash join on the equi-keys; the residual filters the buckets.
@@ -631,35 +640,48 @@ def join_relations(plan: lp.Join, left: Relation, right: Relation,
                       in enumerate(_equi_keys(keys.left_keys, left, ctx)))
         condition = keys.residual
     else:
-        # No equi-keys: every pair is a candidate for the full condition.
+        # No equi-keys (a cross join has no condition at all): every pair
+        # is a candidate for the full condition.
         every_right = range(len(right))
         candidates = ((index, every_right) for index in range(len(left)))
         condition = plan.condition
 
-    pad_right = (None,) * len(plan.right.schema)
     keep_unmatched_left = plan.kind in ("left", "full")
     keep_unmatched_right = plan.kind in ("right", "full")
     matched_right: set[int] = set()
+    row_ids: list[str] = []
+    left_take: list[Optional[int]] = []
+    right_take: list[Optional[int]] = []
     if condition is not None:
         candidates = _matching(candidates, condition, left, right, ctx)
     for left_index, matches in candidates:
-        left_row = left_rows[left_index]
-        left_id = left_ids[left_index]
-        for right_index in matches:
-            output.append(rowid.join_id(left_id, right_ids[right_index]),
-                          left_row + right_rows[right_index])
-        if keep_unmatched_right:
-            matched_right.update(matches)
-        if not matches and keep_unmatched_left:
-            output.append(rowid.outer_left_id(left_id), left_row + pad_right)
+        if matches:
+            left_id = left_ids[left_index]
+            for right_index in matches:
+                row_ids.append(rowid.join_id(left_id, right_ids[right_index]))
+                left_take.append(left_index)
+                right_take.append(right_index)
+            if keep_unmatched_right:
+                matched_right.update(matches)
+        elif keep_unmatched_left:
+            row_ids.append(rowid.outer_left_id(left_ids[left_index]))
+            left_take.append(left_index)
+            right_take.append(None)
 
     if keep_unmatched_right:
-        pad_left = (None,) * len(plan.left.schema)
-        for right_index, right_row in enumerate(right_rows):
+        for right_index, right_id in enumerate(right_ids):
             if right_index not in matched_right:
-                output.append(rowid.outer_right_id(right_ids[right_index]),
-                              pad_left + right_row)
-    return output
+                row_ids.append(rowid.outer_right_id(right_id))
+                left_take.append(None)
+                right_take.append(right_index)
+    # Only an outer join's non-preserved side can hold a None index.
+    gather_left = _gather_padded if keep_unmatched_right else _gather
+    gather_right = _gather_padded if keep_unmatched_left else _gather
+    return Relation.from_columns(
+        plan.schema,
+        [gather_left(column, left_take) for column in left.columns]
+        + [gather_right(column, right_take) for column in right.columns],
+        row_ids)
 
 
 def aggregate_relation(plan: lp.Aggregate, child: Relation,

@@ -16,9 +16,12 @@ construction, ``rows`` access, ``pairs()``, ``__iter__``, ``append`` and
 ``from_pairs``. Internally the relation holds *either* layout (whichever
 it was built from) and materializes the other lazily, caching it;
 ``append`` keeps every materialized layout in sync. Storage scans build
-the columnar layout and every kernel evaluates its expressions over it;
-the operators that assemble output rows tuple by tuple (joins, DISTINCT,
-FLATTEN, the top-k heap, row-id diffs) read the ``rows`` view.
+the columnar layout and every kernel — joins, unions and the derivative
+rules included — reads and writes it. The row view is for result
+delivery (``QueryResult``, cursor buffers, ``rows_by_id``), for the
+producers whose unit of work is a row (VALUES, DISTINCT, FLATTEN, the
+top-k heap, one-row-per-group aggregate output) and for a transaction's
+read-your-writes overlay.
 """
 
 from __future__ import annotations
@@ -110,13 +113,6 @@ class Relation:
             else:
                 self._columns = [[] for __ in range(len(self.schema))]
         return self._columns
-
-    @property
-    def is_columnar(self) -> bool:
-        """Whether the columnar layout is already materialized (the
-        aggregate state store uses this to read column arrays without a
-        cached layout conversion)."""
-        return self._columns is not None
 
     def column(self, index: int) -> Sequence:
         """One column's value array."""

@@ -50,7 +50,7 @@ from repro.engine.relation import Relation
 from repro.engine.types import SqlType
 from repro.errors import InternalError
 from repro.ivm import rowid
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, Change, ChangeSet
 from repro.plan import logical as lp
 from repro.util.parallel import (MIN_PARALLEL_ROWS, chunk_spans, fanout_map,
                                  fanout_pool)
@@ -144,22 +144,6 @@ def refresh_strategy(plan: lp.PlanNode) -> list[tuple[lp.PlanNode, str, str]]:
 # Per-node state
 # ---------------------------------------------------------------------------
 
-def transpose_rows(rows: Sequence[tuple]) -> list[tuple]:
-    """Rows → columns (one pass; [] for an empty or zero-width slice)."""
-    if not rows:
-        return []
-    return list(zip(*rows))
-
-
-def _relation_columns(relation: Relation) -> tuple[list, int]:
-    count = len(relation)
-    if not count:
-        return [], 0
-    if relation.is_columnar:
-        return list(relation.columns), count
-    return transpose_rows(relation.rows), count
-
-
 def _parallel_spans(count: int) -> Optional[list[tuple[int, int]]]:
     """Contiguous chunk spans for fanning a ``count``-row columnar slice
     out to the refresh's partition pool — or None when no pool is
@@ -249,7 +233,7 @@ class AggregateNodeState:
         chunks folded into per-chunk partial states, combined via each
         accumulator's exact ``merge()``."""
         self.groups.clear()
-        columns, count = _relation_columns(child)
+        columns, count = child.columns, len(child)
         spans = _parallel_spans(count)
         if spans is None:
             self._apply(columns, count, ctx, insert=True, touched=None)
@@ -297,14 +281,12 @@ class AggregateNodeState:
         insert/retract per delta row — and emit the output diff computed
         from the touched groups' accumulators alone."""
         touched: dict[tuple, tuple[tuple, Optional[tuple]]] = {}
-        __, delete_rows = delta.delete_arrays()
-        __, insert_rows = delta.insert_arrays()
-        self._apply(transpose_rows(delete_rows), len(delete_rows), ctx,
-                    insert=False, touched=touched)
-        self._apply(transpose_rows(insert_rows), len(insert_rows), ctx,
-                    insert=True, touched=touched)
+        for action in (Action.DELETE, Action.INSERT):
+            row_ids, columns = delta.under(action)
+            self._apply(columns, len(row_ids), ctx,
+                        insert=action is Action.INSERT, touched=touched)
 
-        out = ChangeSet()
+        out: list[Change] = []
         scalar = self.plan.is_scalar
         for key, (key_values, old_row) in touched.items():
             group = self.groups.get(key)
@@ -319,13 +301,13 @@ class AggregateNodeState:
             row_id = rowid.group_id(key_values)
             if old_row is None:
                 if new_row is not None:
-                    out.insert(row_id, new_row)
+                    out.append(Change(Action.INSERT, row_id, new_row))
             elif new_row is None:
-                out.delete(row_id, old_row)
+                out.append(Change(Action.DELETE, row_id, old_row))
             elif new_row != old_row:
-                out.delete(row_id, old_row)
-                out.insert(row_id, new_row)
-        return out
+                out.append(Change(Action.DELETE, row_id, old_row))
+                out.append(Change(Action.INSERT, row_id, new_row))
+        return ChangeSet(out)
 
     def _apply(self, columns: Sequence[Sequence], count: int,
                ctx: EvalContext, insert: bool,
@@ -420,20 +402,21 @@ class DistinctNodeState:
 
     def __init__(self, plan: lp.Distinct):
         self.plan = plan
-        self.rows: dict[tuple, list] = {}  # key -> [count, representative]
+        #: key -> [count, representative row]
+        self.entries: dict[tuple, list] = {}
         self.initialized = False
         self.signature = ""  # set by the store (keying defense in depth)
 
     def initialize(self, child: Relation, ctx: EvalContext) -> None:
-        self.rows.clear()
-        columns, count = _relation_columns(child)
+        self.entries.clear()
+        columns, count = child.columns, len(child)
         spans = _parallel_spans(count)
         if spans is None:
             for row, key in zip(_iter_rows(columns, count),
                                 t.group_key_columns(columns, count)):
-                entry = self.rows.get(key)
+                entry = self.entries.get(key)
                 if entry is None:
-                    self.rows[key] = [1, row]
+                    self.entries[key] = [1, row]
                 else:
                     entry[0] += 1
         else:
@@ -461,26 +444,24 @@ class DistinctNodeState:
                     entry[0] += 1
             return local
 
-        rows = self.rows
+        entries = self.entries
         for local in fanout_map("distinct-init", scan_chunk, spans):
             for key, entry in local.items():
-                mine = rows.get(key)
+                mine = entries.get(key)
                 if mine is None:
-                    rows[key] = entry
+                    entries[key] = entry
                 else:
                     mine[0] += entry[0]
 
     def fold(self, delta: ChangeSet, ctx: EvalContext) -> ChangeSet:
         touched: dict[tuple, Optional[tuple]] = {}
-        rows = self.rows
-        __, delete_rows = delta.delete_arrays()
-        __, insert_rows = delta.insert_arrays()
+        entries = self.entries
 
-        delete_columns = transpose_rows(delete_rows)
-        for row, key in zip(delete_rows,
-                            t.group_key_columns(delete_columns,
-                                                len(delete_rows))):
-            entry = rows.get(key)
+        row_ids, columns = delta.under(Action.DELETE)
+        count = len(row_ids)
+        for row, key in zip(_iter_rows(columns, count),
+                            t.group_key_columns(columns, count)):
+            entry = entries.get(key)
             if entry is None or entry[0] <= 0:
                 raise AggStateInconsistency(
                     f"retraction of unknown distinct row {row!r}")
@@ -488,36 +469,38 @@ class DistinctNodeState:
                 touched[key] = entry[1]
             entry[0] -= 1
 
-        insert_columns = transpose_rows(insert_rows)
-        for row, key in zip(insert_rows,
-                            t.group_key_columns(insert_columns,
-                                                len(insert_rows))):
-            entry = rows.get(key)
+        row_ids, columns = delta.under(Action.INSERT)
+        count = len(row_ids)
+        for row, key in zip(_iter_rows(columns, count),
+                            t.group_key_columns(columns, count)):
+            entry = entries.get(key)
             if entry is None:
-                rows[key] = entry = [0, row]
+                entries[key] = entry = [0, row]
             if key not in touched:
                 touched[key] = entry[1] if entry[0] else None
             if not entry[0]:
                 entry[1] = row  # fresh (or vanished-and-reborn) key
             entry[0] += 1
 
-        out = ChangeSet()
+        out: list[Change] = []
         for key, old_row in touched.items():
-            entry = rows.get(key)
+            entry = entries.get(key)
             new_row = None
             if entry is not None:
                 if entry[0]:
                     new_row = entry[1]
                 else:
-                    del rows[key]
+                    del entries[key]
             if old_row is None:
                 if new_row is not None:
-                    out.insert(rowid.distinct_id(new_row), new_row)
+                    out.append(Change(Action.INSERT,
+                                      rowid.distinct_id(new_row), new_row))
             elif new_row is None:
-                out.delete(rowid.distinct_id(old_row), old_row)
+                out.append(Change(Action.DELETE,
+                                  rowid.distinct_id(old_row), old_row))
             # both present: the representative is value-identical (the
             # stateful gate excludes inexact types), so nothing changed.
-        return out
+        return ChangeSet(out)
 
 
 def _iter_rows(columns: Sequence[Sequence], count: int):

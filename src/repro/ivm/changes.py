@@ -10,16 +10,18 @@ The differentiation framework guarantees that a set of changes never
 contains more than 1 row for each unique $ROW_ID, $ACTION pair, which
 ensures that the merge operation is well-defined."
 
-Layout: a :class:`ChangeSet` is **struct-of-arrays** — three parallel
-arrays ``actions`` / ``row_ids`` / ``rows`` — rather than a list of
-per-row objects. Deltas on the refresh hot path routinely carry 100k+
-rows; the SoA layout lets whole-partition delta building, projection
-rules, and consolidation work by bulk array extension
-(:meth:`ChangeSet.insert_many` / :meth:`delete_many` / :meth:`extend`)
-instead of allocating one :class:`Change` per row. The per-row
-:class:`Change` NamedTuple remains the unit of iteration (``__iter__``,
-:attr:`changes`, :meth:`inserts`, :meth:`deletes` all yield it), so
-row-oriented consumers are unaffected.
+Invariant: a :class:`ChangeSet` **is** that relation — a signed columnar
+relation. ``columns[c][i]`` is column ``c`` of change ``i``, and
+``actions[i]`` / ``row_ids[i]`` are its two metadata columns; every array
+is parallel and read-only once the set is built. This is the layout of a
+micro-partition and of a :class:`~repro.engine.relation.Relation`, so a
+partition's column arrays enter a delta by reference
+(:meth:`ChangeSet.signed`), the derivative rules apply the executor's
+kernels to ``columns`` directly, and storage slices ``columns`` straight
+back into partitions — nothing between a partition and the next partition
+builds a row tuple. The one row-shaped edge is :class:`Change`: a set can
+be constructed from, and iterated as, ``(action, row_id, row)`` triples
+(hand-built deltas, accumulator outputs, ``repr``).
 
 :func:`consolidate` implements the change-consolidation step referenced in
 section 5.5.2 (and the insert-only specialization that allows skipping it);
@@ -30,7 +32,8 @@ section 6.1 that "shielded customers from data corruption".
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from itertools import compress, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 from repro.errors import ChangeIntegrityError
@@ -47,12 +50,8 @@ class Action(enum.Enum):
 
 
 class Change(NamedTuple):
-    """One delta row: ``($ACTION, $ROW_ID, values...)``.
-
-    A NamedTuple rather than a dataclass: changes are materialized from
-    the struct-of-arrays store on demand, and tuple construction skips the
-    per-field ``object.__setattr__`` cost of frozen dataclasses.
-    """
+    """One delta row: ``($ACTION, $ROW_ID, values...)`` — the row-shaped
+    edge of a :class:`ChangeSet` (construction and iteration only)."""
 
     action: Action
     row_id: str
@@ -64,141 +63,101 @@ class Change(NamedTuple):
 
 
 class ChangeSet:
-    """An ordered bag of changes, stored struct-of-arrays.
+    """An ordered bag of changes, stored as a signed columnar relation.
 
-    ``actions[i]`` / ``row_ids[i]`` / ``rows[i]`` describe change ``i``.
-    Order matters only *before* consolidation (an insert and a delete of
-    the same row id cancel in sequence order); a consolidated change set is
-    a well-defined merge: at most one row per ``($ROW_ID, $ACTION)`` pair.
+    ``actions[i]`` / ``row_ids[i]`` / ``columns[c][i]`` describe change
+    ``i``. Order matters only *before* consolidation (an insert and a
+    delete of the same row id cancel in sequence order); a consolidated
+    change set is a well-defined merge: at most one row per
+    ``($ROW_ID, $ACTION)`` pair.
+
+    A set is built once and never mutated, so adopted arrays (partition
+    column tuples, kernel outputs) are shared, not copied. An *empty* set
+    may carry no column arrays at all — it has no width to record — so
+    consumers test emptiness before reading ``columns``.
     """
 
-    __slots__ = ("actions", "row_ids", "rows")
+    __slots__ = ("actions", "row_ids", "columns")
 
     def __init__(self, changes: Iterable[Change] = ()):
-        self.actions: list[Action] = []
-        self.row_ids: list[str] = []
-        self.rows: list[tuple] = []
+        """Build from :class:`Change` triples (the row-shaped edge)."""
+        actions: list[Action] = []
+        row_ids: list[str] = []
+        rows: list[tuple] = []
         for action, row_id, row in changes:
-            self.actions.append(action)
-            self.row_ids.append(row_id)
-            self.rows.append(row)
+            actions.append(action)
+            row_ids.append(row_id)
+            rows.append(row)
+        self.actions: Sequence[Action] = actions
+        self.row_ids: Sequence[str] = row_ids
+        self.columns: Sequence[Sequence] = list(zip(*rows, strict=True))
 
     @staticmethod
-    def from_arrays(actions: list, row_ids: list, rows: list) -> "ChangeSet":
+    def from_columns(actions: Sequence[Action], row_ids: Sequence[str],
+                     columns: Sequence[Sequence]) -> "ChangeSet":
         """Adopt parallel arrays by reference (no copy)."""
         changes = ChangeSet.__new__(ChangeSet)
         changes.actions = actions
         changes.row_ids = row_ids
-        changes.rows = rows
+        changes.columns = columns
         return changes
 
-    @property
-    def changes(self) -> list[Change]:
-        """The changes as a list of :class:`Change` (materialized view)."""
-        return [Change(action, row_id, row) for action, row_id, row
-                in zip(self.actions, self.row_ids, self.rows)]
+    @staticmethod
+    def signed(action: Action, row_ids: Sequence[str],
+               columns: Sequence[Sequence]) -> "ChangeSet":
+        """A whole relation (``row_ids`` + ``columns``, adopted by
+        reference) under one sign — how a partition, an executor result
+        or a join output becomes a delta."""
+        return ChangeSet.from_columns([action] * len(row_ids), row_ids,
+                                      columns)
 
-    @changes.setter
-    def changes(self, value: Iterable[Change]) -> None:
+    @staticmethod
+    def concat(parts: Iterable["ChangeSet"]) -> "ChangeSet":
+        """The parts' changes in sequence — one array extension per
+        column per part. Empty parts are skipped (they carry no width)."""
+        parts = [part for part in parts if part]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return ChangeSet()
         actions: list[Action] = []
         row_ids: list[str] = []
-        rows: list[tuple] = []
-        for action, row_id, row in value:
-            actions.append(action)
-            row_ids.append(row_id)
-            rows.append(row)
-        self.actions = actions
-        self.row_ids = row_ids
-        self.rows = rows
+        columns: list[list] = [[] for __ in parts[0].columns]
+        for part in parts:
+            actions.extend(part.actions)
+            row_ids.extend(part.row_ids)
+            for accumulator, column in zip(columns, part.columns,
+                                           strict=True):
+                accumulator.extend(column)
+        return ChangeSet.from_columns(actions, row_ids, columns)
 
     def __len__(self) -> int:
         return len(self.actions)
 
     def __iter__(self) -> Iterator[Change]:
-        return map(Change._make, zip(self.actions, self.row_ids, self.rows))
+        """The changes as :class:`Change` triples (the row-shaped edge)."""
+        rows = (zip(*self.columns) if self.columns
+                else repeat((), len(self.actions)))
+        return map(Change._make, zip(self.actions, self.row_ids, rows))
 
     def __bool__(self) -> bool:
         return bool(self.actions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ChangeSet({self.changes!r})"
-
-    # -- per-row mutation ------------------------------------------------------
-
-    def append(self, change: Change) -> None:
-        self.actions.append(change[0])
-        self.row_ids.append(change[1])
-        self.rows.append(change[2])
-
-    def insert(self, row_id: str, row: tuple) -> None:
-        self.actions.append(Action.INSERT)
-        self.row_ids.append(row_id)
-        self.rows.append(row)
-
-    def delete(self, row_id: str, row: tuple) -> None:
-        self.actions.append(Action.DELETE)
-        self.row_ids.append(row_id)
-        self.rows.append(row)
-
-    def extend(self, other: Union["ChangeSet", Iterable[Change]]) -> None:
-        if isinstance(other, ChangeSet):
-            # Bulk array concatenation — no per-change objects.
-            self.actions.extend(other.actions)
-            self.row_ids.extend(other.row_ids)
-            self.rows.extend(other.rows)
-            return
-        for change in other:
-            self.append(change)
-
-    # -- bulk mutation ---------------------------------------------------------
-
-    def insert_many(self, row_ids: Sequence[str],
-                    rows: Sequence[tuple]) -> None:
-        """Append one INSERT per ``(row_id, row)`` by array extension —
-        how whole-partition column slices enter a delta."""
-        self.actions.extend([Action.INSERT] * len(row_ids))
-        self.row_ids.extend(row_ids)
-        self.rows.extend(rows)
-
-    def delete_many(self, row_ids: Sequence[str],
-                    rows: Sequence[tuple]) -> None:
-        """Append one DELETE per ``(row_id, row)`` by array extension."""
-        self.actions.extend([Action.DELETE] * len(row_ids))
-        self.row_ids.extend(row_ids)
-        self.rows.extend(rows)
+        return f"ChangeSet({list(self)!r})"
 
     # -- reads -----------------------------------------------------------------
 
-    def inserts(self) -> list[Change]:
-        insert = Action.INSERT
-        return [Change(action, row_id, row) for action, row_id, row
-                in zip(self.actions, self.row_ids, self.rows)
-                if action is insert]
-
-    def deletes(self) -> list[Change]:
-        delete = Action.DELETE
-        return [Change(action, row_id, row) for action, row_id, row
-                in zip(self.actions, self.row_ids, self.rows)
-                if action is delete]
-
-    def insert_arrays(self) -> tuple[list[str], list[tuple]]:
-        """``(row_ids, rows)`` of the insertions, as parallel arrays."""
-        return self._arrays_of(Action.INSERT)
-
-    def delete_arrays(self) -> tuple[list[str], list[tuple]]:
-        """``(row_ids, rows)`` of the deletions, as parallel arrays."""
-        return self._arrays_of(Action.DELETE)
-
-    def _arrays_of(self, which: Action) -> tuple[list[str], list[tuple]]:
-        if which not in self.actions:
-            return [], []
-        row_ids: list[str] = []
-        rows: list[tuple] = []
-        for action, row_id, row in zip(self.actions, self.row_ids, self.rows):
-            if action is which:
-                row_ids.append(row_id)
-                rows.append(row)
-        return row_ids, rows
+    def under(self, which: Action) -> tuple[Sequence[str], Sequence[Sequence]]:
+        """``(row_ids, columns)`` of the changes whose ``$ACTION`` is
+        ``which``, in order — shared by reference when that is every
+        change (the insert-only shape)."""
+        actions = self.actions
+        if actions.count(which) == len(actions):
+            return self.row_ids, self.columns
+        keep = [action is which for action in actions]
+        return (list(compress(self.row_ids, keep)),
+                [list(compress(column, keep)) for column in self.columns])
 
     @property
     def insert_only(self) -> bool:
@@ -241,13 +200,29 @@ class ChangeSet:
                         f"insert of already-present row: {row_id}")
 
 
-#: Internal consolidation states.
-_ABSENT = 0       # not seen in this interval
-_INSERTED = 1     # net-new in this interval
-_DELETED = 2      # pre-existing row deleted in this interval
+def rows_equal(columns: Sequence[Sequence], left_at: Sequence[int],
+               right_at: Sequence[int]) -> list[bool]:
+    """Whether rows ``left_at[k]`` and ``right_at[k]`` of ``columns`` are
+    equal, for every ``k``.
+
+    Compared one column at a time over the gathered values, with the
+    semantics tuple comparison has: two values agree when they are
+    identical *or* equal, so an untouched row carrying a NaN still equals
+    its own copy. A column that agrees everywhere — every column of a
+    copy-on-write rewrite but the updated ones — is settled by one list
+    comparison without a per-pair step.
+    """
+    same = [True] * len(left_at)
+    for column in columns:
+        ours = [column[index] for index in left_at]
+        theirs = [column[index] for index in right_at]
+        if ours != theirs:
+            same = [agree and (mine is other or mine == other)
+                    for agree, mine, other in zip(same, ours, theirs)]
+    return same
 
 
-def consolidate(changes: Union[ChangeSet, Iterable[Change]]) -> ChangeSet:
+def consolidate(changes: ChangeSet) -> ChangeSet:
     """Collapse an ordered change sequence to its net effect.
 
     Per row id, in sequence order:
@@ -266,82 +241,53 @@ def consolidate(changes: Union[ChangeSet, Iterable[Change]]) -> ChangeSet:
 
     The result satisfies :meth:`ChangeSet.validate`'s pair-uniqueness
     invariant by construction. Output order: deletes first, then inserts
-    (the merge applies deletions before insertions). Operates directly on
-    the struct-of-arrays store — one pass over the input triples, bulk
-    array construction of the result, no per-row Change allocation.
+    (the merge applies deletions before insertions), each in first-seen
+    order of their row ids. Works on row *indices*: one pass over the two
+    metadata columns, one column-at-a-time comparison of the rewritten
+    rows (:func:`rows_equal`), and one gather per output column.
     """
-    if isinstance(changes, ChangeSet):
-        triples = zip(changes.actions, changes.row_ids, changes.rows)
-    else:
-        triples = ((change[0], change[1], change[2]) for change in changes)
-
+    if changes.insert_only:
+        # Nothing can cancel (the insert-only specialization of section
+        # 5.5.2): only the pair-uniqueness check is left to do.
+        changes.validate()
+        return changes
     insert = Action.INSERT
-    state: dict[str, int] = {}
-    before_rows: dict[str, tuple] = {}
-    current_rows: dict[str, tuple] = {}
-    order: list[str] = []
-
-    for action, row_id, row in triples:
-        status = state.get(row_id, _ABSENT)
-        if row_id not in state:
-            order.append(row_id)
+    #: row id -> index of the pre-existing row this interval deleted.
+    before: dict[str, int] = {}
+    #: row id -> index of the row this interval inserted and kept.
+    current: dict[str, int] = {}
+    for index, (action, row_id) in enumerate(zip(changes.actions,
+                                                 changes.row_ids)):
         if action is insert:
-            if status == _INSERTED or (status == _DELETED and row_id in current_rows):
+            if row_id in current:
                 raise ChangeIntegrityError(
                     f"duplicate insert for row id {row_id}")
-            if status == _DELETED:
-                current_rows[row_id] = row
-            else:
-                state[row_id] = _INSERTED
-                current_rows[row_id] = row
-        else:  # DELETE
-            if status == _INSERTED:
-                # Insert+delete within the interval cancels entirely.
-                state[row_id] = _ABSENT
-                current_rows.pop(row_id, None)
-            elif status == _DELETED:
-                if row_id in current_rows:
-                    # delete(old) insert(new) delete(new): still a delete of old.
-                    current_rows.pop(row_id)
-                else:
-                    raise ChangeIntegrityError(
-                        f"duplicate delete for row id {row_id}")
-            else:
-                state[row_id] = _DELETED
-                before_rows[row_id] = row
+            current[row_id] = index
+        elif row_id in current:
+            # insert+delete within the interval cancels — as does the
+            # re-insert in delete(old) insert(new) delete(new), which
+            # stays a delete of old.
+            del current[row_id]
+        elif row_id in before:
+            raise ChangeIntegrityError(
+                f"duplicate delete for row id {row_id}")
+        else:
+            before[row_id] = index
 
-    delete_ids: list[str] = []
-    delete_rows: list[tuple] = []
-    insert_ids: list[str] = []
-    insert_rows: list[tuple] = []
-    for row_id in order:
-        status = state.get(row_id, _ABSENT)
-        if status == _DELETED:
-            before = before_rows[row_id]
-            if row_id in current_rows:
-                after = current_rows[row_id]
-                if after == before:
-                    continue  # data-equivalent rewrite: cancels
-                delete_ids.append(row_id)
-                delete_rows.append(before)
-                insert_ids.append(row_id)
-                insert_rows.append(after)
-            else:
-                delete_ids.append(row_id)
-                delete_rows.append(before)
-        elif status == _INSERTED:
-            insert_ids.append(row_id)
-            insert_rows.append(current_rows[row_id])
+    rewritten = [row_id for row_id in before if row_id in current]
+    columns = changes.columns
+    copied = set(compress(rewritten, rows_equal(
+        columns, [before[row_id] for row_id in rewritten],
+        [current[row_id] for row_id in rewritten])))
 
-    return ChangeSet.from_arrays(
-        [Action.DELETE] * len(delete_ids) + [Action.INSERT] * len(insert_ids),
+    order = dict.fromkeys(changes.row_ids)  # first-seen
+    delete_ids = [row_id for row_id in order
+                  if row_id in before and row_id not in copied]
+    insert_ids = [row_id for row_id in order
+                  if row_id in current and row_id not in copied]
+    take = ([before[row_id] for row_id in delete_ids]
+            + [current[row_id] for row_id in insert_ids])
+    return ChangeSet.from_columns(
+        [Action.DELETE] * len(delete_ids) + [insert] * len(insert_ids),
         delete_ids + insert_ids,
-        delete_rows + insert_rows)
-
-
-def invert(changes: ChangeSet) -> ChangeSet:
-    """Swap inserts and deletes (useful in tests and undo paths)."""
-    insert, delete = Action.INSERT, Action.DELETE
-    return ChangeSet.from_arrays(
-        [delete if action is insert else insert for action in changes.actions],
-        list(changes.row_ids), list(changes.rows))
+        [[column[index] for index in take] for column in columns])

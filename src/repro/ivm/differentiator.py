@@ -18,25 +18,26 @@ purely in terms of the sources" (section 5.5.3). Endpoint evaluations are
 memoized per differentiation so a term referenced by several rules is
 computed once (the term-reuse concern of section 5.5.1).
 
-The top-level entry :func:`differentiate` consolidates the result unless
-the plan is structurally append-only over insert-only source deltas, in
-which case consolidation is skipped — the insert-only specialization of
-section 5.5.2 ("In many cases, the structure of a query guarantees that
-redundant actions will not be introduced by differentiation, which permits
-us to skip the final change-consolidation step").
+Every node's delta — the root's included — is consolidated once, by
+:meth:`Differentiator.delta`, unless it is insert-only: the insert-only
+specialization of section 5.5.2 ("In many cases, the structure of a query
+guarantees that redundant actions will not be introduced by
+differentiation, which permits us to skip the final change-consolidation
+step"). The top-level entry :func:`differentiate` records when a
+structurally append-only plan over insert-only source deltas guaranteed
+that skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
-from repro.engine.executor import evaluate
+from repro.engine.executor import _compress, evaluate
 from repro.engine.expressions import DEFAULT_CONTEXT, EvalContext
 from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError, RowIdIntegrityError
-from repro.ivm.changes import ChangeSet, consolidate
+from repro.ivm.changes import Action, ChangeSet, consolidate
 from repro.plan import logical as lp
 
 
@@ -292,8 +293,11 @@ def differentiate(plan: lp.PlanNode, source: DeltaSource,
                   ) -> tuple[ChangeSet, DifferentiationStats]:
     """Compute the consolidated changes of ``plan`` over the interval.
 
-    Consolidation is skipped when the plan is structurally append-only and
-    every source delta is insert-only (section 5.5.2).
+    The root comes back as :meth:`Differentiator.delta` produced it:
+    consolidated, unless it is insert-only — which it is by construction
+    when the plan is structurally append-only and every source delta is
+    insert-only (section 5.5.2), and which needs no consolidation either
+    way.
     """
     # Import here: the rules modules register themselves into RULES and
     # plan.properties imports this module's names.
@@ -302,20 +306,27 @@ def differentiate(plan: lp.PlanNode, source: DeltaSource,
 
     differ = Differentiator(source, ctx, outer_join_strategy,
                             agg_state=agg_state)
-    raw = differ.delta(plan)
+    changes = differ.delta(plan)
 
     if is_append_only_plan(plan):
         recorded = differ.source_insert_only
-        insert_only = all(
+        differ.stats.consolidation_skipped = all(
             recorded[table] if table in recorded
             else source.scan_delta(table).insert_only
             for table in lp.scans_of(plan))
-        if insert_only:
-            differ.stats.consolidation_skipped = True
-            raw.validate()
-            return raw, differ.stats
+    if changes.insert_only:
+        # ``delta`` consolidated anything else before caching it; an
+        # insert-only result needs only the pair-uniqueness check.
+        changes.validate()
+    return changes, differ.stats
 
-    return consolidate(raw), differ.stats
+
+def restrict(relation: Relation, keep: Sequence[bool]) -> Relation:
+    """The rows of ``relation`` whose ``keep`` entry is True, ids and
+    order preserved — the executor's own compress kernel."""
+    columns, row_ids = _compress(relation.columns, relation.row_ids, keep,
+                                 strict=True)
+    return Relation.from_columns(relation.schema, columns, row_ids)
 
 
 def semi_join_keys(relation: Relation, key_fn, affected: set) -> Relation:
@@ -328,29 +339,16 @@ def semi_join_keys(relation: Relation, key_fn, affected: set) -> Relation:
     column slices, never row tuples.
     """
     keys = key_fn(relation.columns, len(relation))
-    keep = [key in affected for key in keys]
-    return Relation.from_columns(
-        relation.schema,
-        [list(compress(column, keep)) for column in relation.columns],
-        list(compress(relation.row_ids, keep)))
+    return restrict(relation, [key in affected for key in keys])
 
 
 def diff_relations(old: Relation, new: Relation) -> ChangeSet:
-    """Row-id–based difference of two relations: the merge-ready changes
-    that turn ``old`` into ``new``. Used by the affected-key rules (outer
-    joins, aggregates, distinct) and by REINITIALIZE planning."""
-    old_rows = dict(old.pairs())
-    changes = ChangeSet()
-    new_ids = set()
-    for row_id, row in new.pairs():
-        new_ids.add(row_id)
-        previous = old_rows.get(row_id)
-        if previous is None:
-            changes.insert(row_id, row)
-        elif previous != row:
-            changes.delete(row_id, previous)
-            changes.insert(row_id, row)
-    for row_id, row in old.pairs():
-        if row_id not in new_ids:
-            changes.delete(row_id, row)
-    return changes
+    """π₋(old) + π₊(new): every ``old`` row as a deletion, then every
+    ``new`` row as an insertion, columns adopted by reference — the raw
+    output of the affected-key rules (outer joins, aggregates, distinct,
+    windows). A row both sides hold unchanged under one id cancels when
+    :meth:`Differentiator.delta` consolidates the rule's result; a changed
+    one becomes a DELETE + INSERT under its id."""
+    return ChangeSet.concat([
+        ChangeSet.signed(Action.DELETE, old.row_ids, old.columns),
+        ChangeSet.signed(Action.INSERT, new.row_ids, new.columns)])

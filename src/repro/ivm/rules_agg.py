@@ -20,8 +20,8 @@ endpoints, and diff the results by row id — the grouped analogue of the
 window-function derivative (section 5.5.1). Group keys over the delta and
 the endpoint semi-joins take the columnar path
 (:func:`~repro.engine.expressions.compile_group_key_columnar` /
-:func:`~repro.engine.types.group_key_columns`) so a struct-of-arrays
-delta never materializes row tuples just to be bucketed.
+:func:`~repro.engine.types.group_key_columns`) straight over the delta's
+columns.
 
 Either way, an aggregate output row's id derives from its group key only
 (:func:`repro.ivm.rowid.group_id`), so a group whose value changes becomes
@@ -36,7 +36,7 @@ from repro.engine.executor import aggregate_relation, distinct_relation
 from repro.engine.expressions import compile_group_key_columnar
 from repro.errors import RowIdIntegrityError
 from repro.ivm import aggstate
-from repro.ivm.aggstate import AggStateInconsistency, transpose_rows
+from repro.ivm.aggstate import AggStateInconsistency
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import (Differentiator, diff_relations, rule,
                                       semi_join_keys)
@@ -85,8 +85,7 @@ def delta_aggregate(differ: Differentiator, plan: lp.Aggregate) -> ChangeSet:
 
     # Affected group keys, one columnar pass over the delta arrays.
     key_fn = compile_group_key_columnar(plan.group_exprs, differ.ctx)
-    affected = set(key_fn(transpose_rows(child_delta.rows),
-                          len(child_delta)))
+    affected = set(key_fn(child_delta.columns, len(child_delta)))
 
     child_old = semi_join_keys(differ.old(plan.child), key_fn, affected)
     child_new = semi_join_keys(differ.new(plan.child), key_fn, affected)
@@ -112,8 +111,7 @@ def delta_distinct(differ: Differentiator, plan: lp.Distinct) -> ChangeSet:
     differ.stats.agg_recomputes += 1
 
     key_fn = t.group_key_columns
-    affected = set(key_fn(transpose_rows(child_delta.rows),
-                          len(child_delta)))
+    affected = set(key_fn(child_delta.columns, len(child_delta)))
 
     old_result = distinct_relation(
         plan.schema, semi_join_keys(differ.old(plan.child), key_fn, affected))

@@ -7,12 +7,14 @@ input delta — and correspond to the paper's claim that "variable costs
 scale linearly with the amount of changed data in the sources" (section
 3.3.2).
 
-The rules operate directly on the change set's struct-of-arrays store
-(``actions`` / ``row_ids`` / ``rows`` parallel arrays) and evaluate their
-expressions once per delta through the vectorized compiler, over the
-delta's rows transposed to column arrays: filtering and projecting a
-100k-row delta builds the output arrays in bulk without one evaluator
-call, or one ``Change`` object, per row.
+A delta is a signed columnar relation, so Filter and Project have no
+second implementation here: the rules hand the delta's columns to the
+executor's own :func:`~repro.engine.executor.filter_kernel` /
+:func:`~repro.engine.executor.project_kernel` (for Filter the ``$ACTION``
+column rides along as one more column and is compressed with the rest),
+and UNION ALL concatenates its branches' columns. Only FLATTEN, whose unit
+of work is a row, goes through the :class:`~repro.ivm.changes.Change`
+triple edge.
 
 Sort and Limit deliberately have **no** rules: plans containing them take
 the FULL refresh path (the properties checker reports them as
@@ -21,14 +23,12 @@ non-incrementalizable), mirroring the operator coverage of section 3.3.2.
 
 from __future__ import annotations
 
-from itertools import compress
-
-from repro.engine.expressions import (compile_expression_columnar,
-                                      compile_row_columnar)
+from repro.engine.executor import filter_kernel, project_kernel
+from repro.engine.expressions import compile_expression_columnar
+from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError
 from repro.ivm import rowid
-from repro.ivm.aggstate import transpose_rows
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Change, ChangeSet
 from repro.ivm.differentiator import Differentiator, rule
 from repro.plan import logical as lp
 
@@ -59,39 +59,39 @@ def delta_filter(differ: Differentiator, plan: lp.Filter) -> ChangeSet:
     child = differ.delta(plan.child)
     if not child:
         return ChangeSet()
-    predicate = compile_expression_columnar(plan.predicate, differ.ctx)
-    mask = predicate(transpose_rows(child.rows), len(child))
-    kept = [value is True for value in mask]
-    return ChangeSet.from_arrays(list(compress(child.actions, kept)),
-                                 list(compress(child.row_ids, kept)),
-                                 list(compress(child.rows, kept)))
+    # The predicate reads only the child's columns, so the sign column
+    # appended after them rides through the kernel's compress untouched.
+    kept = filter_kernel(plan, differ.ctx)(Relation.from_columns(
+        plan.child.schema, [*child.columns, child.actions], child.row_ids))
+    *columns, actions = kept.columns
+    return ChangeSet.from_columns(actions, kept.row_ids, columns)
 
 
 @rule("Project")
 def delta_project(differ: Differentiator, plan: lp.Project) -> ChangeSet:
     """Δ(π_e(Q)) = π_e(ΔQ): projection is 1:1 on rows; actions and ids
-    pass through by array reuse — only the row array is rebuilt."""
+    pass through by reference — only the columns are rebuilt."""
     child = differ.delta(plan.child)
     if not child:
         return ChangeSet()
-    columns = compile_row_columnar(plan.exprs, differ.ctx)(
-        transpose_rows(child.rows), len(child))
-    return ChangeSet.from_arrays(list(child.actions), list(child.row_ids),
-                                 list(zip(*columns)))
+    projected = project_kernel(plan, differ.ctx)(Relation.from_columns(
+        plan.child.schema, child.columns, child.row_ids))
+    return ChangeSet.from_columns(child.actions, child.row_ids,
+                                  projected.columns)
 
 
 @rule("UnionAll")
 def delta_unionall(differ: Differentiator, plan: lp.UnionAll) -> ChangeSet:
     """Δ(Q₀ ∪ ... ∪ Qₙ) = ΔQ₀ ∪ ... ∪ ΔQₙ with branch-tagged row ids."""
     union_id = rowid.union_id
-    output = ChangeSet()
+    parts = []
     for branch, child in enumerate(plan.inputs):
         delta = differ.delta(child)
-        output.actions.extend(delta.actions)
-        output.row_ids.extend(union_id(branch, row_id)
-                              for row_id in delta.row_ids)
-        output.rows.extend(delta.rows)
-    return output
+        parts.append(ChangeSet.from_columns(
+            delta.actions,
+            [union_id(branch, row_id) for row_id in delta.row_ids],
+            delta.columns))
+    return ChangeSet.concat(parts)
 
 
 @rule("Flatten")
@@ -103,18 +103,13 @@ def delta_flatten(differ: Differentiator, plan: lp.Flatten) -> ChangeSet:
     if not child:
         return ChangeSet()
     values = compile_expression_columnar(plan.input_expr, differ.ctx)(
-        transpose_rows(child.rows), len(child))
+        child.columns, len(child))
     flatten_id = rowid.flatten_id
-    output = ChangeSet()
-    for action, row_id, row, value in zip(child.actions, child.row_ids,
-                                          child.rows, values):
-        if not isinstance(value, list):
-            continue
-        for index, element in enumerate(value):
-            output.actions.append(action)
-            output.row_ids.append(flatten_id(row_id, index))
-            output.rows.append(row + (element, index))
-    return output
+    return ChangeSet(
+        Change(action, flatten_id(row_id, index), row + (element, index))
+        for (action, row_id, row), value in zip(child, values)
+        if isinstance(value, list)
+        for index, element in enumerate(value))
 
 
 @rule("Sort")

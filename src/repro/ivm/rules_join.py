@@ -36,78 +36,59 @@ from __future__ import annotations
 from repro.engine.executor import join_relations
 from repro.engine.expressions import compile_group_key_columnar
 from repro.engine.relation import Relation
-from repro.errors import NotIncrementalizableError
-from repro.ivm.aggstate import transpose_rows
 from repro.ivm.changes import Action, ChangeSet
 from repro.ivm.differentiator import (OUTER_JOIN_REWRITE, Differentiator,
-                                      diff_relations, rule, semi_join_keys)
+                                      diff_relations, restrict, rule,
+                                      semi_join_keys)
 from repro.plan import logical as lp
 
 
 @rule("Join")
 def delta_join(differ: Differentiator, plan: lp.Join) -> ChangeSet:
-    if plan.kind == "inner":
+    if plan.kind in ("inner", "cross"):
         return _delta_inner(differ, plan)
-    if plan.kind == "cross":
-        return _delta_cross(differ, plan)
     if differ.outer_join_strategy == OUTER_JOIN_REWRITE:
         return _delta_outer_rewrite(differ, plan)
     return _delta_outer_direct(differ, plan)
 
 
-def _relation_of_action(schema, delta: ChangeSet, action: Action) -> Relation:
-    """The delta's rows under one action, as a relation (built straight
-    from the struct-of-arrays store — no per-change objects)."""
-    row_ids = []
-    rows = []
-    for change_action, row_id, row in zip(delta.actions, delta.row_ids,
-                                          delta.rows):
-        if change_action is action:
-            row_ids.append(row_id)
-            rows.append(row)
-    return Relation(schema, rows, row_ids)
-
-
 def _signed_join(differ: Differentiator, plan: lp.Join,
-                 left: Relation, right: Relation, action: Action,
-                 output: ChangeSet) -> None:
-    """Inner-join two relations, emitting every output pair under
-    ``action`` (one bulk array extension). Reuses the executor's
-    hash-join kernel."""
+                 left: Relation, right: Relation,
+                 action: Action) -> ChangeSet:
+    """Inner-join two relations and sign every output pair with
+    ``action`` (the joined columns are adopted as the delta's). Reuses
+    the executor's hash-join kernel."""
     differ.stats.join_input_rows += len(left) + len(right)
     inner = lp.Join("inner", plan.left, plan.right, plan.condition)
     joined = join_relations(inner, left, right, differ.ctx)
-    output.actions.extend([action] * len(joined))
-    output.row_ids.extend(joined.row_ids)
-    output.rows.extend(joined.rows)
+    return ChangeSet.signed(action, joined.row_ids, joined.columns)
+
+
+def _by_sign(schema, delta: ChangeSet):
+    """The delta's deletions, then its insertions, each as ``(action,
+    relation)`` — a side with no rows is skipped."""
+    for action in (Action.DELETE, Action.INSERT):
+        row_ids, columns = delta.under(action)
+        if row_ids:
+            yield action, Relation.from_columns(schema, columns, row_ids)
 
 
 def _delta_inner(differ: Differentiator, plan: lp.Join) -> ChangeSet:
+    """The bilinear rule; a cross join is the same rule with no keys."""
     delta_left = differ.delta(plan.left)
     delta_right = differ.delta(plan.right)
-    output = ChangeSet()
+    parts = []
     if delta_left:
         right_old = differ.old(plan.right)
-        for action in (Action.DELETE, Action.INSERT):
-            changed = _relation_of_action(plan.left.schema, delta_left,
-                                          action)
-            if len(changed):
-                _signed_join(differ, plan, changed, right_old, action,
-                             output)
+        parts += [_signed_join(differ, plan, changed, right_old, action)
+                  for action, changed in _by_sign(plan.left.schema,
+                                                  delta_left)]
     if delta_right:
         left_new = differ.new(plan.left)
-        for action in (Action.DELETE, Action.INSERT):
-            changed = _relation_of_action(plan.right.schema, delta_right,
-                                          action)
-            if len(changed):
-                _signed_join(differ, plan, left_new, changed, action,
-                             output)
-    return output
-
-
-def _delta_cross(differ: Differentiator, plan: lp.Join) -> ChangeSet:
-    """Cross joins follow the same bilinear rule with no keys."""
-    return _delta_inner(differ, plan)
+        parts += [_signed_join(differ, plan, left_new, changed, action)
+                  for action, changed in _by_sign(plan.right.schema,
+                                                  delta_right)]
+    return ChangeSet.concat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +112,7 @@ def _delta_outer_direct(differ: Differentiator, plan: lp.Join) -> ChangeSet:
     for key_fn, delta in ((left_key_fn, delta_left),
                           (right_key_fn, delta_right)):
         if delta:  # an empty delta has no columns to evaluate over
-            affected.update(key_fn(transpose_rows(delta.rows), len(delta)))
+            affected.update(key_fn(delta.columns, len(delta)))
 
     left_old = semi_join_keys(differ.old(plan.left), left_key_fn, affected)
     left_new = semi_join_keys(differ.new(plan.left), left_key_fn, affected)
@@ -154,50 +135,33 @@ def _delta_outer_rewrite(differ: Differentiator, plan: lp.Join) -> ChangeSet:
     differentiate the null-padded anti-join term(s) by diffing their
     endpoint evaluations. This repeats the Q and R terms — the performance
     problem section 5.5.1 describes."""
-    output = ChangeSet()
-    output.extend(_delta_inner(differ, plan))
-
-    left_width = len(plan.left.schema)
-    right_width = len(plan.right.schema)
-
+    parts = [_delta_inner(differ, plan)]
     if plan.kind in ("left", "full"):
-        old_pads = _left_pad_rows(differ, plan, differ.old(plan.left),
-                                  differ.old(plan.right), right_width)
-        new_pads = _left_pad_rows(differ, plan, differ.new(plan.left),
-                                  differ.new(plan.right), right_width)
-        output.extend(diff_relations(old_pads, new_pads))
-
+        parts.append(diff_relations(
+            _pad_rows(differ, plan, "left", differ.old),
+            _pad_rows(differ, plan, "left", differ.new)))
     if plan.kind in ("right", "full"):
-        old_pads = _right_pad_rows(differ, plan, differ.old(plan.left),
-                                   differ.old(plan.right), left_width)
-        new_pads = _right_pad_rows(differ, plan, differ.new(plan.left),
-                                   differ.new(plan.right), left_width)
-        output.extend(diff_relations(old_pads, new_pads))
-    return output
+        parts.append(diff_relations(
+            _pad_rows(differ, plan, "right", differ.old),
+            _pad_rows(differ, plan, "right", differ.new)))
+    return ChangeSet.concat(parts)
 
 
-def _left_pad_rows(differ: Differentiator, plan: lp.Join, left: Relation,
-                   right: Relation, right_width: int) -> Relation:
-    """π_{R=NULL}(L ▷ R): left rows with no match, null-padded."""
+#: Row-id prefix of the null-padded rows each outer side contributes
+#: (:func:`repro.ivm.rowid.outer_left_id` / ``outer_right_id``).
+_PAD_PREFIX = {"left": "lo:", "right": "ro:"}
+
+
+def _pad_rows(differ: Differentiator, plan: lp.Join, side: str,
+              endpoint) -> Relation:
+    """π_{other=NULL}(Q ▷ R) at one endpoint: the ``side`` input's rows
+    with no match, null-padded — the rows of the ``side`` outer join whose
+    id carries that side's pad prefix."""
+    left, right = endpoint(plan.left), endpoint(plan.right)
     differ.stats.join_input_rows += len(left) + len(right)
     joined = join_relations(
-        lp.Join("left", plan.left, plan.right, plan.condition),
+        lp.Join(side, plan.left, plan.right, plan.condition),
         left, right, differ.ctx)
-    pads = Relation(plan.schema)
-    for row_id, row in joined.pairs():
-        if row_id.startswith("lo:"):
-            pads.append(row_id, row)
-    return pads
-
-
-def _right_pad_rows(differ: Differentiator, plan: lp.Join, left: Relation,
-                    right: Relation, left_width: int) -> Relation:
-    differ.stats.join_input_rows += len(left) + len(right)
-    joined = join_relations(
-        lp.Join("right", plan.left, plan.right, plan.condition),
-        left, right, differ.ctx)
-    pads = Relation(plan.schema)
-    for row_id, row in joined.pairs():
-        if row_id.startswith("ro:"):
-            pads.append(row_id, row)
-    return pads
+    prefix = _PAD_PREFIX[side]
+    return restrict(joined, [row_id.startswith(prefix)
+                             for row_id in joined.row_ids])

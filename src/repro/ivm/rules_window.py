@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from repro.engine.executor import window_relation
 from repro.engine.expressions import compile_group_key_columnar
-from repro.ivm.aggstate import transpose_rows
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import (Differentiator, diff_relations, rule,
                                       semi_join_keys)
@@ -45,10 +44,9 @@ def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
         return ChangeSet()
 
     # Changed partitions: partition keys of every delta row (Q|_I ⋉_k ΔQ),
-    # one columnar pass over the delta's row array.
+    # one columnar pass over the delta's columns.
     key_fn = compile_group_key_columnar(plan.partition_exprs, differ.ctx)
-    affected = set(key_fn(transpose_rows(child_delta.rows),
-                          len(child_delta)))
+    affected = set(key_fn(child_delta.columns, len(child_delta)))
 
     old_windows = window_relation(
         plan, semi_join_keys(differ.old(plan.child), key_fn, affected),
@@ -56,5 +54,5 @@ def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
     new_windows = window_relation(
         plan, semi_join_keys(differ.new(plan.child), key_fn, affected),
         differ.ctx)
-    # π₋(old) + π₊(new), with unchanged rows cancelling via the row-id diff.
+    # π₋(old) + π₊(new); unchanged rows cancel in consolidation.
     return diff_relations(old_windows, new_windows)

@@ -15,16 +15,16 @@ the paper discusses fall out of it naturally:
   rewrites partitions without changing logical contents; versions flagged
   data-equivalent are skipped by the differ.
 
-Since the columnar-execution refactor a partition stores its data
-**column-major**: ``row_ids`` is a tuple of stable identifiers and
-``columns[i]`` is the tuple of column ``i``'s values, parallel to it.
+Invariant: a partition is **column-major and nothing else** —
+``row_ids`` is a tuple of stable identifiers and ``columns[i]`` is the
+tuple of column ``i``'s values, parallel to it; there is no row view.
 This is the on-disk shape Snowflake's micro-partition format presumes
 (column chunks within an immutable file): scans hand whole column arrays
-to the vectorized evaluators without ever building row tuples, and zone
-maps are a single min/max pass over an already-materialized column array.
-The old ``rows`` view — a tuple of ``(row_id, row)`` pairs — remains as a
-lazily cached compatibility property for row-oriented consumers
-(transaction overlays, DML partition rewrites).
+to the vectorized evaluators, change queries hand them to the delta by
+reference, writes arrive as column arrays (:func:`build_partitions`) and
+a DML rewrite keeps or replaces rows by index (:meth:`Partition.edited`),
+so no path through storage builds a row tuple, and zone maps are a single
+min/max pass over an already-materialized column array.
 
 Each partition is stamped at creation with per-column **zone maps**
 (min/max plus a value-kind tag), mirroring Snowflake's per-micro-partition
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 
 #: Global partition id allocator (ids only need to be unique per process).
@@ -112,34 +111,6 @@ def zone_maps_of_columns(columns: Sequence[Sequence],
     return tuple(_column_stats(column) for column in columns)
 
 
-def build_zone_maps(rows: Sequence[tuple[str, tuple]]) -> tuple[ColumnStats, ...]:
-    """Per-column stats over the ``(row_id, row)`` pairs of a partition
-    (row-major compatibility entry point)."""
-    if not rows:
-        return ()
-    width = len(rows[0][1])
-    return tuple(
-        _column_stats(row[index] if index < len(row) else None
-                      for __, row in rows)
-        for index in range(width))
-
-
-def _columns_of_pairs(rows: Sequence[tuple[str, tuple]],
-                      ) -> tuple[tuple, ...]:
-    """Transpose ``(row_id, row)`` pairs into column arrays. Width follows
-    the first row; short rows pad with NULL (matching what the zone maps
-    have always assumed for ragged input)."""
-    if not rows:
-        return ()
-    width = len(rows[0][1])
-    uniform = all(len(row) == width for __, row in rows)
-    if uniform:
-        return tuple(zip(*(row for __, row in rows)))
-    return tuple(
-        tuple(row[index] if index < len(row) else None for __, row in rows)
-        for index in range(width))
-
-
 def _range_allows(stats: ColumnStats, op: str, value: object) -> bool:
     """Whether any non-NULL value in [low, high] could satisfy
     ``col <op> value``. Callers must have established kind safety first."""
@@ -173,18 +144,10 @@ class Partition:
     zone_maps: tuple[ColumnStats, ...] = ()
 
     @staticmethod
-    def create(rows: Sequence[tuple[str, tuple]]) -> "Partition":
-        """Build from ``(row_id, row)`` pairs (compatibility constructor)."""
-        columns = _columns_of_pairs(rows)
-        return Partition(next(_partition_ids),
-                         tuple(row_id for row_id, __ in rows),
-                         columns, zone_maps_of_columns(columns))
-
-    @staticmethod
     def from_columns(row_ids: Sequence[str],
                      columns: Sequence[Sequence]) -> "Partition":
-        """Build directly from parallel column arrays (the columnar write
-        path; zone maps are a min/max pass over each array)."""
+        """Build from parallel column arrays (zone maps are a min/max
+        pass over each array)."""
         cols = tuple(tuple(column) for column in columns)
         return Partition(next(_partition_ids), tuple(row_ids), cols,
                          zone_maps_of_columns(cols))
@@ -192,17 +155,27 @@ class Partition:
     def __len__(self) -> int:
         return len(self.row_ids)
 
-    @cached_property
-    def row_tuples(self) -> tuple[tuple, ...]:
-        """Row tuples (lazily cached transpose of ``columns``)."""
-        if not self.columns:
-            return ((),) * len(self.row_ids)
-        return tuple(zip(*self.columns))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[str, tuple], ...]:
-        """``(row_id, row)`` pairs — the pre-columnar compatibility view."""
-        return tuple(zip(self.row_ids, self.row_tuples))
+    def edited(self, deletes: Container[str],
+               updates: Mapping[str, tuple],
+               ) -> tuple[list[str], list[list]]:
+        """The ``(row_ids, columns)`` this partition becomes once the rows
+        named in ``updates`` take their new values and the rows named in
+        ``deletes`` are dropped — by index over copies of the column
+        arrays (a deleted id wins over an update of it). Ids naming no
+        row of this partition are ignored."""
+        row_ids = self.row_ids
+        columns: Sequence[Sequence] = self.columns
+        hits = ([index for index, row_id in enumerate(row_ids)
+                 if row_id in updates] if updates else ())
+        if hits:
+            columns = [list(column) for column in columns]
+            for index in hits:
+                for column, value in zip(columns, updates[row_ids[index]]):
+                    column[index] = value
+        keep = [row_id not in deletes for row_id in row_ids]
+        return (list(itertools.compress(row_ids, keep)),
+                [list(itertools.compress(column, keep))
+                 for column in columns])
 
     def might_match(self, bounds: Sequence[tuple]) -> bool:
         """Whether this partition could contain a row satisfying the
@@ -254,10 +227,11 @@ class Partition:
         return f"Partition(id={self.id}, rows={len(self.row_ids)})"
 
 
-def build_partitions(rows: list[tuple[str, tuple]],
+def build_partitions(row_ids: Sequence[str], columns: Sequence[Sequence],
                      max_rows: int) -> list[Partition]:
-    """Chunk rows into partitions of at most ``max_rows`` rows."""
-    partitions = []
-    for start in range(0, len(rows), max_rows):
-        partitions.append(Partition.create(tuple(rows[start:start + max_rows])))
-    return partitions
+    """Chunk a columnar block into partitions of at most ``max_rows``
+    rows: each partition is one slice of every column array."""
+    return [Partition.from_columns(
+                row_ids[start:start + max_rows],
+                [column[start:start + max_rows] for column in columns])
+            for start in range(0, len(row_ids), max_rows)]

@@ -29,7 +29,7 @@ from repro.engine.schema import Schema
 from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
 from repro.faults import inject
 from repro.ivm import rowid
-from repro.ivm.changes import ChangeSet
+from repro.ivm.changes import Action, ChangeSet
 from repro.storage.partition import Partition, build_partitions
 from repro.txn.hlc import HLC_ZERO, HlcTimestamp
 from repro.util.timeutil import Timestamp
@@ -76,10 +76,12 @@ class TableVersion:
 class StagedWrite:
     """Uncommitted DML staged by a transaction against one table.
 
-    ``inserts`` are value rows (ids assigned at apply time); ``deletes``
+    ``inserts`` are bind rows (ids assigned at apply time); ``deletes``
     are existing row ids; ``updates`` map an existing row id to its new
-    contents (same identity). ``changeset`` is the refresh-merge path: a
-    consolidated :class:`ChangeSet` carrying explicit row ids.
+    contents (same identity) — row-shaped because that is how statements
+    bind them; ``apply`` transposes them exactly once. ``changeset`` is
+    the refresh-merge path: a consolidated :class:`ChangeSet` carrying
+    explicit row ids and column arrays.
     """
 
     inserts: list[tuple] = field(default_factory=list)
@@ -114,7 +116,7 @@ class StagedWrite:
         ids: set[str] = set(self.deletes)
         ids.update(self.updates)
         if self.changeset is not None:
-            ids.update(self.changeset.delete_arrays()[0])
+            ids.update(self.changeset.under(Action.DELETE)[0])
         return frozenset(ids)
 
 
@@ -143,6 +145,10 @@ class VersionedTable:
         #: Bounded LRU of materialized relations keyed by version index.
         self._relation_cache: OrderedDict[int, Relation] = OrderedDict()
         self._relation_cache_limit = RELATION_CACHE_VERSIONS
+        #: Recent change queries, (old index, new index) -> consolidated
+        #: delta, kept by :func:`repro.streams.changes.changes_between`.
+        self.change_queries: OrderedDict[tuple[int, int], ChangeSet] = (
+            OrderedDict())
 
     # -- version resolution ---------------------------------------------------
 
@@ -292,85 +298,91 @@ class VersionedTable:
         return [rowid.base_id(self.table_seq, start + offset)
                 for offset in range(count)]
 
+    def _bind_columns(self, rows: Sequence[tuple]) -> list[tuple]:
+        """Bind rows -> column arrays: the one place the write path flips
+        layout. A row narrower or wider than the schema raises here,
+        before anything is installed — a bare ``zip`` would silently
+        truncate every row to the shortest."""
+        try:
+            columns = list(zip(*rows, strict=True))
+        except ValueError:  # rows of unequal width
+            columns = None
+        if columns is None or (rows and len(columns) != len(self.schema)):
+            raise InternalError(
+                f"write to {self.name!r} carries a row that is not "
+                f"{len(self.schema)} columns wide")
+        return columns
+
+    def _rewritten(self, touched: Iterable[int], deletes,
+                   updates) -> list[Partition]:
+        """Replacements for the ``touched`` partitions with ``deletes``
+        and ``updates`` applied. Built in ascending partition id: build
+        order decides the new partitions' ids and hence the scan order,
+        so it must not follow a set's (hash-seed dependent) iteration."""
+        added: list[Partition] = []
+        for partition_id in sorted(touched):
+            row_ids, columns = self._partitions[partition_id].edited(
+                deletes, updates)
+            added.extend(build_partitions(row_ids, columns,
+                                          self.partition_rows))
+        return added
+
     def _apply_dml(self, write: StagedWrite,
                    commit_ts: HlcTimestamp) -> TableVersion:
-        touched: dict[int, dict[str, tuple | None]] = {}
+        touched: set[int] = set()
         for row_id in write.deletes:
             partition_id = self._locator.get(row_id)
             if partition_id is None:
                 raise ChangeIntegrityError(
                     f"delete of nonexistent row {row_id} in {self.name!r}")
-            touched.setdefault(partition_id, {})[row_id] = None
+            touched.add(partition_id)
         for row_id, new_row in write.updates.items():
             partition_id = self._locator.get(row_id)
             if partition_id is None:
                 raise ChangeIntegrityError(
                     f"update of nonexistent row {row_id} in {self.name!r}")
-            touched.setdefault(partition_id, {})[row_id] = new_row
+            if len(new_row) != len(self.schema):
+                raise InternalError(
+                    f"update of row {row_id} in {self.name!r} is not "
+                    f"{len(self.schema)} columns wide")
+            touched.add(partition_id)
+        insert_columns = self._bind_columns(write.inserts)
 
-        removed: set[int] = set(touched)
-        added: list[Partition] = []
-        for partition_id, edits in touched.items():
-            survivors = []
-            for row_id, row in self._partitions[partition_id].rows:
-                if row_id in edits:
-                    replacement = edits[row_id]
-                    if replacement is not None:
-                        survivors.append((row_id, replacement))
-                else:
-                    survivors.append((row_id, row))
-            if survivors:
-                added.extend(build_partitions(survivors, self.partition_rows))
-
-        if write.inserts:
-            new_ids = self._allocate_ids(len(write.inserts))
-            pairs = list(zip(new_ids, write.inserts))
-            added.extend(build_partitions(pairs, self.partition_rows))
-
+        added = self._rewritten(touched, write.deletes, write.updates)
+        added.extend(build_partitions(
+            self._allocate_ids(len(write.inserts)), insert_columns,
+            self.partition_rows))
         footprint = frozenset(write.deletes) | frozenset(write.updates)
-        return self._install(removed, added, commit_ts,
+        return self._install(touched, added, commit_ts,
                              written_ids=footprint)
 
     def _apply_overwrite(self, rows: list[tuple],
                          commit_ts: HlcTimestamp) -> TableVersion:
+        columns = self._bind_columns(rows)
         removed = set(self.current_version.partition_ids)
-        new_ids = self._allocate_ids(len(rows))
-        added = build_partitions(list(zip(new_ids, rows)), self.partition_rows)
+        added = build_partitions(self._allocate_ids(len(rows)), columns,
+                                 self.partition_rows)
         return self._install(removed, added, commit_ts, overwrote=True)
 
     def _apply_changeset(self, changes: ChangeSet, commit_ts: HlcTimestamp,
                          overwrite: bool = False) -> TableVersion:
         """Merge a consolidated change set (the refresh-merge of section
         5.4: "a merge operator ... applies the DELETE and INSERT actions to
-        the DT itself"). Row ids come from the change set."""
+        the DT itself"). Row ids come from the change set, and its columns
+        are sliced straight into the new partitions."""
         changes.validate(self._locator if not overwrite else None)
-        insert_ids, insert_rows = changes.insert_arrays()
         if overwrite:
-            removed = set(self.current_version.partition_ids)
-            added = build_partitions(list(zip(insert_ids, insert_rows)),
-                                     self.partition_rows)
-            return self._install(removed, added, commit_ts, overwrote=True)
-
-        delete_ids = changes.delete_arrays()[0]
-        touched: dict[int, set[str]] = {}
-        for row_id in delete_ids:
-            partition_id = self._locator[row_id]
-            touched.setdefault(partition_id, set()).add(row_id)
-
-        removed = set(touched)
-        added: list[Partition] = []
-        for partition_id, dead in touched.items():
-            survivors = [(row_id, row)
-                         for row_id, row in self._partitions[partition_id].rows
-                         if row_id not in dead]
-            if survivors:
-                added.extend(build_partitions(survivors, self.partition_rows))
-
-        if insert_ids:
-            added.extend(build_partitions(list(zip(insert_ids, insert_rows)),
-                                          self.partition_rows))
-        return self._install(removed, added, commit_ts,
-                             written_ids=frozenset(delete_ids))
+            deleted: frozenset[str] = frozenset()
+            touched = set(self.current_version.partition_ids)
+            added: list[Partition] = []
+        else:
+            deleted = frozenset(changes.under(Action.DELETE)[0])
+            touched = {self._locator[row_id] for row_id in deleted}
+            added = self._rewritten(touched, deleted, {})
+        added.extend(build_partitions(*changes.under(Action.INSERT),
+                                      self.partition_rows))
+        return self._install(touched, added, commit_ts, written_ids=deleted,
+                             overwrote=overwrite)
 
     def clone(self, name: str, table_seq: int,
               commit_ts: HlcTimestamp) -> "VersionedTable":
@@ -402,11 +414,10 @@ class VersionedTable:
         logical contents — a data-equivalent maintenance operation
         (section 5.5.2). The new version is flagged so the differ skips it."""
         current = self.current_version
-        pairs: list[tuple[str, tuple]] = []
-        for partition in self.partitions_of(current):
-            pairs.extend(partition.rows)
+        contents = self._materialize(sorted(current.partition_ids))
         removed = set(current.partition_ids)
-        added = build_partitions(pairs, self.partition_rows)
+        added = build_partitions(contents.row_ids, contents.columns,
+                                 self.partition_rows)
         return self._install(removed, added, commit_ts, data_equivalent=True)
 
     def _install(self, removed: set[int], added: list[Partition],

@@ -17,9 +17,15 @@ optimization.
 
 from __future__ import annotations
 
-from repro.ivm.changes import ChangeSet, consolidate
+from repro.ivm.changes import Action, ChangeSet, consolidate
 from repro.storage.table import TableVersion, VersionedTable
-from repro.util.parallel import fanout_map
+
+#: How many change queries a table remembers. Versions are immutable and
+#: a delta is never mutated, so every dynamic table that reads one source
+#: over the same interval — the usual case within a scheduler tick —
+#: shares one consolidated delta instead of each diffing the partitions
+#: again.
+CHANGE_QUERY_MEMO = 4
 
 
 def changes_between(table: VersionedTable, old: TableVersion,
@@ -44,26 +50,29 @@ def changes_between(table: VersionedTable, old: TableVersion,
     if is_data_equivalent_interval(table, old, new):
         return ChangeSet()
 
+    memo = table.change_queries
+    changes = memo.get((old.index, new.index))
+    if changes is not None:
+        return changes
+
     removed_ids = old.partition_ids - new.partition_ids
     added_ids = new.partition_ids - old.partition_ids
 
-    # Struct-of-arrays delta building: each partition contributes its
-    # whole row-id and row slices by array extension — no per-row
-    # appends, no per-row Change allocation. The per-partition slice
-    # materialization (the expensive part) fans out to the refresh's
-    # partition pool when one is installed; slices come back in
-    # sorted-partition-id order and are combined serially, so the
-    # change set is byte-identical to the serial build.
-    def slices(partition_id: int) -> tuple:
-        partition = table.partition(partition_id)
-        return partition.row_ids, partition.row_tuples
+    # Each partition enters the delta whole, under one sign, its column
+    # tuples adopted by reference; consolidation then works on row
+    # indices, so no partition is ever transposed (or pinned in a second
+    # layout) to be diffed.
+    def signed(action: Action, partition_ids) -> list[ChangeSet]:
+        return [ChangeSet.signed(action, partition.row_ids,
+                                 partition.columns)
+                for partition in map(table.partition, sorted(partition_ids))]
 
-    raw = ChangeSet()
-    for row_ids, rows in fanout_map("diff", slices, sorted(removed_ids)):
-        raw.delete_many(row_ids, rows)
-    for row_ids, rows in fanout_map("diff", slices, sorted(added_ids)):
-        raw.insert_many(row_ids, rows)
-    return consolidate(raw)
+    changes = consolidate(ChangeSet.concat(signed(Action.DELETE, removed_ids)
+                                           + signed(Action.INSERT, added_ids)))
+    memo[old.index, new.index] = changes
+    while len(memo) > CHANGE_QUERY_MEMO:
+        memo.popitem(last=False)
+    return changes
 
 
 def changes_since(table: VersionedTable, old: TableVersion) -> ChangeSet:

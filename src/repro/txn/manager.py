@@ -75,9 +75,9 @@ class _OverlayPartition:
 
     __slots__ = ("row_ids", "columns", "_base", "_updated")
 
-    def __init__(self, row_ids: list, rows: list, base, updated: bool):
+    def __init__(self, row_ids: list, columns: list, base, updated: bool):
         self.row_ids = row_ids
-        self.columns = list(zip(*rows))
+        self.columns = columns
         self._base = base
         self._updated = updated
 
@@ -87,7 +87,7 @@ class _OverlayPartition:
 
 class _StagedPartition:
     """A transaction's staged inserts as one synthetic columnar
-    partition."""
+    partition (the bind rows transposed once, here)."""
 
     __slots__ = ("row_ids", "columns")
 
@@ -102,24 +102,15 @@ class _StagedPartition:
 def _overlay_partition_stream(partitions, deletes, updates, staged_ids,
                               staged_rows):
     for partition in partitions:
-        row_ids = []
-        rows = []
-        changed = False
-        updated = False
-        for row_id, row in partition.rows:
-            if row_id in deletes:
-                changed = True
-                continue
-            new_row = updates.get(row_id)
-            if new_row is not None:
-                changed = updated = True
-                row = new_row
-            row_ids.append(row_id)
-            rows.append(row)
-        if not changed:
+        if (deletes.isdisjoint(partition.row_ids)
+                and updates.keys().isdisjoint(partition.row_ids)):
             yield partition
-        elif rows:
-            yield _OverlayPartition(row_ids, rows, partition, updated)
+            continue
+        row_ids, columns = partition.edited(deletes, updates)
+        if row_ids:
+            yield _OverlayPartition(
+                row_ids, columns, partition,
+                updated=not updates.keys().isdisjoint(row_ids))
     if staged_rows:
         yield _StagedPartition(staged_ids, staged_rows)
 

@@ -8,9 +8,9 @@ Two small primitives shared by the parallel refresh subsystem
   but returns results **in input order**, so every parallel consumer in
   the engine combines partial results deterministically;
 * the **partition fan-out context** — a thread-local slot holding the
-  pool that intra-refresh partition work (the partition diffs of
-  :mod:`repro.streams.changes`, the aggregate-state scans of
-  :mod:`repro.ivm.aggstate`) may fan out to. The refresh engine installs
+  pool that intra-refresh partition work (the aggregate-state scans and
+  columnar folds of :mod:`repro.ivm.aggstate`) may fan out to. The
+  refresh engine installs
   it around one refresh via :func:`partition_parallelism`; the fan-out
   sites read it with :func:`fanout_pool` and record their task counts on
   the context's :class:`FanoutStats`.
@@ -122,7 +122,7 @@ class FanoutStats:
     pool: Optional[WorkerPool] = None
     #: Partition/chunk tasks dispatched to the pool.
     tasks: int = 0
-    #: Fan-out sites that ran (``"diff"``, ``"agg-init"``, ...).
+    #: Fan-out sites that ran (``"agg-init"``, ``"fold-keys"``, ...).
     sites: list[str] = field(default_factory=list)
 
     @property

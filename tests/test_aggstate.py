@@ -20,12 +20,13 @@ from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
 from repro.ivm.aggstate import (AggStateStore, force_stateless,
                                 stateful_aggregate_supported)
-from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan import logical as lp
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
 from repro.util.timeutil import MINUTE
+
+from deltas import delta_of
 
 # ---------------------------------------------------------------------------
 # Accumulators
@@ -185,21 +186,6 @@ BASE = [("i0", (1, "a", 10)), ("i1", (2, "a", 20)), ("i2", (3, "b", 30))]
 
 def rel(pairs):
     return Relation.from_pairs(ITEMS, pairs)
-
-
-def delta_of(old, new):
-    delta = ChangeSet()
-    old_map, new_map = dict(old), dict(new)
-    for row_id, row in old:
-        if row_id not in new_map:
-            delta.delete(row_id, row)
-        elif new_map[row_id] != row:
-            delta.delete(row_id, row)
-            delta.insert(row_id, new_map[row_id])
-    for row_id, row in new:
-        if row_id not in old_map:
-            delta.insert(row_id, row)
-    return delta
 
 
 def source_for(old, new):

@@ -25,6 +25,8 @@ from repro.plan import logical as lp
 from repro.storage.table import (RELATION_CACHE_VERSIONS, StagedWrite,
                                  VersionedTable)
 from repro.streams.changes import changes_between
+
+from deltas import deletes, inserts
 from repro.txn.hlc import HlcTimestamp
 
 ITEMS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
@@ -333,8 +335,8 @@ class TestChangesPruning:
         table.recluster(HlcTimestamp(20))
         new = insert(table, [(99, "y", 99)], wall=30)
         changes = changes_between(table, old, new)
-        assert [c.row for c in changes.inserts()] == [(99, "y", 99)]
-        assert not changes.deletes()
+        assert [c.row for c in inserts(changes)] == [(99, "y", 99)]
+        assert not deletes(changes)
 
 
 # ---------------------------------------------------------------------------

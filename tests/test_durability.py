@@ -83,6 +83,20 @@ class TestWal:
         with pytest.raises(DurabilityError):
             scan_wal(path)
 
+    def test_format_version_is_two_and_version_one_is_refused(self, tmp_path):
+        # Format 2: a change set is logged columnar. A version-1 log is
+        # refused outright — there is no cross-version migration.
+        path = wal_path(tmp_path)
+        WriteAheadLog(path).close()
+        with open(path, "rb") as handle:
+            assert handle.read(len(WAL_MAGIC)) == b"RPRWAL\x00\x02"
+        with open(path, "wb") as handle:
+            handle.write(b"RPRWAL\x00\x01")
+        for refused in (scan_wal, WriteAheadLog):
+            with pytest.raises(DurabilityError,
+                               match="not a WAL file of format version 2"):
+                refused(path)
+
     def test_seq_survives_reset(self, tmp_path):
         wal = WriteAheadLog(wal_path(tmp_path))
         wal.append({"kind": "test"})
@@ -128,6 +142,33 @@ class TestCodec:
         assert isinstance(decoded["t"], tuple)
         assert isinstance(decoded["s"], set)
         assert isinstance(decoded["f"], frozenset)
+
+    @pytest.mark.parametrize("triples", [
+        [],
+        [("+", "a", ()), ("-", "b", ())],
+        [("+", "a", (None, float("nan"), [1, [2, None]], "x", 1.0, 1))],
+        [("+", "a", (1, "x")), ("+", "b", (2, "y"))],
+        [("-", "a", (1, "x")), ("+", "a", (1, "z")), ("-", "b", (2, None))],
+    ], ids=["empty", "zero-width", "null-nan-nested", "insert-only", "mixed"])
+    def test_changeset_roundtrips_columnar(self, triples):
+        import json
+        from repro.ivm.changes import Action, Change, ChangeSet
+
+        changes = ChangeSet(
+            Change(Action.INSERT if sign == "+" else Action.DELETE, row_id,
+                   row) for sign, row_id, row in triples)
+        encoded = json.loads(json.dumps(codec.encode(changes)))
+        width = len(triples[0][2]) if triples else 0
+        assert len(encoded["c"]) == width  # one encoded array per column
+        assert "r" not in encoded
+        decoded = codec.decode(encoded)
+        assert decoded.actions == list(changes.actions)
+        assert decoded.row_ids == list(changes.row_ids)
+        assert decoded.insert_only == changes.insert_only
+        assert repr(list(decoded)) == repr(list(changes))  # NaN-proof
+        for before, after in zip(changes, decoded):
+            assert [type(value) for value in after.row] == [
+                type(value) for value in before.row]
 
     def test_unknown_class_rejected(self):
         class NotRegistered:

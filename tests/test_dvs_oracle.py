@@ -112,11 +112,10 @@ def test_oracle_detects_corruption():
     db.create_dynamic_table("d", "SELECT id, amount FROM facts",
                             "1 minute", "wh")
     dt = db.dynamic_table("d")
-    from repro.ivm.changes import ChangeSet
+    from repro.ivm.changes import Action, Change, ChangeSet
     from repro.storage.table import StagedWrite
 
-    poison = ChangeSet()
-    poison.insert("evil:1", (999_999, -1))
+    poison = ChangeSet([Change(Action.INSERT, "evil:1", (999_999, -1))])
     dt.table.apply(StagedWrite(changeset=poison), db.txns.hlc.now())
     with pytest.raises(AssertionError, match="DVS violation"):
         db.check_dvs("d")

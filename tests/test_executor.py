@@ -260,7 +260,8 @@ class _PartitionedResolver:
         from repro.storage.partition import build_partitions
 
         self._partitions = {
-            name: build_partitions(list(relation.pairs()), partition_rows)
+            name: build_partitions(relation.row_ids, relation.columns,
+                                   partition_rows)
             for name, (relation, partition_rows) in tables.items()}
         self._schemas = {name: relation.schema
                          for name, (relation, __) in tables.items()}
@@ -268,7 +269,8 @@ class _PartitionedResolver:
     def scan(self, table):
         relation = Relation(self._schemas[table])
         for partition in self._partitions[table]:
-            for row_id, row in partition.rows:
+            for row_id, row in zip(partition.row_ids,
+                                   zip(*partition.columns)):
                 relation.append(row_id, row)
         return relation
 

@@ -18,6 +18,40 @@ from repro.isolation.theorems import (check_encapsulation,
                                       exclude_derivation, move_derivation)
 
 
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+EXAMPLES = sorted(name for name in os.listdir(os.path.join(REPO, "examples"))
+                  if name.endswith(".py"))
+
+
+def run_under_hash_seeds(argv, seeds=("0", "1")):
+    """stdout of ``python *argv`` (from the repo root), once per seed."""
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(REPO, "src"))
+        result = subprocess.run([sys.executable, *argv], cwd=REPO, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    return outputs
+
+
+#: Ten 4-row partitions, then a DELETE and an UPDATE that each touch
+#: several of them: the order the touched partitions are rewritten in
+#: decides the new partition ids, hence the scan order.
+MULTI_PARTITION_DML = """
+from repro import Database
+db = Database()
+db.execute("CREATE TABLE t (a INT, b TEXT)")
+db.catalog.versioned_table("t").partition_rows = 4
+db.execute("INSERT INTO t VALUES "
+           + ", ".join(f"({i}, 'x')" for i in range(40)))
+db.execute("DELETE FROM t WHERE a % 5 = 0")
+db.execute("UPDATE t SET b = 'y' WHERE a % 7 = 0")
+print(db.query("SELECT a FROM t").rows)
+"""
+
+
 class TestHistoryStructure:
     def test_version_order_inferred_from_installs(self):
         history = History([Write(1, X1), Write(2, X2)])
@@ -105,20 +139,24 @@ class TestDsgEdges:
         # The demo's history has two T1 -ww-> T2 edges that differ only
         # in ``reason``; edges live in a set, so any sort key that omits
         # a field prints them in hash order.
-        repo = os.path.join(os.path.dirname(__file__), os.pardir)
-        outputs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.path.join(repo, "src"))
-            result = subprocess.run(
-                [sys.executable, os.path.join("examples",
-                                              "isolation_demo.py")],
-                cwd=repo, env=env, capture_output=True, text=True,
-                timeout=120)
-            assert result.returncode == 0, result.stderr
-            outputs.append(result.stdout)
+        outputs = run_under_hash_seeds(
+            [os.path.join("examples", "isolation_demo.py")])
         assert "-ww->" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_example_output_is_hash_seed_independent(self, example):
+        first, second = run_under_hash_seeds(
+            [os.path.join("examples", example)])
+        assert first and first == second
+
+    def test_scan_order_after_dml_is_hash_seed_independent(self):
+        # ``StagedWrite.deletes`` is a set: rewriting touched partitions
+        # in its iteration order made the scan order follow the seed.
+        outputs = run_under_hash_seeds(["-c", MULTI_PARTITION_DML],
+                                       seeds=("0", "1", "2"))
+        assert len(set(outputs)) == 1
+        assert outputs[0].count("(") == 32  # 40 rows, 8 deleted
 
 
 class TestPhenomena:

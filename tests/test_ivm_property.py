@@ -24,6 +24,8 @@ from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
 
+from deltas import changeset, deletes, inserts
+
 ITEMS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
                   ("val", SqlType.INT), table="items")
 LOOKUP = schema_of(("key", SqlType.TEXT), ("label", SqlType.TEXT),
@@ -90,24 +92,24 @@ def build_tables(rows, prefix):
 
 def mutate(relation, ops, additions, prefix):
     """Apply a mutation script, returning (new relation, delta)."""
-    delta = ChangeSet()
+    delta = []
     pairs = []
     for index, (row_id, row) in enumerate(relation.pairs()):
         op = ops[index] if index < len(ops) else "keep"
         if op == "delete":
-            delta.delete(row_id, row)
+            delta.append(("-", row_id, row))
         elif op == "update":
             new_row = row[:-1] + (row[-1] + 100,)
-            delta.delete(row_id, row)
-            delta.insert(row_id, new_row)
+            delta.append(("-", row_id, row))
+            delta.append(("+", row_id, new_row))
             pairs.append((row_id, new_row))
         else:
             pairs.append((row_id, row))
     for offset, row in enumerate(additions):
         row_id = f"{prefix}new{offset}"
-        delta.insert(row_id, row)
+        delta.append(("+", row_id, row))
         pairs.append((row_id, row))
-    return Relation.from_pairs(relation.schema, pairs), delta
+    return Relation.from_pairs(relation.schema, pairs), changeset(*delta)
 
 
 def columnar(relations):
@@ -147,9 +149,9 @@ def test_delta_reproduces_full_recompute(items, lookups, item_mutation,
         changes.validate(dict(old_out.pairs()))
 
         state = dict(old_out.pairs())
-        for change in changes.deletes():
+        for change in deletes(changes):
             assert state.pop(change.row_id) == change.row
-        for change in changes.inserts():
+        for change in inserts(changes):
             assert change.row_id not in state
             state[change.row_id] = change.row
         assert state == dict(new_out.pairs())
@@ -201,7 +203,7 @@ def test_three_way_evaluation_equivalence(items, lookups, item_mutation,
             assert produced_old.rows == interpreted_old.rows
             assert produced_new.row_ids == interpreted_new.row_ids
             assert produced_new.rows == interpreted_new.rows
-            assert produced_changes.changes == interpreted_changes.changes
+            assert list(produced_changes) == list(interpreted_changes)
 
 
 # Aggregate battery for the stateful three-way property: every
@@ -265,9 +267,9 @@ def test_stateful_aggregate_three_way_equivalence(items, lookups, scripts):
             new_out = evaluate(plan, DictResolver(new_rels))
             state = dict(old_out.pairs())
             stateful.validate(state)
-            for change in stateful.deletes():
+            for change in deletes(stateful):
                 assert state.pop(change.row_id) == change.row
-            for change in stateful.inserts():
+            for change in inserts(stateful):
                 assert change.row_id not in state
                 state[change.row_id] = change.row
             assert state == dict(new_out.pairs())
@@ -294,7 +296,7 @@ def test_insert_only_fast_path_matches(items, additions):
     old_out = evaluate(plan, DictResolver({"items": items_old}))
     new_out = evaluate(plan, DictResolver({"items": items_new}))
     state = dict(old_out.pairs())
-    for change in changes.inserts():
+    for change in inserts(changes):
         state[change.row_id] = change.row
     assert state == dict(new_out.pairs())
 

@@ -19,6 +19,8 @@ from repro.ivm.differentiator import (DictDeltaSource, Differentiator,
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
 
+from deltas import delta_of, deletes, inserts
+
 ITEMS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
                   ("val", SqlType.INT), table="items")
 LOOKUP = schema_of(("key", SqlType.TEXT), ("label", SqlType.TEXT),
@@ -32,11 +34,11 @@ def rel(schema, pairs):
 
 def apply_changes(old: Relation, changes: ChangeSet) -> dict:
     state = dict(old.pairs())
-    for change in changes.deletes():
+    for change in deletes(changes):
         assert change.row_id in state, f"deleting missing {change.row_id}"
         assert state[change.row_id] == change.row
         del state[change.row_id]
-    for change in changes.inserts():
+    for change in inserts(changes):
         assert change.row_id not in state, f"double insert {change.row_id}"
         state[change.row_id] = change.row
     return state
@@ -55,22 +57,6 @@ def check(sql, old_rels, new_rels, deltas, strategy="direct"):
 
 BASE_ITEMS = [("i0", (1, "a", 10)), ("i1", (2, "a", 20)),
               ("i2", (3, "b", 30))]
-
-
-def delta_of(old_pairs, new_pairs):
-    old = dict(old_pairs)
-    new = dict(new_pairs)
-    changes = ChangeSet()
-    for row_id, row in old.items():
-        if row_id not in new:
-            changes.delete(row_id, row)
-        elif new[row_id] != row:
-            changes.delete(row_id, row)
-            changes.insert(row_id, new[row_id])
-    for row_id, row in new.items():
-        if row_id not in old:
-            changes.insert(row_id, row)
-    return changes
 
 
 def sources_for(old_items, new_items, old_lookup=(), new_lookup=()):
@@ -94,8 +80,8 @@ class TestLinearRules:
         new_items = BASE_ITEMS + [("i3", (4, "c", 7))]
         changes, __ = check("SELECT id, val * 2 d FROM items",
                             *sources_for(BASE_ITEMS, new_items))
-        assert [c.row for c in changes.inserts()] == [(4, 14)]
-        assert changes.inserts()[0].row_id == "i3"  # id passes through
+        assert [c.row for c in inserts(changes)] == [(4, 14)]
+        assert inserts(changes)[0].row_id == "i3"  # id passes through
 
     def test_delete_flows_through_filter(self):
         new_items = BASE_ITEMS[:2]
@@ -135,14 +121,14 @@ class TestInnerJoinRule:
             "SELECT i.id, l.label FROM items i JOIN lookup l ON i.grp = l.key",
             *sources_for(BASE_ITEMS, new_items,
                          self.LOOKUP_ROWS, self.LOOKUP_ROWS))
-        assert [c.row for c in changes.inserts()] == [(4, "beta")]
+        assert [c.row for c in inserts(changes)] == [(4, "beta")]
 
     def test_right_delete_retracts_pairs(self):
         changes, __ = check(
             "SELECT i.id, l.label FROM items i JOIN lookup l ON i.grp = l.key",
             *sources_for(BASE_ITEMS, BASE_ITEMS,
                          self.LOOKUP_ROWS, self.LOOKUP_ROWS[1:]))
-        assert sorted(c.row for c in changes.deletes()) == [
+        assert sorted(c.row for c in deletes(changes)) == [
             (1, "alpha"), (2, "alpha")]
 
     def test_both_sides_insert_counted_once(self):
@@ -152,7 +138,7 @@ class TestInnerJoinRule:
             "SELECT i.id, l.label FROM items i JOIN lookup l ON i.grp = l.key",
             *sources_for(BASE_ITEMS, new_items,
                          self.LOOKUP_ROWS, new_lookup))
-        assert [c.row for c in changes.inserts()] == [(4, "gamma")]
+        assert [c.row for c in inserts(changes)] == [(4, "gamma")]
 
     def test_empty_delta_reads_nothing(self):
         plan = build_plan(parse_query(
@@ -175,7 +161,7 @@ class TestOuterJoinRules:
             "ON i.grp = l.key",
             *sources_for(BASE_ITEMS, BASE_ITEMS, self.LOOKUP_ROWS, ()),
             strategy=strategy)
-        inserted = sorted(c.row for c in changes.inserts())
+        inserted = sorted(c.row for c in inserts(changes))
         assert inserted == [(1, None), (2, None)]
 
     @pytest.mark.parametrize("strategy", ["direct", "rewrite"])
@@ -187,8 +173,8 @@ class TestOuterJoinRules:
             *sources_for(BASE_ITEMS, BASE_ITEMS,
                          self.LOOKUP_ROWS, new_lookup),
             strategy=strategy)
-        assert (3, None) in [c.row for c in changes.deletes()]
-        assert (3, "beta") in [c.row for c in changes.inserts()]
+        assert (3, None) in [c.row for c in deletes(changes)]
+        assert (3, "beta") in [c.row for c in inserts(changes)]
 
     @pytest.mark.parametrize("strategy", ["direct", "rewrite"])
     def test_full_join_both_sides(self, strategy):
@@ -232,16 +218,16 @@ class TestAggregateRule:
         changes, __ = check(
             "SELECT grp, count(*) n FROM items GROUP BY grp",
             *sources_for(BASE_ITEMS, new_items))
-        assert [c.row for c in changes.deletes()] == [("b", 1)]
-        assert not changes.inserts()
+        assert [c.row for c in deletes(changes)] == [("b", 1)]
+        assert not inserts(changes)
 
     def test_new_group_appears(self):
         new_items = BASE_ITEMS + [("i3", (4, "z", 1))]
         changes, __ = check(
             "SELECT grp, count(*) n FROM items GROUP BY grp",
             *sources_for(BASE_ITEMS, new_items))
-        assert [c.row for c in changes.inserts()] == [("z", 1)]
-        assert not changes.deletes()
+        assert [c.row for c in inserts(changes)] == [("z", 1)]
+        assert not deletes(changes)
 
     def test_scalar_aggregate_differentiates(self):
         """Scalar aggregates are one implicit group (the section 3.3.2
@@ -250,10 +236,10 @@ class TestAggregateRule:
         changes, __ = check(
             "SELECT count(*) n, sum(val) s FROM items",
             *sources_for(BASE_ITEMS, new_items))
-        assert [c.row for c in changes.deletes()] == [(3, 60)]
-        assert [c.row for c in changes.inserts()] == [(4, 100)]
+        assert [c.row for c in deletes(changes)] == [(3, 60)]
+        assert [c.row for c in inserts(changes)] == [(4, 100)]
         # Update in place: one row id, a delete+insert pair.
-        assert changes.deletes()[0].row_id == changes.inserts()[0].row_id
+        assert deletes(changes)[0].row_id == inserts(changes)[0].row_id
 
     def test_scalar_aggregate_empty_input_keeps_row(self):
         """A scalar aggregate over empty input still yields one row
@@ -261,8 +247,8 @@ class TestAggregateRule:
         changes, __ = check(
             "SELECT count(*) n, sum(val) s FROM items",
             *sources_for(BASE_ITEMS, []))
-        assert [c.row for c in changes.deletes()] == [(3, 60)]
-        assert [c.row for c in changes.inserts()] == [(0, None)]
+        assert [c.row for c in deletes(changes)] == [(3, 60)]
+        assert [c.row for c in inserts(changes)] == [(0, None)]
 
     def test_distinct_add_duplicate_no_change(self):
         new_items = BASE_ITEMS + [("i3", (9, "a", 99))]
@@ -274,7 +260,7 @@ class TestAggregateRule:
         new_items = BASE_ITEMS[:2]
         changes, __ = check("SELECT DISTINCT grp FROM items",
                             *sources_for(BASE_ITEMS, new_items))
-        assert [c.row for c in changes.deletes()] == [("b",)]
+        assert [c.row for c in deletes(changes)] == [("b",)]
 
 
 class TestWindowRule:
@@ -293,13 +279,13 @@ class TestWindowRule:
         changes, __ = check(self.SQL, *sources_for(BASE_ITEMS, new_items))
         # Appending id=9 at the end leaves earlier running sums intact;
         # only the new row appears.
-        assert [c.row for c in changes.inserts()] == [(9, "a", 31)]
-        assert not changes.deletes()
+        assert [c.row for c in inserts(changes)] == [(9, "a", 31)]
+        assert not deletes(changes)
 
     def test_prepended_row_updates_followers(self):
         new_items = BASE_ITEMS + [("i3", (0, "a", 1))]
         changes, __ = check(self.SQL, *sources_for(BASE_ITEMS, new_items))
-        inserted = sorted(c.row for c in changes.inserts())
+        inserted = sorted(c.row for c in inserts(changes))
         assert (0, "a", 1) in inserted
         assert (1, "a", 11) in inserted  # follower shifted
 

@@ -8,6 +8,8 @@ from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
 from repro.ivm.changes import ChangeSet
+
+from deltas import changeset
 from repro.ivm.differentiator import DictDeltaSource, differentiate
 from repro.plan import logical as lp
 from repro.plan.builder import DictSchemaProvider, build_plan
@@ -155,11 +157,8 @@ class TestEquivalence:
         new_items = Relation(
             ITEMS, [(1, "a", 5), (3, "a", 7), (4, "b", 1)],
             ["i0", "i2", "i3"])
-        delta = ChangeSet()
-        delta.delete("i1", (2, "b", 9))
-        delta.delete("i2", (3, "a", 2))
-        delta.insert("i2", (3, "a", 7))
-        delta.insert("i3", (4, "b", 1))
+        delta = changeset(("-", "i1", (2, "b", 9)), ("-", "i2", (3, "a", 2)),
+                          ("+", "i2", (3, "a", 7)), ("+", "i3", (4, "b", 1)))
         new_rels = {"items": new_items, "lookup": old_rels["lookup"]}
         source = DictDeltaSource(old_rels, new_rels,
                                  {"items": delta, "lookup": ChangeSet()})

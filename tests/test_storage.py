@@ -5,9 +5,10 @@ import pytest
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
 from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
-from repro.ivm.changes import ChangeSet
 from repro.storage.table import StagedWrite, VersionedTable
 from repro.txn.hlc import HlcTimestamp
+
+from deltas import changeset
 
 
 def make_table(partition_rows=4):
@@ -68,12 +69,57 @@ class TestDeletesAndUpdates:
         assert relation.rows == [(1, "z")]
         assert relation.row_ids == ["b1:0"]
 
+    def test_touched_partitions_rewritten_in_partition_order(self):
+        # The new partitions' ids — and with them the scan order — follow
+        # the touched partitions' ids, not the iteration order of the
+        # ``deletes`` set.
+        table = make_table(partition_rows=2)
+        insert(table, [(i, "x") for i in range(8)], wall=10)
+        table.apply(StagedWrite(deletes={"b1:6", "b1:0", "b1:4"},
+                                updates={"b1:3": (3, "y")}),
+                    HlcTimestamp(20))
+        assert [row[0] for row in table.relation().rows] == [1, 2, 3, 5, 7]
+
     def test_overwrite_replaces_everything(self):
         table = make_table()
         insert(table, [(1, "x"), (2, "y")], wall=10)
         table.apply(StagedWrite(inserts=[(9, "z")], overwrite=True),
                     HlcTimestamp(20))
         assert table.relation().rows == [(9, "z")]
+
+
+class TestBindRowWidth:
+    """Bind rows are transposed once, with a width check: a ragged row
+    (reachable only through the internal write API) raises before
+    anything is installed instead of being NULL-padded or truncated."""
+
+    def test_ragged_insert_raises_and_installs_nothing(self):
+        table = make_table()
+        insert(table, [(0, "z")], wall=5)
+        with pytest.raises(InternalError, match="2 columns wide"):
+            insert(table, [(1, "a"), (2,)], wall=10)
+        assert table.version_count == 2
+        assert table.relation().rows == [(0, "z")]
+        # Nothing was consumed either: the next insert gets the next id.
+        insert(table, [(3, "c")], wall=20)
+        assert table.relation().row_ids == ["b1:0", "b1:1"]
+
+    def test_uniformly_wrong_width_raises(self):
+        table = make_table()
+        with pytest.raises(InternalError, match="2 columns wide"):
+            insert(table, [(1,), (2,)], wall=10)
+        with pytest.raises(InternalError, match="2 columns wide"):
+            table.apply(StagedWrite(inserts=[(1, "a", "extra")],
+                                    overwrite=True), HlcTimestamp(10))
+        assert table.version_count == 1
+
+    def test_ragged_update_raises_and_installs_nothing(self):
+        table = make_table()
+        insert(table, [(1, "x")], wall=10)
+        with pytest.raises(InternalError, match="2 columns wide"):
+            table.apply(StagedWrite(updates={"b1:0": (1,)}),
+                        HlcTimestamp(20))
+        assert table.relation().rows == [(1, "x")]
 
 
 class TestTimeTravel:
@@ -128,9 +174,7 @@ class TestChangesets:
     def test_apply_changeset(self):
         table = make_table()
         insert(table, [(1, "x"), (2, "y")], wall=10)
-        changes = ChangeSet()
-        changes.delete("b1:0", (1, "x"))
-        changes.insert("g:abc", (7, "q"))
+        changes = changeset(("-", "b1:0", (1, "x")), ("+", "g:abc", (7, "q")))
         table.apply(StagedWrite(changeset=changes), HlcTimestamp(20))
         pairs = dict(table.relation().pairs())
         assert pairs == {"b1:1": (2, "y"), "g:abc": (7, "q")}
@@ -138,25 +182,21 @@ class TestChangesets:
     def test_changeset_validates_against_locator(self):
         table = make_table()
         insert(table, [(1, "x")], wall=10)
-        bad = ChangeSet()
-        bad.delete("nope", (0, ""))
+        bad = changeset(("-", "nope", (0, "")))
         with pytest.raises(ChangeIntegrityError):
             table.apply(StagedWrite(changeset=bad), HlcTimestamp(20))
 
     def test_duplicate_insert_rejected(self):
         table = make_table()
         insert(table, [(1, "x")], wall=10)
-        bad = ChangeSet()
-        bad.insert("b1:0", (9, "z"))  # id already present, no delete
+        bad = changeset(("+", "b1:0", (9, "z")))  # already present, no delete
         with pytest.raises(ChangeIntegrityError):
             table.apply(StagedWrite(changeset=bad), HlcTimestamp(20))
 
     def test_update_via_changeset(self):
         table = make_table()
         insert(table, [(1, "x")], wall=10)
-        changes = ChangeSet()
-        changes.delete("b1:0", (1, "x"))
-        changes.insert("b1:0", (1, "z"))
+        changes = changeset(("-", "b1:0", (1, "x")), ("+", "b1:0", (1, "z")))
         table.apply(StagedWrite(changeset=changes), HlcTimestamp(20))
         assert table.relation().rows == [(1, "z")]
 

@@ -8,6 +8,8 @@ from repro.streams.changes import (changes_between, changes_since,
                                    is_data_equivalent_interval)
 from repro.txn.hlc import HlcTimestamp
 
+from deltas import deletes, inserts
+
 
 def make_table(partition_rows=3):
     schema = schema_of(("a", SqlType.INT),)
@@ -35,7 +37,7 @@ class TestBasicDiffs:
         table.apply(StagedWrite(deletes={"b1:0"}), HlcTimestamp(20))
         changes = changes_between(table, v1, table.current_version)
         assert [c.action for c in changes] == [Action.DELETE]
-        assert changes.deletes()[0].row == (1,)
+        assert deletes(changes)[0].row == (1,)
 
     def test_update_is_delete_plus_insert_same_id(self):
         table = make_table()
@@ -44,7 +46,7 @@ class TestBasicDiffs:
         table.apply(StagedWrite(updates={"b1:0": (9,)}), HlcTimestamp(20))
         changes = changes_between(table, v1, table.current_version)
         assert len(changes) == 2
-        assert changes.deletes()[0].row_id == changes.inserts()[0].row_id
+        assert deletes(changes)[0].row_id == inserts(changes)[0].row_id
 
 
 class TestReadAmplificationCancellation:
@@ -58,7 +60,7 @@ class TestReadAmplificationCancellation:
         table.apply(StagedWrite(deletes={"b1:3"}), HlcTimestamp(20))
         changes = changes_between(table, v1, table.current_version)
         assert len(changes) == 1
-        assert changes.deletes()[0].row == (3,)
+        assert deletes(changes)[0].row == (3,)
 
     def test_transient_row_never_appears(self):
         table = make_table()
@@ -100,9 +102,38 @@ class TestMultiVersionIntervals:
         table.apply(StagedWrite(deletes={"b1:1"}), HlcTimestamp(30))
         table.apply(StagedWrite(inserts=[(3,)]), HlcTimestamp(40))
         changes = changes_between(table, v0, table.current_version)
-        inserted = sorted(c.row for c in changes.inserts())
+        inserted = sorted(c.row for c in inserts(changes))
         assert inserted == [(3,), (10,)]
-        assert not changes.deletes()  # rows 1 and 2 never existed at v0
+        assert not deletes(changes)  # rows 1 and 2 never existed at v0
+
+    def test_untouched_nan_row_cancels_across_a_rewrite(self):
+        # Rows are compared one column at a time, identical-or-equal per
+        # value as tuple comparison has it: the NaN row an UPDATE of its
+        # neighbour merely copied is not a change.
+        table = make_table()
+        table.apply(StagedWrite(inserts=[(float("nan"),), (1.0,)]),
+                    HlcTimestamp(10))
+        v1 = table.current_version
+        table.apply(StagedWrite(updates={"b1:1": (2.0,)}), HlcTimestamp(20))
+        changes = changes_between(table, v1, table.current_version)
+        assert [(c.action, c.row_id, c.row) for c in changes] == [
+            (Action.DELETE, "b1:1", (1.0,)), (Action.INSERT, "b1:1", (2.0,))]
+
+    def test_change_query_is_shared_and_bounded(self):
+        from repro.streams.changes import CHANGE_QUERY_MEMO
+
+        table = make_table()
+        versions = [table.current_version]
+        for wall in range(10, 10 + 10 * (CHANGE_QUERY_MEMO + 3), 10):
+            versions.append(table.apply(StagedWrite(inserts=[(wall,)]),
+                                        HlcTimestamp(wall)))
+        first = changes_between(table, versions[0], versions[1])
+        assert changes_between(table, versions[0], versions[1]) is first
+        for old, new in zip(versions[1:], versions[2:]):
+            changes_between(table, old, new)
+        assert len(table.change_queries) == CHANGE_QUERY_MEMO
+        again = changes_between(table, versions[0], versions[1])
+        assert again is not first and list(again) == list(first)
 
     def test_changes_validate(self):
         table = make_table()

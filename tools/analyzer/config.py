@@ -157,10 +157,9 @@ REPRO_CONFIG = AnalyzerConfig(
             "core.refresh.RefreshEngine.refresh",
         ),
         # Partition-pool workers: the intra-refresh fan-out closures
-        # (partition diffs, chunked aggregate scans and columnar folds),
-        # submitted through WorkerPool.map_ordered.
+        # (chunked aggregate scans and columnar folds), submitted
+        # through WorkerPool.map_ordered.
         "partition-worker": (
-            "streams.changes.changes_between.slices",
             "ivm.aggstate.AggregateNodeState._initialize_parallel.scan_chunk",
             "ivm.aggstate.DistinctNodeState._initialize_parallel.scan_chunk",
             "ivm.aggstate._chunked_eval.run",

@@ -20,11 +20,12 @@ convention-enforced:
     classic deadlock recipe under first-committer-wins commits.
 
 ``materialize``
-    Hot-path modules (``engine/executor.py``, ``ivm/rules_*.py``,
-    ``storage/``) stay columnar: ``.rows`` / ``.pairs()``
-    materialization there defeats the columnar data plane and is only
-    allowed at sites recorded in the baseline allowlist below (each a
-    deliberate row-shaped boundary) or marked with a pragma.
+    The whole refresh path (``engine/executor.py``, ``ivm/``,
+    ``streams/``, ``storage/``, ``core/refresh.py``) stays columnar:
+    ``.rows`` / ``.pairs()`` materialization there defeats the columnar
+    data plane and is only allowed at sites recorded in the baseline
+    allowlist below (each a deliberate row-shaped boundary) or marked
+    with a pragma.
 
 ``accumulator-protocol``
     Every class deriving from ``Accumulator`` must implement (or
@@ -107,35 +108,19 @@ _CLOCK_EXEMPT = ("scheduler/clock.py",)
 _LOCK_SCOPE = ("server/", "txn/manager.py")
 _LOCK_METHODS = {"lock", "acquire"}
 
-#: Hot-path modules that must stay columnar.
-_MATERIALIZE_SCOPE = ("engine/executor.py", "storage/")
-_MATERIALIZE_PREFIX = ("ivm/rules_",)
+#: Modules that must stay columnar: the refresh path, partition to delta
+#: to partition.
+_MATERIALIZE_SCOPE = ("engine/executor.py", "ivm/", "streams/", "storage/",
+                      "core/refresh.py")
 
 #: Baseline allowlist for the materialize rule: (module path, enclosing
 #: scope) pairs for the row-shaped boundaries that predate the linter.
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_run_unionall"),
     ("engine/executor.py", "_run_values"),
     ("engine/executor.py", "distinct_relation"),
     ("engine/executor.py", "flatten_relation"),
-    ("engine/executor.py", "join_relations"),
-    ("ivm/rules_agg.py", "delta_aggregate"),
-    ("ivm/rules_agg.py", "delta_distinct"),
-    ("ivm/rules_basic.py", "delta_filter"),
-    ("ivm/rules_basic.py", "delta_flatten"),
-    ("ivm/rules_basic.py", "delta_project"),
-    ("ivm/rules_basic.py", "delta_unionall"),
-    ("ivm/rules_join.py", "_delta_outer_direct"),
-    ("ivm/rules_join.py", "_left_pad_rows"),
-    ("ivm/rules_join.py", "_relation_of_action"),
-    ("ivm/rules_join.py", "_right_pad_rows"),
-    ("ivm/rules_join.py", "_signed_join"),
-    ("ivm/rules_window.py", "delta_window"),
-    ("storage/table.py", "_apply_changeset"),
-    ("storage/table.py", "_apply_dml"),
-    ("storage/table.py", "recluster"),
     ("storage/table.py", "rows_by_id"),
 }
 
@@ -304,9 +289,6 @@ def check_lock_order(tree: ast.Module, rel_path: str,
 
 
 def _in_materialize_scope(rel_path: str) -> bool:
-    if any(rel_path.startswith(prefix) or f"/{prefix}" in rel_path
-           for prefix in _MATERIALIZE_PREFIX):
-        return True
     return any(rel_path.startswith(scope) or scope in rel_path
                for scope in _MATERIALIZE_SCOPE)
 
@@ -338,8 +320,8 @@ def check_materialize(tree: ast.Module, rel_path: str,
             rel_path, line, "materialize",
             f"{what} materializes row tuples in hot-path scope "
             f"{scope!r}; stay columnar (Relation.columns / "
-            "insert_arrays) or add the site to the allowlist with a "
-            "justification")
+            "ChangeSet.columns / Partition.columns) or add the site to "
+            "the allowlist with a justification")
 
 
 # ---------------------------------------------------------------------------
