@@ -6,6 +6,13 @@ of *changed partitions*, not with the table size. We hold the table fixed
 (many partitions) and sweep how many partitions a delta touches; the
 emitted delta covers exactly the changed partitions, and runtime grows
 with the touched-partition count while the full recompute stays flat.
+
+It differentiates over a ``DictDeltaSource``, which has no
+micro-partition access, so this measures the rule's *scan* path: the
+changed window partitions are found by keying every row of each
+endpoint. Over a storage-backed source the same rule probes
+micro-partition key indexes instead and reads only the changed window
+partitions (``tests/test_key_probe.py`` pins that with exact counts).
 """
 
 import time

@@ -6,14 +6,18 @@ Our extension implements the UNION ALL case; this ablation measures the
 benefit on a mixed query —
 
     SELECT ...big incremental branch...      -- differentiable
-    UNION ALL SELECT 0, count(*) FROM tiny   -- scalar agg: FULL only
+    UNION ALL SELECT id, row_number() OVER (ORDER BY id) FROM tiny
+                                             -- unpartitioned window: FULL only
 
-Without fragmentation the scalar-aggregate branch forces the *entire*
+Without fragmentation the unpartitioned-window branch forces the *entire*
 query into FULL mode: every refresh rescans the big table. With
 fragmentation, the big branch refreshes incrementally (cost ∝ delta), and
-the scalar branch — whose source did not even change — takes the free
+the window branch — whose source did not even change — takes the free
 NO_DATA path thanks to its own per-fragment frontier. We report rows
 scanned per refresh and simulated refresh durations from the cost model.
+(Scalar aggregates refresh incrementally, so a ``count(*)`` branch no
+longer makes the unfragmented query FULL; an unpartitioned window still
+does — section 3.3.2 scopes incremental windows to partitioned ones.)
 """
 
 from repro import Database
@@ -25,7 +29,8 @@ from reporting import emit, table
 
 BIG_ROWS = 60_000
 MIXED_SQL = ("SELECT id, val FROM big WHERE val >= 0 "
-             "UNION ALL SELECT 0, count(*) FROM tiny")
+             "UNION ALL SELECT id, row_number() OVER (ORDER BY id) "
+             "FROM tiny")
 
 
 def _build():
@@ -71,7 +76,7 @@ def test_fragmentation_ablation(benchmark):
 
     assert plain.action == RefreshAction.FULL            # forced FULL
     assert fragments[0].action == RefreshAction.INCREMENTAL
-    # The scalar-aggregate fragment reads only `tiny`, which did not
+    # The window fragment reads only `tiny`, which did not
     # change — so it takes the free NO_DATA path, a benefit the
     # unfragmented query can never get (its single frontier always moved).
     assert fragments[1].action == RefreshAction.NO_DATA

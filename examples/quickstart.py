@@ -106,9 +106,11 @@ def main() -> None:
         futures = [server.submit_transaction(credit(1)) for __ in range(20)]
         for future in futures:
             future.result()
+        # How many attempts conflicted and retried depends on thread
+        # timing; the outcome does not.
         print("after 20 concurrent credits:",
               server.query("SELECT amount FROM orders WHERE id = 5").rows,
-              server.stats.snapshot())
+              f"{server.stats.snapshot()['commits']} commits")
 
     # Delayed view semantics, the paper's core guarantee: the DT equals
     # its defining query evaluated at its data timestamp.

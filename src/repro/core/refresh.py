@@ -121,6 +121,27 @@ class _FrontierDeltaSource:
         versioned = self._catalog.versioned_table(table)
         return versioned.relation_pruned(self._new[table], bounds)
 
+    def scan_old_matching(self, table: str, positions, keys,
+                          delta_rows: int) -> Optional[Relation]:
+        return self._matching(table, self._old[table], positions, keys,
+                              delta_rows)
+
+    def scan_new_matching(self, table: str, positions, keys,
+                          delta_rows: int) -> Optional[Relation]:
+        return self._matching(table, self._new[table], positions, keys,
+                              delta_rows)
+
+    def _matching(self, table: str, version: TableVersion, positions,
+                  keys, delta_rows: int) -> Optional[Relation]:
+        """The rows of ``table`` at ``version`` whose key over
+        ``positions`` is in ``keys()``, probed partition by partition — or
+        None when the ``delta_rows``-row delta asking is not smaller than
+        the table, where one scan is cheaper than that many probes."""
+        versioned = self._catalog.versioned_table(table)
+        if delta_rows >= versioned.row_count(version):
+            return None
+        return versioned.relation_matching(version, positions, keys())
+
     def scan_delta(self, table: str) -> ChangeSet:
         cached = self._delta_cache.get(table)
         if cached is None:

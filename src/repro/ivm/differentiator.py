@@ -18,6 +18,18 @@ purely in terms of the sources" (section 5.5.3). Endpoint evaluations are
 memoized per differentiation so a term referenced by several rules is
 computed once (the term-reuse concern of section 5.5.1).
 
+The inner-join and window rules use only the endpoint rows that share a
+key with the delta (``Q|_I ⋉_k ΔQ``). :meth:`Differentiator.probe`
+reads only those when the endpoint is a table scan keyed on plain
+columns, the source can read partitions and the delta is smaller than
+the table: it probes the partitions' key indexes, so a three-row
+dimension update costs three keys' worth of fact rows rather than the
+fact table. That is an *access path* over the sources, not DT state: the
+indexes belong to the sources' immutable micro-partitions (section 5.4),
+so nothing has to abort with a refresh or be checkpointed, and the rules
+produce the same rows, ids and order as from the whole endpoint, which
+every other case still reads.
+
 Every node's delta — the root's included — is consolidated once, by
 :meth:`Differentiator.delta`, unless it is insert-only: the insert-only
 specialization of section 5.5.2 ("In many cases, the structure of a query
@@ -31,10 +43,11 @@ that skip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Collection, Optional, Protocol, Sequence
 
 from repro.engine.executor import _compress, evaluate
-from repro.engine.expressions import DEFAULT_CONTEXT, EvalContext
+from repro.engine.expressions import (DEFAULT_CONTEXT, ColumnRef, EvalContext,
+                                      Expression)
 from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError, RowIdIntegrityError
 from repro.ivm.changes import Action, ChangeSet, consolidate
@@ -73,6 +86,11 @@ class DeltaSource(Protocol):
     def scan_delta(self, table: str) -> ChangeSet:
         """Consolidated changes of ``table`` over the interval."""
         ...
+
+    # Optional, for storage-backed sources: ``scan_{old,new}_pruned(table,
+    # bounds)`` (zone-map pruned endpoint) and ``scan_{old,new}_matching(
+    # table, positions, keys, delta_rows)`` (the endpoint rows whose key
+    # over ``positions`` is in ``keys()``, or None when a scan is cheaper).
 
 
 class DictDeltaSource:
@@ -133,6 +151,21 @@ class _EndpointResolver:
         relation = pruned(table, bounds)
         _guard_row_ids(relation.row_ids,
                        f"the {self._which} endpoint of table {table!r}")
+        return relation
+
+    def scan_matching(self, table: str, positions: tuple[int, ...],
+                      keys: Callable[[], Collection[tuple]],
+                      delta_rows: int) -> Optional[Relation]:
+        """Key-probed endpoint scan, or None when the delta source has no
+        partition access or judges a scan cheaper."""
+        matching = getattr(self._source, f"scan_{self._which}_matching",
+                           None)
+        if matching is None:
+            return None
+        relation = matching(table, positions, keys, delta_rows)
+        if relation is not None:
+            _guard_row_ids(relation.row_ids,
+                           f"the {self._which} endpoint of table {table!r}")
         return relation
 
 
@@ -219,6 +252,30 @@ class Differentiator:
             self.stats.endpoint_rows += len(relation)
             self._new_cache[key] = relation
         return self._new_cache[key]
+
+    def probe(self, which: str, plan: lp.PlanNode,
+              key_exprs: Sequence[Expression], delta_rows: int,
+              keys: Callable[[], Collection[tuple]]) -> Optional[Relation]:
+        """The rows of ``plan`` at endpoint ``which`` (``"old"`` /
+        ``"new"``) whose group key over ``key_exprs`` is in ``keys()``, in
+        scan order — all that a rule joining or semi-joining the endpoint
+        with a ``delta_rows``-row delta can use — read from partition key
+        indexes. None, without calling ``keys``, when the endpoint must be
+        read whole: ``plan`` is not a scan keyed on plain columns, the
+        source has no partition access, or the delta is not smaller than
+        the table."""
+        if not key_exprs or not isinstance(plan, lp.Scan) or not all(
+                isinstance(expr, ColumnRef) for expr in key_exprs):
+            return None
+        resolver = self._old_resolver if which == "old" else self._new_resolver
+        probed = resolver.scan_matching(
+            plan.table, tuple(expr.index for expr in key_exprs), keys,
+            delta_rows)
+        if probed is None:
+            return None
+        self.stats.endpoint_evals += 1
+        self.stats.endpoint_rows += len(probed)
+        return probed.with_schema(plan.schema)
 
     # -- the derivative ----------------------------------------------------------
 

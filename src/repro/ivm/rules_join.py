@@ -7,8 +7,14 @@
    Δ_I(Q ⋈ R) = Δ_I Q ⋈ R|_{I_0} \\; + \\; Q|_{I_1} ⋈ Δ_I R
 
 (delta-left against the *old* right, new left against delta-right), which
-accounts for every changed pair exactly once. Join work is proportional to
-the delta sizes because the kernel hash-joins on the equi-keys.
+accounts for every changed pair exactly once. A delta row can only pair
+with rows sharing its equi-key, so when the other side is a table scan
+smaller deltas read just those rows of it, probed from partition key
+indexes (:meth:`~repro.ivm.differentiator.Differentiator.probe`) —
+with a dimension table on one side, a dimension update reads the fact
+rows under its keys, not the fact table. Otherwise the kernel hash-joins
+the delta against the whole endpoint; a cross or non-equi join always
+does.
 
 **Outer joins** (section 5.5.1) support two strategies:
 
@@ -33,7 +39,7 @@ difference.
 
 from __future__ import annotations
 
-from repro.engine.executor import join_relations
+from repro.engine.executor import _equi_keys, join_relations
 from repro.engine.expressions import compile_group_key_columnar
 from repro.engine.relation import Relation
 from repro.ivm.changes import Action, ChangeSet
@@ -73,18 +79,37 @@ def _by_sign(schema, delta: ChangeSet):
             yield action, Relation.from_columns(schema, columns, row_ids)
 
 
+def _joinable(differ: Differentiator, which: str, side: lp.PlanNode,
+              side_keys, delta: ChangeSet, delta_keys) -> Relation:
+    """``side`` at endpoint ``which`` as ``delta`` joins it: just the rows
+    sharing one of its equi-keys when those can be probed (a NULL key
+    matches nothing), else the whole endpoint."""
+    def keys() -> set:
+        found = set(_equi_keys(delta_keys, delta, differ.ctx))
+        found.discard(None)
+        return found
+
+    probed = differ.probe(which, side, side_keys, len(delta), keys)
+    if probed is not None:
+        return probed
+    return differ.old(side) if which == "old" else differ.new(side)
+
+
 def _delta_inner(differ: Differentiator, plan: lp.Join) -> ChangeSet:
     """The bilinear rule; a cross join is the same rule with no keys."""
     delta_left = differ.delta(plan.left)
     delta_right = differ.delta(plan.right)
+    keys = lp.extract_equi_keys(plan)
     parts = []
     if delta_left:
-        right_old = differ.old(plan.right)
+        right_old = _joinable(differ, "old", plan.right, keys.right_keys,
+                              delta_left, keys.left_keys)
         parts += [_signed_join(differ, plan, changed, right_old, action)
                   for action, changed in _by_sign(plan.left.schema,
                                                   delta_left)]
     if delta_right:
-        left_new = differ.new(plan.left)
+        left_new = _joinable(differ, "new", plan.left, keys.left_keys,
+                             delta_right, keys.right_keys)
         parts += [_signed_join(differ, plan, left_new, changed, action)
                   for action, changed in _by_sign(plan.right.schema,
                                                   delta_right)]

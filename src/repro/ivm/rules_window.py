@@ -12,7 +12,11 @@ that have changed": semi-join each endpoint of Q against the delta on the
 partition keys ``k``, evaluate the window function over those partitions,
 emit the old rows as deletions (π₋) and the new rows as insertions (π₊).
 Rows whose values did not actually change cancel in consolidation, since
-window outputs keep their input row's id.
+window outputs keep their input row's id. When Q is a table scan
+partitioned on plain columns and the delta is smaller than the table,
+each endpoint is read by probing the partitions' key indexes
+(:meth:`~repro.ivm.differentiator.Differentiator.probe`), so a
+refresh reads the changed window partitions and nothing else.
 
 "It works for all window functions with PARTITION BY clauses (as long as
 ties in ORDER BY are broken repeatably)" — our executor always breaks ties
@@ -48,11 +52,15 @@ def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
     key_fn = compile_group_key_columnar(plan.partition_exprs, differ.ctx)
     affected = set(key_fn(child_delta.columns, len(child_delta)))
 
-    old_windows = window_relation(
-        plan, semi_join_keys(differ.old(plan.child), key_fn, affected),
-        differ.ctx)
-    new_windows = window_relation(
-        plan, semi_join_keys(differ.new(plan.child), key_fn, affected),
-        differ.ctx)
+    def changed_partitions(which: str):
+        rows = differ.probe(which, plan.child, plan.partition_exprs,
+                            len(child_delta), lambda: affected)
+        if rows is None:
+            endpoint = (differ.old(plan.child) if which == "old"
+                        else differ.new(plan.child))
+            rows = semi_join_keys(endpoint, key_fn, affected)
+        return window_relation(plan, rows, differ.ctx)
+
     # π₋(old) + π₊(new); unchanged rows cancel in consolidation.
-    return diff_relations(old_windows, new_windows)
+    return diff_relations(changed_partitions("old"),
+                          changed_partitions("new"))

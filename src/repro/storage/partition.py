@@ -32,7 +32,15 @@ metadata. Scans with pushed-down column bounds use them to skip partitions
 wholesale; the pruning is conservative — a partition is only skipped when
 *no* row in it could satisfy the bounds under exact SQL semantics
 (including NULL comparisons evaluating to NULL, and mixed-type columns
-never being pruned so runtime type errors still surface).
+never being pruned so runtime type errors still surface). Zone maps are a
+*bound*, not a summary: a rewrite that only drops rows (every refresh
+merge, every ``DELETE``) keeps its parent's, which still cover any subset
+of the parent's rows; a rewrite that assigns values recomputes them.
+
+Because a partition never changes, anything derived from it stays valid
+for as long as it exists. :meth:`Partition.key_index` is such a thing: the
+row positions of each key over some columns, which the join and window
+derivatives probe instead of keying a whole table endpoint.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
+from repro.engine.types import group_key_columns
 
 #: Global partition id allocator (ids only need to be unique per process).
 _partition_ids = itertools.count(1)
@@ -144,25 +153,35 @@ class Partition:
     zone_maps: tuple[ColumnStats, ...] = ()
 
     @staticmethod
-    def from_columns(row_ids: Sequence[str],
-                     columns: Sequence[Sequence]) -> "Partition":
-        """Build from parallel column arrays (zone maps are a min/max
-        pass over each array)."""
+    def from_columns(row_ids: Sequence[str], columns: Sequence[Sequence],
+                     zone_maps: Optional[tuple[ColumnStats, ...]] = None,
+                     ) -> "Partition":
+        """Build from parallel column arrays. Zone maps are a min/max
+        pass over each array unless the caller holds a sound bound for
+        these rows already (see :meth:`edited`)."""
         cols = tuple(tuple(column) for column in columns)
+        if zone_maps is None:
+            zone_maps = zone_maps_of_columns(cols)
         return Partition(next(_partition_ids), tuple(row_ids), cols,
-                         zone_maps_of_columns(cols))
+                         zone_maps)
 
     def __len__(self) -> int:
         return len(self.row_ids)
 
     def edited(self, deletes: Container[str],
                updates: Mapping[str, tuple],
-               ) -> tuple[list[str], list[list]]:
-        """The ``(row_ids, columns)`` this partition becomes once the rows
-        named in ``updates`` take their new values and the rows named in
-        ``deletes`` are dropped — by index over copies of the column
-        arrays (a deleted id wins over an update of it). Ids naming no
-        row of this partition are ignored."""
+               ) -> tuple[list[str], list[list],
+                          Optional[tuple[ColumnStats, ...]]]:
+        """The ``(row_ids, columns, zone_maps)`` this partition becomes
+        once the rows named in ``updates`` take their new values and the
+        rows named in ``deletes`` are dropped — by index over copies of
+        the column arrays (a deleted id wins over an update of it). Ids
+        naming no row of this partition are ignored.
+
+        ``zone_maps`` is this partition's own when no row took a new
+        value: every kind, min/max and NULL flag of a set of rows bounds
+        any subset of it, so pruning on them stays sound. It is None when
+        a value was assigned — the new values may lie outside them."""
         row_ids = self.row_ids
         columns: Sequence[Sequence] = self.columns
         hits = ([index for index, row_id in enumerate(row_ids)
@@ -175,7 +194,26 @@ class Partition:
         keep = [row_id not in deletes for row_id in row_ids]
         return (list(itertools.compress(row_ids, keep)),
                 [list(itertools.compress(column, keep))
-                 for column in columns])
+                 for column in columns],
+                None if hits else self.zone_maps)
+
+    def group_keys(self, positions: Sequence[int]) -> list[tuple]:
+        """Each row's key over the columns at ``positions``: a
+        :func:`~repro.engine.types.group_key_columns` key — NULL-safe, 3
+        and 3.0 alike — as the derivative rules compute over a delta."""
+        return group_key_columns([self.columns[position]
+                                  for position in positions], len(self))
+
+    def key_index(self, positions: Sequence[int]) -> dict[tuple, list[int]]:
+        """Row positions by :meth:`group_keys` key, ascending per key."""
+        index: dict[tuple, list[int]] = {}
+        for row, key in enumerate(self.group_keys(positions)):
+            rows = index.get(key)
+            if rows is None:
+                index[key] = [row]
+            else:
+                rows.append(row)
+        return index
 
     def might_match(self, bounds: Sequence[tuple]) -> bool:
         """Whether this partition could contain a row satisfying the
@@ -228,10 +266,15 @@ class Partition:
 
 
 def build_partitions(row_ids: Sequence[str], columns: Sequence[Sequence],
-                     max_rows: int) -> list[Partition]:
+                     max_rows: int,
+                     zone_maps: Optional[tuple[ColumnStats, ...]] = None,
+                     ) -> list[Partition]:
     """Chunk a columnar block into partitions of at most ``max_rows``
-    rows: each partition is one slice of every column array."""
+    rows: each partition is one slice of every column array. ``zone_maps``
+    (a bound over the whole block) is shared by every chunk; without it
+    each chunk computes its own."""
     return [Partition.from_columns(
                 row_ids[start:start + max_rows],
-                [column[start:start + max_rows] for column in columns])
+                [column[start:start + max_rows] for column in columns],
+                zone_maps)
             for start in range(0, len(row_ids), max_rows)]

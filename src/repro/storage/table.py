@@ -15,14 +15,24 @@ commit timestamp for each DT's table versions"), exposed via
 :meth:`VersionedTable.register_refresh` / :meth:`version_for_refresh`. A
 missing entry raises :class:`~repro.errors.VersionNotFound` — the paper's
 first production validation.
+
+A table also answers key probes: :meth:`VersionedTable.relation_matching`
+returns a version's rows whose key over some columns is in a given set,
+reading each head-version partition through a lazily built
+:meth:`~repro.storage.partition.Partition.key_index` instead of keying
+every row. The indexes are derived from immutable partitions, so they are
+never invalidated — only dropped when their partition leaves the head
+version — and never checkpointed: a recovered table or a clone rebuilds
+them on first probe.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -149,6 +159,11 @@ class VersionedTable:
         #: delta, kept by :func:`repro.streams.changes.changes_between`.
         self.change_queries: OrderedDict[tuple[int, int], ChangeSet] = (
             OrderedDict())
+        #: Key indexes of head-version partitions, partition id -> key
+        #: positions -> index, built on first probe. Refresh workers fill
+        #: it concurrently, so writes hold ``_key_index_mutex``.
+        self._key_indexes: dict[int, dict[tuple[int, ...], dict]] = {}
+        self._key_index_mutex = threading.Lock()
 
     # -- version resolution ---------------------------------------------------
 
@@ -261,6 +276,61 @@ class VersionedTable:
             return self.relation(version)
         return self._materialize(kept)
 
+    def relation_matching(self, version: TableVersion,
+                          positions: tuple[int, ...],
+                          keys: Collection[tuple]) -> Relation:
+        """The rows of ``version`` whose key over the columns at
+        ``positions`` (a :func:`~repro.engine.types.group_key_columns`
+        key) is in ``keys``.
+
+        A head-version partition answers from its key index, so the cost
+        follows the hits, not the table; a partition the head no longer
+        holds is keyed row by row, once. Hits are read in ascending
+        position per partition and partitions in id order: the result is
+        exactly what keying every row of :meth:`relation` and keeping the
+        matches gives — same rows, same ids, same order."""
+        ids: list[str] = []
+        columns: list[list] = [[] for __ in range(len(self.schema))]
+        for partition_id in sorted(version.partition_ids):
+            partition = self._partitions[partition_id]
+            index = self._key_index(partition, positions)
+            if index is None:
+                hits = [row for row, key
+                        in enumerate(partition.group_keys(positions))
+                        if key in keys]
+            elif len(keys) <= len(index):
+                hits = sorted(row for key in keys
+                              for row in index.get(key, ()))
+            else:  # walk the partition's fewer keys: never more than a scan
+                hits = sorted(row for key, rows in index.items()
+                              if key in keys for row in rows)
+            if len(hits) == len(partition):  # every row: no gather
+                ids.extend(partition.row_ids)
+                for accumulator, column in zip(columns, partition.columns):
+                    accumulator.extend(column)
+            elif hits:
+                ids.extend(map(partition.row_ids.__getitem__, hits))
+                for accumulator, column in zip(columns, partition.columns):
+                    accumulator.extend(map(column.__getitem__, hits))
+        return Relation.from_columns(self.schema, columns, ids)
+
+    def _key_index(self, partition: Partition,
+                   positions: tuple[int, ...]) -> Optional[dict]:
+        """``partition``'s key index over ``positions``, built on first
+        use and kept while the partition is in the head version; None for
+        a partition outside the head with no index kept — older versions
+        are read rarely, and :meth:`_install` could not drop an entry for
+        a partition it never sees removed."""
+        index = self._key_indexes.get(partition.id, {}).get(positions)
+        if index is None and (
+                partition.id in self.current_version.partition_ids):
+            index = partition.key_index(positions)
+            with self._key_index_mutex:
+                if partition.id in self.current_version.partition_ids:
+                    self._key_indexes.setdefault(
+                        partition.id, {})[positions] = index
+        return index
+
     def rows_by_id(self, version: TableVersion | None = None) -> dict[str, tuple]:
         relation = self.relation(version)
         return dict(relation.pairs())
@@ -318,13 +388,14 @@ class VersionedTable:
         """Replacements for the ``touched`` partitions with ``deletes``
         and ``updates`` applied. Built in ascending partition id: build
         order decides the new partitions' ids and hence the scan order,
-        so it must not follow a set's (hash-seed dependent) iteration."""
+        so it must not follow a set's (hash-seed dependent) iteration. A
+        replacement that only lost rows keeps its parent's zone maps."""
         added: list[Partition] = []
         for partition_id in sorted(touched):
-            row_ids, columns = self._partitions[partition_id].edited(
-                deletes, updates)
+            row_ids, columns, zone_maps = self._partitions[
+                partition_id].edited(deletes, updates)
             added.extend(build_partitions(row_ids, columns,
-                                          self.partition_rows))
+                                          self.partition_rows, zone_maps))
         return added
 
     def _apply_dml(self, write: StagedWrite,
@@ -441,6 +512,11 @@ class VersionedTable:
                     del self._locator[row_id]
         self._versions.append(version)
         self._commit_keys.append((commit_ts.wall, commit_ts.logical))
+        # After the append: a probe that checks the head under the mutex
+        # either caches before this drop or sees the new head.
+        with self._key_index_mutex:
+            for partition_id in removed:
+                self._key_indexes.pop(partition_id, None)
         return version
 
     # -- durability ---------------------------------------------------------------

@@ -106,11 +106,10 @@ def _overlay_partition_stream(partitions, deletes, updates, staged_ids,
                 and updates.keys().isdisjoint(partition.row_ids)):
             yield partition
             continue
-        row_ids, columns = partition.edited(deletes, updates)
+        row_ids, columns, kept_zone_maps = partition.edited(deletes, updates)
         if row_ids:
-            yield _OverlayPartition(
-                row_ids, columns, partition,
-                updated=not updates.keys().isdisjoint(row_ids))
+            yield _OverlayPartition(row_ids, columns, partition,
+                                    updated=kept_zone_maps is None)
     if staged_rows:
         yield _StagedPartition(staged_ids, staged_rows)
 

@@ -135,10 +135,11 @@ class TestColumnarPartitions:
     def test_edited_drops_and_replaces_by_index(self):
         partition = Partition.from_columns(
             ["r0", "r1", "r2", "r3"], [[0, 1, 2, 3], ["a", "b", "c", "d"]])
-        row_ids, columns = partition.edited(
+        row_ids, columns, zone_maps = partition.edited(
             {"r1", "r3", "elsewhere"}, {"r2": (20, "C"), "r3": (30, "D")})
         assert row_ids == ["r0", "r2"]
         assert columns == [[0, 20], ["a", "C"]]  # r3: the delete wins
+        assert zone_maps is None  # r2 took new values
         assert partition.columns[0] == (0, 1, 2, 3)  # untouched
 
 
