@@ -15,9 +15,10 @@ answer with numbers, not vibes:
   for — reopening from checkpoint + empty WAL must be strictly faster
   than replaying the full WAL history it replaced.
 
-Deterministic facts (commit counts, records replayed, invariant checks)
-land in ``BENCH_durability.json``; wall-clock numbers go to
-``results.txt``.
+Deterministic facts (commit counts, records replayed, checkpoint
+sequence, invariant checks) land in the committed
+``BENCH_durability.json``, so a run leaves it byte-identical; wall-clock
+numbers and their ratios go to the ignored ``results.txt``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_t13_durability.py
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -39,6 +41,8 @@ from reporting import emit, emit_json, table  # noqa: E402
 
 #: Single-row INSERT autocommits per throughput sample.
 COMMITS = 400
+#: Interleaved repetitions of the three commit modes (median taken).
+REPETITIONS = 5
 #: Live rows of the recovery table (what a checkpoint must restore).
 SEED_ROWS = 200
 #: Update commits accumulated in the WAL (what replay must re-apply);
@@ -82,16 +86,26 @@ def _throughput_sample(mode: str | None) -> float:
 
 def _measure_throughput() -> dict:
     modes = {"memory": None, "async": "async", "fsync": "fsync"}
-    seconds = {name: min(_throughput_sample(mode) for __ in range(3))
-               for name, mode in modes.items()}
+    samples: dict[str, list[float]] = {name: [] for name in modes}
+    for __ in range(REPETITIONS):
+        for name, mode in modes.items():
+            samples[name].append(_throughput_sample(mode))
+
+    def median_ms(name: str) -> float:
+        return round(statistics.median(samples[name]) * 1e3, 2)
+
+    def overhead(name: str) -> float:
+        return round(statistics.median(
+            mine / memory
+            for mine, memory in zip(samples[name], samples["memory"])), 2)
+
     return {
         "commits": COMMITS,
-        "memory_ms": round(seconds["memory"] * 1e3, 2),
-        "async_ms": round(seconds["async"] * 1e3, 2),
-        "fsync_ms": round(seconds["fsync"] * 1e3, 2),
-        "commits_per_s_fsync": round(COMMITS / seconds["fsync"]),
-        "async_overhead": round(seconds["async"] / seconds["memory"], 2),
-        "fsync_overhead": round(seconds["fsync"] / seconds["memory"], 2),
+        "memory_ms": median_ms("memory"),
+        "async_ms": median_ms("async"),
+        "fsync_ms": median_ms("fsync"),
+        "async_overhead": overhead("async"),
+        "fsync_overhead": overhead("fsync"),
     }
 
 
@@ -145,6 +159,7 @@ def _measure_recovery() -> dict:
             "rows_touched_per_commit": UPDATE_ROWS,
             "replay_records": replay_report["records_replayed"],
             "checkpoint_records": ckpt_report["records_replayed"],
+            "checkpoint_seq": ckpt_report["checkpoint_seq"],
             "replay_ms": round(replay_s * 1e3, 2),
             "checkpoint_ms": round(ckpt_s * 1e3, 2),
             "recovery_speedup": round(replay_s / ckpt_s, 2),
@@ -170,13 +185,17 @@ def _report(results: dict) -> None:
         "scenario": ("WAL commit overhead (in-memory vs async vs "
                      "fsync-per-commit) and recovery-mode comparison "
                      "(full WAL replay vs checkpoint + empty WAL)"),
-        "commit_throughput": tp,
-        "recovery": rec,
+        "commit_throughput": {"commits": tp["commits"],
+                              "repetitions": REPETITIONS},
+        "recovery": {key: rec[key] for key in (
+            "commits", "live_rows", "rows_touched_per_commit",
+            "replay_records", "checkpoint_records", "checkpoint_seq")},
         "invariants_ok": (rec["checkpoint_records"] == 0
                           and rec["replay_records"] >= rec["commits"]),
         "timings": "see benchmarks/results.txt",
     })
-    emit(f"T13 durability: commit overhead ({COMMITS} autocommits)",
+    emit(f"T13 durability: commit overhead ({COMMITS} autocommits, "
+         f"median of {REPETITIONS} interleaved repetitions)",
          table(["mode", "ms", "overhead vs memory"],
                [["memory", tp["memory_ms"], "1.0"],
                 ["async", tp["async_ms"], f"{tp['async_overhead']}x"],

@@ -22,9 +22,11 @@ keys, sort keys, grouping keys, aggregate and window arguments are value
 arrays gathered by row index; a join records ``(left, right)`` index
 matches and gathers its output columns by index, and UNION ALL
 concatenates column arrays. What stays row-shaped are the producers whose
-unit of work is a row: VALUES, DISTINCT, FLATTEN and the top-k heap
-assemble their output rows through the ``Relation`` row view. The
-interpreter (``Expression.eval``, selected by ``force_interpreted``) is
+unit of work is a row: VALUES, DISTINCT and FLATTEN assemble their output
+rows through the ``Relation`` row view. Every sort — ORDER BY, window
+partitions, the streamed top-k — goes through one ordering kernel,
+:class:`~repro.engine.window.Ordering`, which sorts row indices by key.
+The interpreter (``Expression.eval``, selected by ``force_interpreted``) is
 the reference semantics.
 
 Filters directly over scans additionally push simple column-vs-literal
@@ -37,7 +39,6 @@ reports the partitions-scanned/skipped split so EXPLAIN can surface it.
 
 from __future__ import annotations
 
-import heapq
 from itertools import compress as _itercompress
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -50,8 +51,7 @@ from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       compile_row_columnar, conjuncts,
                                       emits_tristate, gather_columns)
 from repro.engine.relation import Relation, SnapshotResolver
-from repro.engine.window import (evaluate_window_calls, sort_partition,
-                                 _compare_with_nulls)
+from repro.engine.window import Ordering, evaluate_window_calls
 from repro.errors import InternalError, ReproError, UserError
 from repro.ivm import rowid
 from repro.plan import logical as lp
@@ -288,9 +288,8 @@ class _Executor:
         count = len(child)
         keys = compile_row_columnar([expr for expr, __ in plan.keys],
                                     self._ctx)(child.columns, count)
-        ordered = sort_partition(child.columns, child.row_ids, keys,
-                                 [flag for __, flag in plan.keys],
-                                 range(count))
+        ordered = Ordering(child.columns, child.row_ids, keys,
+                           [flag for __, flag in plan.keys]).sort(range(count))
         return Relation.from_columns(
             plan.schema,
             [[column[index] for index in ordered]
@@ -314,8 +313,8 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
 
     Supports the row-preserving pipeline shapes — a chain of Project /
     Filter / Limit over a single Scan, UNION ALL over such chains (branch
-    streams are concatenated), and ``ORDER BY ... LIMIT k`` (a bounded
-    top-k heap over the child stream) — when the resolver exposes
+    streams are concatenated), and ``ORDER BY ... LIMIT k`` (a columnar
+    bounded top-k over the child stream) — when the resolver exposes
     partition-granular reads (``scan_partitions``). Returns an iterator of
     :class:`Relation` batches, one per surviving partition, or None when
     the plan (a join, aggregate, unbounded sort, ...) or the resolver
@@ -326,11 +325,12 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
     partition: each batch goes through the same ``filter_kernel`` /
     ``project_kernel`` / ``limit_relation`` kernels (zone-map partition
     pruning only ever skips rows the predicate rejects), and the top-k
-    heap keeps the same total sort order (ORDER BY keys, then the stable
-    tie-break digest). No list of more than one partition's rows is ever
-    built — a sorted-limit cursor holds at most ``k`` rows beyond the
-    current partition — which is what lets a cursor serve pages of a large
-    scan in O(partition) memory.
+    sorts through the same ordering kernel as ``ORDER BY`` (ORDER BY keys,
+    then the stable tie-break digest), so its ``k`` survivors are the
+    materialized sort's first ``k``. No list of more than one partition's
+    rows is ever built — a sorted-limit cursor holds at most ``k`` rows
+    beyond the current partition — which is what lets a cursor serve pages
+    of a large scan in O(partition) memory.
     """
     if isinstance(plan, lp.Scan):
         return _scan_batches(plan, resolver, ())
@@ -356,8 +356,8 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
         if plan.count < 0:
             return None  # evaluate() reports the error (limit_relation)
         child = plan.child
-        # ORDER BY ... LIMIT k: a bounded top-k heap over the child
-        # stream — the sorted-limit cursor never materializes the full
+        # ORDER BY ... LIMIT k: a bounded top-k over the child stream —
+        # the sorted-limit cursor never materializes the full
         # result. The Sort may sit directly below, or below the final
         # Project (how the builder binds ORDER BY over unprojected
         # columns).
@@ -431,64 +431,39 @@ def _limit_batches(plan: lp.Limit,
         yield head
 
 
-class _TopKEntry:
-    """One candidate row in the top-k heap: ordered by the ORDER BY keys
-    (NULLS LAST ascending / NULLS FIRST descending), then by the same
-    stable tie-break as :func:`repro.engine.window.sort_partition` — the
-    row's digest plus its row id, computed lazily (ties only)."""
-
-    __slots__ = ("keys", "descending", "row_id", "row", "_tie")
-
-    def __init__(self, keys: tuple, descending: tuple, row_id: str,
-                 row: tuple):
-        self.keys = keys
-        self.descending = descending
-        self.row_id = row_id
-        self.row = row
-        self._tie = None
-
-    def _tie_key(self) -> tuple:
-        tie = self._tie
-        if tie is None:
-            tie = self._tie = (t.stable_hash(self.row), self.row_id)
-        return tie
-
-    def __lt__(self, other: "_TopKEntry") -> bool:
-        for position, descending in enumerate(self.descending):
-            result = _compare_with_nulls(self.keys[position],
-                                         other.keys[position], descending)
-            if result != 0:
-                return result < 0
-        return self._tie_key() < other._tie_key()
-
-
 def _topk_batches(batches: Iterator[Relation], sort: lp.Sort, count: int,
                   ctx: EvalContext, project: Optional[lp.Project],
                   ) -> Iterator[Relation]:
-    """Stream implementation of ``ORDER BY ... LIMIT count``: drain the
-    child stream through a bounded heap holding at most ``count``
-    candidates, then emit one batch in exactly the materialized
-    sort-then-limit order. ``project`` is the final projection when one
-    sits between the Limit and the Sort — applied to the ``count``
-    surviving rows in output order, matching the materialized
-    Project-over-Sort."""
-    keys_fn = compile_row_columnar([expr for expr, __ in sort.keys], ctx)
-    descending = tuple(flag for __, flag in sort.keys)
-
-    def entries() -> Iterator[_TopKEntry]:
-        for batch in batches:
-            keys = zip(*keys_fn(batch.columns, len(batch)))
-            # Heap candidates are row-shaped: the survivors become the
-            # output rows and the tie-break digest reads the whole row.
-            rows = batch.rows  # lint: allow-materialize (top-k candidates)
-            for row_id, row, row_keys in zip(batch.row_ids, rows, keys):
-                yield _TopKEntry(row_keys, descending, row_id, row)
-
-    top = heapq.nsmallest(count, entries()) if count else []
-    if not top:
+    """Stream implementation of ``ORDER BY ... LIMIT count``: keep the
+    ``count`` best rows seen so far as column arrays (their ORDER BY key
+    arrays alongside), sort each batch together with them through the
+    ordering kernel, and keep the first ``count`` — then emit one batch in
+    exactly the materialized sort-then-limit order. ``project`` is the
+    final projection when one sits between the Limit and the Sort —
+    applied to the ``count`` surviving rows in output order, matching the
+    materialized Project-over-Sort."""
+    if not count:
         return
-    relation = Relation(sort.schema, [entry.row for entry in top],
-                        [entry.row_id for entry in top])
+    keys_fn = compile_row_columnar([expr for expr, __ in sort.keys], ctx)
+    descending = [flag for __, flag in sort.keys]
+    columns: list[list] = [[] for __ in sort.schema]
+    keys: list[list] = [[] for __ in sort.keys]
+    row_ids: list[str] = []
+    for batch in batches:
+        if not len(batch):
+            continue
+        columns = [[*kept, *new] for kept, new in zip(columns, batch.columns)]
+        keys = [[*kept, *new] for kept, new
+                in zip(keys, keys_fn(batch.columns, len(batch)))]
+        row_ids = [*row_ids, *batch.row_ids]
+        top = Ordering(columns, row_ids, keys, descending).sort(
+            range(len(row_ids)), count)
+        columns = [_gather(column, top) for column in columns]
+        keys = [_gather(values, top) for values in keys]
+        row_ids = _gather(row_ids, top)
+    if not row_ids:
+        return
+    relation = Relation.from_columns(sort.schema, columns, row_ids)
     if project is not None:
         relation = project_kernel(project, ctx)(relation)
     yield relation
@@ -735,18 +710,20 @@ def distinct_relation(schema, child: Relation) -> Relation:
     return output
 
 
-def window_relation(plan: lp.Window, child: Relation,
-                    ctx: EvalContext) -> Relation:
+def window_relation(plan: lp.Window, child: Relation, ctx: EvalContext,
+                    bound: Optional[int] = None) -> Relation:
     """Evaluate partitioned window calls, appending one column per call.
     Partition keys, ORDER BY keys and call arguments are all computed
-    vectorized over the child's columns."""
+    vectorized over the child's columns. Under a rank ``bound`` (a Window
+    of one ranking call), only the rows ranked ``<= bound`` get a value;
+    the rest carry NULL, which the rank filter's own conjunct rejects."""
     partitions: dict[tuple, list[int]] = {}
     keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
         child.columns, len(child))
     for index, key in enumerate(keys):
         partitions.setdefault(key, []).append(index)
     extra = evaluate_window_calls(plan.calls, child,
-                                  list(partitions.values()), ctx)
+                                  list(partitions.values()), ctx, bound)
     return Relation.from_columns(plan.schema, child.columns + extra,
                                  child.row_ids)
 

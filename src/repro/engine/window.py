@@ -1,4 +1,5 @@
-"""Window function evaluation over the partitions of one input.
+"""Window function evaluation over the partitions of one input, and the one
+ordering kernel every ORDER BY in the engine sorts through.
 
 Section 5.5.1 of the paper implements window-function differentiation by
 recomputing *changed partitions*; that only yields consistent results when
@@ -7,11 +8,24 @@ BY are broken repeatably". We therefore always break ORDER BY ties with a
 stable final key (the row's own encoded value plus its row id), making a
 partition's output a pure function of its row multiset.
 
+:class:`Ordering` — the kernel behind window partitions, ``ORDER BY`` and
+the streamed ``ORDER BY ... LIMIT k`` — sorts row indices *by key*: one
+stable C-level ``list.sort(key=..., reverse=...)`` per ORDER BY key, last
+key first. A key's NULLs and NaNs sit out its pass and are placed by rule:
+NULLS LAST ascending / NULLS FIRST descending (Snowflake's defaults), and
+NaN above every other FLOAT (Snowflake's rule; NaNs are peers). Only rows
+equal on every key compute the tie-break digest. A key array mixing types
+``types.compare`` cannot order (TEXT with INT, BOOL with INT) raises
+:class:`~repro.errors.EvaluationError` before sorting.
+
 Evaluation is batched: each call's ORDER BY keys and argument are
 evaluated once over the whole input through the vectorized compiler
 (:mod:`repro.engine.expressions`), and every partition then sorts and
 frames by row index into those arrays — O(n) expression evaluations
-instead of one per comparison, and none per partition.
+instead of one per comparison, and none per partition. A ranking call
+evaluated under a rank *bound* (the rank filter ``QUALIFY rank <= k``)
+stops each partition at the bound: only the peer groups that reach into
+the first ``k`` ranks have their ties broken and their values computed.
 
 Frames follow the SQL defaults:
 
@@ -22,7 +36,9 @@ Frames follow the SQL defaults:
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_left
+from itertools import compress, filterfalse, islice
+from operator import ne
 from typing import Optional, Sequence
 
 from repro.engine import types as t
@@ -35,117 +51,197 @@ from repro.engine.types import Value
 from repro.errors import EvaluationError
 from repro.plan.logical import WindowCall
 
+#: The ranking functions a rank bound applies to.
+RANKING = ("row_number", "rank", "dense_rank")
 
-def sort_partition(columns: Sequence[Sequence], row_ids: Sequence[str],
-                   keys: Sequence[Sequence], descending: Sequence[bool],
-                   indices: Sequence[int],
-                   tie_cache: Optional[list] = None) -> list[int]:
-    """Return the row indices ``indices`` in window evaluation order.
+_NUMBERS = {int, float}
+#: Stands in for NaN where keys are compared for peers (NaN != NaN).
+_NAN = object()
+#: Placement of a key's special values: NaN above every number, NULL
+#: above NaN (reversed for a descending key: NULLS FIRST, then NaN).
+_PLAIN, _NAN_RANK, _NULL_RANK = 0, 1, 2
+
+
+class Ordering:
+    """The ORDER BY of one input, ready to sort any subset of its rows.
 
     ``columns`` / ``row_ids`` are the whole input; ``keys`` holds one
-    already-evaluated value array per ORDER BY key (parallel to the
-    input) and ``descending`` that key's direction. Sorts by the ORDER BY
-    keys (NULLS LAST ascending / NULLS FIRST descending, Snowflake's
-    defaults), breaking ties with the stable hash of the full row and
-    finally the row id — the "repeatable tie-break" the paper's window
-    derivative requires.
-
-    The tie-break digest is computed lazily — only for rows that actually
-    tie — and memoized in ``tie_cache`` (parallel to the input), which
-    callers sorting the same rows repeatedly (one Window node, several
-    calls) share across calls.
+    already-evaluated value array per ORDER BY key (parallel to the input)
+    and ``descending`` that key's direction. ``ties`` memoizes the
+    tie-break digest by row index; orderings over the same input (one
+    Window node, several calls) may share it, since ties are
+    key-independent.
     """
-    if tie_cache is None:
-        tie_cache = [None] * len(row_ids)
-    ordering = list(zip(keys, descending))
 
-    def tie_key(index: int) -> tuple:
-        value = tie_cache[index]
-        if value is None:
-            row = tuple(column[index] for column in columns)
-            value = tie_cache[index] = (t.stable_hash(row), row_ids[index])
-        return value
+    def __init__(self, columns: Sequence[Sequence], row_ids: Sequence[str],
+                 keys: Sequence[Sequence], descending: Sequence[bool],
+                 ties: Optional[dict[int, tuple]] = None):
+        self._columns = columns
+        self._row_ids = row_ids
+        self._ties = {} if ties is None else ties
+        #: (values, special placement or None, descending), last key first.
+        self._passes: list[tuple[Sequence, Optional[list], bool]] = []
+        #: Per key, the values peers are compared by (NaN -> one sentinel).
+        self._peers: list[Sequence] = []
+        for values, reverse in zip(keys, descending):
+            special, peers = _classify(values)
+            self._passes.insert(0, (values, special, reverse))
+            self._peers.append(peers)
 
-    def compare_rows(left: int, right: int) -> int:
-        for values, reverse in ordering:
-            result = _compare_with_nulls(values[left], values[right],
-                                         reverse)
-            if result != 0:
-                return result
-        left_tie = tie_key(left)
-        right_tie = tie_key(right)
-        if left_tie < right_tie:
-            return -1
-        if left_tie > right_tie:
-            return 1
-        return 0
+    def by_keys(self, indices: Sequence[int]) -> tuple[list[int], list[int]]:
+        """``indices`` ordered by the ORDER BY keys alone, plus the start
+        position of every peer group (rows equal on every key) in it. Ties
+        are left in input order: :meth:`break_ties` settles them."""
+        order = list(indices)
+        for values, special, reverse in self._passes:
+            if special is None:
+                order.sort(key=values.__getitem__, reverse=reverse)
+                continue
+            plain = list(filterfalse(special.__getitem__, order))
+            plain.sort(key=values.__getitem__, reverse=reverse)
+            odd = list(filter(special.__getitem__, order))
+            odd.sort(key=special.__getitem__, reverse=reverse)
+            order = odd + plain if reverse else plain + odd
+        return order, self._peer_starts(order)
 
-    return sorted(indices, key=functools.cmp_to_key(compare_rows))
+    def break_ties(self, order: list[int], starts: Sequence[int],
+                   end: int) -> None:
+        """Order every peer group of ``order`` that starts before position
+        ``end`` by the stable tie-break, in place."""
+        if len(starts) == len(order):
+            return  # no two rows tie
+        tie_key = self._tie_key
+        for start, stop in _peer_groups(starts, len(order)):
+            if start >= end:
+                return
+            if stop - start > 1:
+                order[start:stop] = sorted(order[start:stop], key=tie_key)
+
+    def sort(self, indices: Sequence[int],
+             limit: Optional[int] = None) -> list[int]:
+        """``indices`` in ORDER BY order, ties broken repeatably — the
+        first ``limit`` of them when ``limit`` is given."""
+        order, starts = self.by_keys(indices)
+        end = len(order) if limit is None else min(limit, len(order))
+        self.break_ties(order, starts, end)
+        return order if end == len(order) else order[:end]
+
+    def _peer_starts(self, order: list[int]) -> list[int]:
+        count = len(order)
+        if count < 2 or not self._peers:
+            return [0] if count else []
+        if len(self._peers) == 1:
+            sequence: list = list(map(self._peers[0].__getitem__, order))
+        else:
+            sequence = list(zip(*[map(peers.__getitem__, order)
+                                  for peers in self._peers]))
+        return [0, *compress(range(1, count),
+                             map(ne, sequence, islice(sequence, 1, None)))]
+
+    def _tie_key(self, index: int) -> tuple:
+        """The repeatable tie-break: the stable hash of the full row, then
+        its row id — computed once per row, and only for tied rows."""
+        tie = self._ties.get(index)
+        if tie is None:
+            row = tuple(column[index] for column in self._columns)
+            tie = (t.stable_hash(row), self._row_ids[index])
+            self._ties[index] = tie
+        return tie
 
 
-def _compare_with_nulls(left: Value, right: Value, descending: bool) -> int:
-    if left is None and right is None:
-        return 0
-    if left is None:
-        # NULLS LAST when ascending, NULLS FIRST when descending.
-        return 1 if not descending else -1
-    if right is None:
-        return -1 if not descending else 1
-    result = t.compare(left, right)
-    assert result is not None
-    return -result if descending else result
+def _classify(values: Sequence) -> tuple[Optional[list], Sequence]:
+    """Check one key array is totally ordered and find its special values:
+    ``(special, peers)`` where ``special`` marks each NULL / NaN with its
+    placement (None when the array has neither) and ``peers`` is the array
+    with every NaN replaced by one sentinel."""
+    types = set(map(type, values))
+    types.discard(type(None))
+    if len(types) > 1 and not types <= _NUMBERS:
+        raise EvaluationError("cannot compare " + " with ".join(
+            sorted(kind.__name__ for kind in types)))
+    has_nan = float in types and any(value != value for value in values)
+    if not has_nan and None not in values:
+        return None, values
+    special = [_NULL_RANK if value is None
+               else _PLAIN if value == value else _NAN_RANK
+               for value in values]
+    if not has_nan:
+        return special, values
+    return special, [_NAN if value != value else value for value in values]
+
+
+def _peer_groups(starts: Sequence[int], size: int) -> zip:
+    """``(start, stop)`` of every peer group of a ``size``-row order."""
+    return zip(starts, [*islice(starts, 1, None), size])
 
 
 def evaluate_window_calls(calls: Sequence[WindowCall], child: Relation,
                           partitions: Sequence[Sequence[int]],
-                          ctx: EvalContext) -> list[list[Value]]:
+                          ctx: EvalContext,
+                          bound: Optional[int] = None) -> list[list[Value]]:
     """Evaluate every window call over every partition of ``child``.
 
     ``partitions`` lists each partition's row indices into ``child``.
     Returns one value array per call, parallel to ``child`` (the caller
-    appends these as extra columns).
+    appends these as extra columns). Under a rank ``bound`` — only for
+    ranking calls — each partition is evaluated as far as the rows ranked
+    ``<= bound``; every other row keeps None.
     """
     count = len(child)
     columns = child.columns
-    tie_cache: list = [None] * count  # shared: ties are key-independent
+    ties: dict[int, tuple] = {}  # shared: ties are key-independent
     outputs: list[list[Value]] = []
     for call in calls:
         keys = compile_row_columnar([expr for expr, __ in call.order_by],
                                     ctx)(columns, count)
-        descending = [flag for __, flag in call.order_by]
+        ordering = Ordering(columns, child.row_ids, keys,
+                            [flag for __, flag in call.order_by], ties)
         args = (None if call.arg is None else
                 compile_expression_columnar(call.arg, ctx)(columns, count))
         output: list[Value] = [None] * count
         for partition in partitions:
-            ordered = sort_partition(columns, child.row_ids, keys,
-                                     descending, partition, tie_cache)
-            for index, value in zip(ordered,
-                                    _evaluate_one(call, args, keys, ordered)):
+            ordered, starts = ordering.by_keys(partition)
+            end = (len(ordered) if bound is None else
+                   _ranked_within(call.function, starts, len(ordered), bound))
+            ordering.break_ties(ordered, starts, end)
+            if end < len(ordered):
+                del ordered[end:]
+                del starts[bisect_left(starts, end):]
+            for index, value in zip(ordered, _evaluate_one(call, args,
+                                                           ordered, starts)):
                 output[index] = value
         outputs.append(output)
     return outputs
 
 
-def _order_keys(keys: Sequence[Sequence], ordered: Sequence[int]) -> list[tuple]:
-    """Group keys of the (already evaluated) ORDER BY values, aligned with
-    ``ordered``."""
-    return t.group_key_columns(
-        [[values[index] for index in ordered] for values in keys],
-        len(ordered))
+def _ranked_within(function: str, starts: Sequence[int], size: int,
+                   bound: int) -> int:
+    """How many leading rows of a partition (``size`` rows, peer groups
+    starting at ``starts``) rank ``<= bound`` under ``function``."""
+    if bound <= 0:
+        return 0
+    if function == "row_number":
+        return min(bound, size)
+    if function == "rank":  # a group's rank is its start position + 1
+        group = bisect_left(starts, bound)
+    else:  # dense_rank: the first ``bound`` groups
+        group = bound
+    return starts[group] if group < len(starts) else size
 
 
 def _evaluate_one(call: WindowCall, args: Optional[Sequence[Value]],
-                  keys: Sequence[Sequence],
-                  ordered: Sequence[int]) -> list[Value]:
+                  ordered: Sequence[int],
+                  starts: Sequence[int]) -> list[Value]:
     """Values for one call over one partition, positionally aligned with
-    ``ordered`` (the partition's row indices in evaluation order)."""
+    ``ordered`` (the partition's row indices in evaluation order; peer
+    groups start at ``starts``)."""
     size = len(ordered)
 
     if call.function == "row_number":
         return list(range(1, size + 1))
 
     if call.function in ("rank", "dense_rank"):
-        return _rank_values(keys, ordered,
+        return _rank_values(starts, size,
                             dense=call.function == "dense_rank")
 
     if call.function in ("lag", "lead"):
@@ -177,45 +273,28 @@ def _evaluate_one(call: WindowCall, args: Optional[Sequence[Value]],
             # Whole-partition frame.
             return [evaluate_aggregate(call.function, False, frame,
                                        size)] * size
-        return _cumulative_values(call, frame, keys, ordered)
+        return _cumulative_values(call, frame, starts, size)
 
     raise EvaluationError(f"unknown window function {call.function}")
 
 
-def _rank_values(keys: Sequence[Sequence], ordered: Sequence[int],
+def _rank_values(starts: Sequence[int], size: int,
                  dense: bool) -> list[Value]:
-    order_keys = _order_keys(keys, ordered)
     values: list[Value] = []
-    rank = 0
-    dense_rank = 0
-    previous_key: tuple | None = None
-    for position, key in enumerate(order_keys):
-        if key != previous_key:
-            rank = position + 1
-            dense_rank += 1
-            previous_key = key
-        values.append(dense_rank if dense else rank)
+    for dense_rank, (start, stop) in enumerate(_peer_groups(starts, size),
+                                               1):
+        values.extend([dense_rank if dense else start + 1] * (stop - start))
     return values
 
 
 def _cumulative_values(call: WindowCall, frame: Optional[Sequence[Value]],
-                       keys: Sequence[Sequence],
-                       ordered: Sequence[int]) -> list[Value]:
+                       starts: Sequence[int], size: int) -> list[Value]:
     """Cumulative (RANGE UNBOUNDED PRECEDING) frame: peers share results.
     ``frame`` holds the call's argument values in evaluation order."""
-    # Identify peer groups by order-key equality.
-    order_keys = _order_keys(keys, ordered)
-    values: list[Value] = [None] * len(ordered)
-    position = 0
-    while position < len(ordered):
-        key = order_keys[position]
-        end = position + 1
-        while end < len(ordered) and order_keys[end] == key:
-            end += 1
+    values: list[Value] = []
+    for start, stop in _peer_groups(starts, size):
         value = evaluate_aggregate(call.function, False,
-                                   None if frame is None else frame[:end],
-                                   end)
-        for index in range(position, end):
-            values[index] = value
-        position = end
+                                   None if frame is None else frame[:stop],
+                                   stop)
+        values.extend([value] * (stop - start))
     return values

@@ -30,6 +30,7 @@ from repro.errors import NotIncrementalizableError
 from repro.ivm import rowid
 from repro.ivm.changes import Change, ChangeSet
 from repro.ivm.differentiator import Differentiator, rule
+from repro.ivm.rules_window import delta_window, rank_bound
 from repro.plan import logical as lp
 
 
@@ -55,8 +56,16 @@ def delta_filter(differ: Differentiator, plan: lp.Filter) -> ChangeSet:
     contents; since incremental plans contain only deterministic
     expressions (enforced by the properties checker), evaluating the
     predicate on the stored old row is exact.
+
+    Over a rank filter (:func:`~repro.ivm.rules_window.rank_bound`), the
+    child delta comes straight from the bounded window rule,
+    unconsolidated, with NULL ranks past the bound — the predicate then
+    keeps exactly what it would keep of the Window's full delta, and this
+    node's consolidation is the only one.
     """
-    child = differ.delta(plan.child)
+    bound = rank_bound(plan)
+    child = (differ.delta(plan.child) if bound is None
+             else delta_window(differ, plan.child, bound))
     if not child:
         return ChangeSet()
     # The predicate reads only the child's columns, so the sign column

@@ -23,6 +23,16 @@ ties in ORDER BY are broken repeatably)" — our executor always breaks ties
 with a stable row digest (:mod:`repro.engine.window`), satisfying the
 precondition.
 
+A **rank filter** (``QUALIFY row_number() | rank() | dense_rank() OVER
+(PARTITION BY k ...) <= c``, ``< c`` or ``= c``) restricts the same rule
+by its bound: :func:`rank_bound` recognises the shape, and the Filter rule
+takes its child delta from :func:`delta_window` under the bound — the same
+changed partitions, each evaluated only up to the bound (rows ranked past
+it carry NULL, never computed) — then applies the whole predicate, whose
+rank conjunct rejects those rows. The Window's whole-partition π₋/π₊ delta
+is never consolidated: consolidation sees about ``2c`` rows per changed
+partition.
+
 Unpartitioned window functions (empty PARTITION BY) would make every row
 one giant "changed partition"; section 3.3.2 scopes incremental support to
 *partitioned* window functions, so the properties checker routes
@@ -33,16 +43,55 @@ ablation benchmark honest.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.engine.executor import window_relation
-from repro.engine.expressions import compile_group_key_columnar
+from repro.engine.expressions import (ColumnRef, Comparison, Literal,
+                                      compile_group_key_columnar, conjuncts)
+from repro.engine.window import RANKING
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import (Differentiator, diff_relations, rule,
                                       semi_join_keys)
 from repro.plan import logical as lp
 
+#: A rank conjunct ``literal <op> rank`` read as ``rank <op'> literal``.
+_MIRRORED = {">=": "<=", ">": "<", "=": "="}
+
+
+def rank_bound(plan: lp.Filter) -> Optional[int]:
+    """The rank bound ``c`` of a rank filter: ``plan`` filters a
+    partitioned Window whose one call is ``row_number``, ``rank`` or
+    ``dense_rank``, and its predicate has a top-level conjunct ``call <=
+    c``, ``call < c`` (bound ``c - 1``) or ``call = c`` — or the mirrored
+    form — over an integer literal. The tightest such bound wins. None for
+    every other shape."""
+    window = plan.child
+    if not (isinstance(window, lp.Window) and window.partition_exprs
+            and len(window.calls) == 1
+            and window.calls[0].function in RANKING):
+        return None
+    rank_column = len(window.child.schema)
+    bounds = []
+    for part in conjuncts(plan.predicate):
+        if not isinstance(part, Comparison):
+            continue
+        op, column, literal = part.op, part.left, part.right
+        if isinstance(column, Literal):
+            op, column, literal = _MIRRORED.get(op), literal, column
+        if (op in ("<=", "<", "=") and isinstance(column, ColumnRef)
+                and column.index == rank_column
+                and isinstance(literal, Literal)
+                and type(literal.value) is int):
+            bounds.append(literal.value - 1 if op == "<" else literal.value)
+    return min(bounds, default=None)
+
 
 @rule("Window")
-def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
+def delta_window(differ: Differentiator, plan: lp.Window,
+                 bound: Optional[int] = None) -> ChangeSet:
+    """The §5.5.1 window derivative; under a rank ``bound`` (from
+    :func:`rank_bound`) each changed partition is ranked only as far as
+    the bound, and its rows past it carry NULL."""
     child_delta = differ.delta(plan.child)
     if not child_delta:
         return ChangeSet()
@@ -59,7 +108,7 @@ def delta_window(differ: Differentiator, plan: lp.Window) -> ChangeSet:
             endpoint = (differ.old(plan.child) if which == "old"
                         else differ.new(plan.child))
             rows = semi_join_keys(endpoint, key_fn, affected)
-        return window_relation(plan, rows, differ.ctx)
+        return window_relation(plan, rows, differ.ctx, bound)
 
     # π₋(old) + π₊(new); unchanged rows cancel in consolidation.
     return diff_relations(changed_partitions("old"),

@@ -1,5 +1,8 @@
 """Tests for the relational executor."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.engine.executor import evaluate
@@ -16,8 +19,22 @@ CUSTS = schema_of(("name", SqlType.TEXT), ("region", SqlType.TEXT),
 EVENTS = schema_of(("id", SqlType.INT), ("payload", SqlType.VARIANT),
                    table="events")
 
+MEASURES = schema_of(("id", SqlType.INT), ("x", SqlType.FLOAT),
+                     table="measures")
+
 PROVIDER = DictSchemaProvider({
-    "orders": ORDERS, "customers": CUSTS, "events": EVENTS})
+    "orders": ORDERS, "customers": CUSTS, "events": EVENTS,
+    "measures": MEASURES})
+
+NAN = float("nan")
+
+
+def _measures(order):
+    """``measures`` holding x = 1.0, 2.0, 3.0, NaN under ids 0-3, inserted
+    in ``order``."""
+    values = [1.0, 2.0, 3.0, NAN]
+    return Relation(MEASURES, [(index, values[index]) for index in order],
+                    [f"m:{index}" for index in order])
 
 
 @pytest.fixture
@@ -240,6 +257,14 @@ class TestFlattenUnionSortLimit:
         result = run("SELECT id FROM orders ORDER BY id LIMIT 2", resolver)
         assert result.rows == [(1,), (2,)]
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_order_by_places_nan_above_every_float(self, order):
+        resolver = DictResolver({"measures": _measures(order)})
+        ascending = run("SELECT id FROM measures ORDER BY x", resolver)
+        assert ascending.rows == [(0,), (1,), (2,), (3,)]
+        descending = run("SELECT id FROM measures ORDER BY x DESC", resolver)
+        assert descending.rows == [(3,), (2,), (1,), (0,)]
+
 
 class TestDeterminism:
     def test_repeated_evaluation_identical(self, resolver):
@@ -364,6 +389,34 @@ class TestStreamingTopK:
         rows = [(i, "c", i % 7) for i in range(30)]
         self._check("SELECT id, amt FROM orders WHERE amt > 2 "
                     "ORDER BY amt, id LIMIT 6", rows)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_top_k_places_nan_above_every_float(self, order):
+        from repro.engine.executor import stream_evaluate
+
+        resolver = _PartitionedResolver({"measures": (_measures(order), 1)})
+        for sql, expected in (
+                ("SELECT id FROM measures ORDER BY x LIMIT 2", [0, 1]),
+                ("SELECT id FROM measures ORDER BY x DESC LIMIT 2", [3, 2])):
+            plan = build_plan(parse_query(sql), PROVIDER)
+            streamed = [row for batch in stream_evaluate(plan, resolver)
+                        for row in batch.rows]
+            assert streamed == [(index,) for index in expected]
+            assert evaluate(plan, resolver).rows == streamed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_k_ties_across_partitions(self, seed):
+        """Ties span partition boundaries (three rows per partition, five
+        amounts): every k from none to more than the input streams the
+        materialized rows, ids and order."""
+        rng = random.Random(seed)
+        rows = [(i, rng.choice(["a", "b", None]), rng.choice(
+            [None, 1, 2, 2, 3])) for i in range(rng.randint(1, 14))]
+        for count in (0, 1, 2, 5, len(rows), len(rows) + 3):
+            for order_by in ("amt", "amt DESC", "cust DESC, amt",
+                             "amt, cust DESC"):
+                self._check(f"SELECT id, cust FROM orders ORDER BY "
+                            f"{order_by} LIMIT {count}", rows)
 
     def test_unbounded_sort_still_materializes(self):
         from repro.engine.executor import stream_evaluate

@@ -4,6 +4,7 @@ The paper's window derivative requires that "ties in ORDER BY are broken
 repeatably" — these tests pin that behaviour down.
 """
 
+import math
 import random
 
 from repro.engine.executor import evaluate
@@ -15,7 +16,9 @@ from repro.sql.parser import parse_query
 
 ROWS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
                  ("val", SqlType.INT), table="t")
-PROVIDER = DictSchemaProvider({"t": ROWS})
+FLOATS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
+                   ("x", SqlType.FLOAT), table="f")
+PROVIDER = DictSchemaProvider({"t": ROWS, "f": FLOATS})
 
 
 def run(sql, rows, ids=None):
@@ -108,3 +111,35 @@ class TestDeterminismUnderShuffle:
             shuffled_ids = [ids[i] for i in order]
             assert sorted(run(sql, shuffled_rows, shuffled_ids).rows) == \
                    baseline
+
+    def test_float_specials_stable_under_input_permutation(self):
+        """NaN sorts above every FLOAT (NaNs are peers), ±inf and -0.0
+        sort as numbers, NULL keeps its place: a total order, so window
+        values do not depend on the input order."""
+        rng = random.Random(11)
+        specials = [float("nan"), math.inf, -math.inf, -0.0, 0.0, None,
+                    1.5, float("nan"), 2.0]
+        rows = [(i, f"g{i % 2}", specials[i % len(specials)])
+                for i in range(18)]
+        ids = [f"r{i}" for i in range(18)]
+        sql = ("SELECT id, row_number() over (partition by grp order by x) "
+               "rn, rank() over (partition by grp order by x desc) r, "
+               "dense_rank() over (partition by grp order by x) d FROM f")
+        plan = build_plan(parse_query(sql), PROVIDER)
+
+        def evaluate_rows(order):
+            relation = Relation(FLOATS, [rows[i] for i in order],
+                                [ids[i] for i in order])
+            return sorted(evaluate(plan, DictResolver({"f": relation})).rows)
+
+        baseline = evaluate_rows(range(18))
+        ranked = {row[0]: row[1:] for row in baseline}
+        # g0 (even ids) ascending: -inf, -0.0 = 0.0, 1.5, 2.0, inf, NaN
+        # (ids 0 and 16, peers), then NULL (id 14) last.
+        assert ranked[0][2] == ranked[16][2] == 6
+        assert ranked[14][2] == 7
+        assert ranked[0][1] == ranked[16][1] == 2  # DESC: NULL, then NaN
+        for __ in range(8):
+            order = list(range(18))
+            rng.shuffle(order)
+            assert evaluate_rows(order) == baseline
