@@ -8,9 +8,12 @@ the paper discusses fall out of it naturally:
 * **change queries** (the Streams substrate of [5], section 5.5): the
   changes between two versions are exactly the rows of the added
   partitions minus the rows of the removed partitions, with identical
-  copied rows cancelling — including the *read amplification* effect of
-  section 5.5.2 ("naively reading from added and removed partitions ...
-  often causes read amplification"), which our consolidation eliminates;
+  copied rows cancelling. Section 5.5.2 warns that "naively reading from
+  added and removed partitions ... often causes read amplification": a
+  10-row ``UPDATE`` rewrites a 4 096-row partition. So a rewrite records
+  its :class:`Lineage` — parent id and edited row ids — and a change
+  query reads only the edited rows of a partition and of its rewritten
+  descendant (:mod:`repro.streams.changes`);
 * **data-equivalent operations** (section 5.5.2): background reclustering
   rewrites partitions without changing logical contents; versions flagged
   data-equivalent are skipped by the differ.
@@ -40,14 +43,17 @@ of the parent's rows; a rewrite that assigns values recomputes them.
 Because a partition never changes, anything derived from it stays valid
 for as long as it exists. :meth:`Partition.key_index` is such a thing: the
 row positions of each key over some columns, which the join and window
-derivatives probe instead of keying a whole table endpoint.
+derivatives probe instead of keying a whole table endpoint. A partition's
+lineage is fixed at creation the same way; it lives as long as the
+partition does.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import (Container, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from repro.engine.types import group_key_columns
 
@@ -139,22 +145,38 @@ def _range_allows(stats: ColumnStats, op: str, value: object) -> bool:
     return True
 
 
+class Lineage(NamedTuple):
+    """How a partition came from a copy-on-write rewrite of another: the
+    ``parent`` partition's id, and the ids of the parent's rows the
+    rewrite deleted or assigned (``edited_ids``, a tuple — the set is
+    built only when a change query reads it). Every other row of the
+    parent is in the child, holding the parent's own value objects."""
+
+    parent: int
+    edited_ids: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Partition:
     """An immutable columnar bundle of rows with zone maps.
 
     ``columns[i][j]`` is column ``i`` of row ``j``; ``row_ids[j]`` is row
-    ``j``'s stable identifier.
+    ``j``'s stable identifier. ``lineage`` is set on a rewrite of another
+    partition that left at least one of its rows untouched (see
+    :class:`Lineage`); it is bookkeeping, not contents, so equality and
+    hashing ignore it.
     """
 
     id: int
     row_ids: tuple[str, ...]
     columns: tuple[tuple, ...]
     zone_maps: tuple[ColumnStats, ...] = ()
+    lineage: Optional[Lineage] = field(default=None, compare=False)
 
     @staticmethod
     def from_columns(row_ids: Sequence[str], columns: Sequence[Sequence],
                      zone_maps: Optional[tuple[ColumnStats, ...]] = None,
+                     lineage: Optional[Lineage] = None,
                      ) -> "Partition":
         """Build from parallel column arrays. Zone maps are a min/max
         pass over each array unless the caller holds a sound bound for
@@ -163,7 +185,7 @@ class Partition:
         if zone_maps is None:
             zone_maps = zone_maps_of_columns(cols)
         return Partition(next(_partition_ids), tuple(row_ids), cols,
-                         zone_maps)
+                         zone_maps, lineage)
 
     def __len__(self) -> int:
         return len(self.row_ids)
@@ -268,13 +290,18 @@ class Partition:
 def build_partitions(row_ids: Sequence[str], columns: Sequence[Sequence],
                      max_rows: int,
                      zone_maps: Optional[tuple[ColumnStats, ...]] = None,
+                     lineage: Optional[Lineage] = None,
                      ) -> list[Partition]:
     """Chunk a columnar block into partitions of at most ``max_rows``
     rows: each partition is one slice of every column array. ``zone_maps``
     (a bound over the whole block) is shared by every chunk; without it
-    each chunk computes its own."""
+    each chunk computes its own. ``lineage`` is recorded only when the
+    block fits in one partition: a lineage claims that every unedited row
+    of the parent is in its one child, which a cut block breaks."""
+    if len(row_ids) > max_rows:
+        lineage = None
     return [Partition.from_columns(
                 row_ids[start:start + max_rows],
                 [column[start:start + max_rows] for column in columns],
-                zone_maps)
+                zone_maps, lineage)
             for start in range(0, len(row_ids), max_rows)]

@@ -24,15 +24,23 @@ every row. The indexes are derived from immutable partitions, so they are
 never invalidated — only dropped when their partition leaves the head
 version — and never checkpointed: a recovered table or a clone rebuilds
 them on first probe.
+
+A rewrite (``UPDATE``, ``DELETE``, the deletes of a refresh merge) gives
+each replacement partition its edit
+:class:`~repro.storage.partition.Lineage`, grouped from the locator
+lookups the write makes anyway, so recording it costs O(edits). Lineage
+is derived like the key indexes and never checkpointed either: a
+restored partition has none, and a change query over it reads it whole,
+as one over an insert, a recluster or an overwrite does.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -40,7 +48,7 @@ from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
 from repro.faults import inject
 from repro.ivm import rowid
 from repro.ivm.changes import Action, ChangeSet
-from repro.storage.partition import Partition, build_partitions
+from repro.storage.partition import Lineage, Partition, build_partitions
 from repro.txn.hlc import HLC_ZERO, HlcTimestamp
 from repro.util.timeutil import Timestamp
 
@@ -383,30 +391,41 @@ class VersionedTable:
                 f"{len(self.schema)} columns wide")
         return columns
 
-    def _rewritten(self, touched: Iterable[int], deletes,
+    def _rewritten(self, edits: Mapping[int, list[str]], deletes,
                    updates) -> list[Partition]:
-        """Replacements for the ``touched`` partitions with ``deletes``
-        and ``updates`` applied. Built in ascending partition id: build
-        order decides the new partitions' ids and hence the scan order,
-        so it must not follow a set's (hash-seed dependent) iteration. A
-        replacement that only lost rows keeps its parent's zone maps."""
+        """Replacements for the partitions keyed in ``edits`` with
+        ``deletes`` and ``updates`` applied; ``edits`` maps each to the
+        distinct ids of its rows they name. Built in ascending partition
+        id: build order decides the new partitions' ids and hence the
+        scan order, so it must not follow a set's (hash-seed dependent)
+        iteration. A replacement that only lost rows keeps its parent's
+        zone maps. One that left any of its parent's rows untouched
+        records its :class:`~repro.storage.partition.Lineage`, which
+        change queries read to skip those rows; when every row was
+        edited there is nothing to skip."""
         added: list[Partition] = []
-        for partition_id in sorted(touched):
-            row_ids, columns, zone_maps = self._partitions[
-                partition_id].edited(deletes, updates)
+        for partition_id in sorted(edits):
+            parent = self._partitions[partition_id]
+            row_ids, columns, zone_maps = parent.edited(deletes, updates)
+            edited_ids = edits[partition_id]
+            lineage = (Lineage(partition_id, tuple(edited_ids))
+                       if len(edited_ids) < len(parent) else None)
             added.extend(build_partitions(row_ids, columns,
-                                          self.partition_rows, zone_maps))
+                                          self.partition_rows, zone_maps,
+                                          lineage))
         return added
 
     def _apply_dml(self, write: StagedWrite,
                    commit_ts: HlcTimestamp) -> TableVersion:
-        touched: set[int] = set()
+        # Partition id -> ids of its rows this write deletes or updates,
+        # grouped from the locator lookups the checks make anyway.
+        edits: defaultdict[int, list[str]] = defaultdict(list)
         for row_id in write.deletes:
             partition_id = self._locator.get(row_id)
             if partition_id is None:
                 raise ChangeIntegrityError(
                     f"delete of nonexistent row {row_id} in {self.name!r}")
-            touched.add(partition_id)
+            edits[partition_id].append(row_id)
         for row_id, new_row in write.updates.items():
             partition_id = self._locator.get(row_id)
             if partition_id is None:
@@ -416,15 +435,16 @@ class VersionedTable:
                 raise InternalError(
                     f"update of row {row_id} in {self.name!r} is not "
                     f"{len(self.schema)} columns wide")
-            touched.add(partition_id)
+            if row_id not in write.deletes:  # a deleted id is listed once
+                edits[partition_id].append(row_id)
         insert_columns = self._bind_columns(write.inserts)
 
-        added = self._rewritten(touched, write.deletes, write.updates)
+        added = self._rewritten(edits, write.deletes, write.updates)
         added.extend(build_partitions(
             self._allocate_ids(len(write.inserts)), insert_columns,
             self.partition_rows))
         footprint = frozenset(write.deletes) | frozenset(write.updates)
-        return self._install(touched, added, commit_ts,
+        return self._install(edits.keys(), added, commit_ts,
                              written_ids=footprint)
 
     def _apply_overwrite(self, rows: list[tuple],
@@ -444,12 +464,15 @@ class VersionedTable:
         changes.validate(self._locator if not overwrite else None)
         if overwrite:
             deleted: frozenset[str] = frozenset()
-            touched = set(self.current_version.partition_ids)
+            touched: Collection[int] = self.current_version.partition_ids
             added: list[Partition] = []
         else:
             deleted = frozenset(changes.under(Action.DELETE)[0])
-            touched = {self._locator[row_id] for row_id in deleted}
-            added = self._rewritten(touched, deleted, {})
+            edits: defaultdict[int, list[str]] = defaultdict(list)
+            for row_id in deleted:
+                edits[self._locator[row_id]].append(row_id)
+            touched = edits.keys()
+            added = self._rewritten(edits, deleted, {})
         added.extend(build_partitions(*changes.under(Action.INSERT),
                                       self.partition_rows))
         return self._install(touched, added, commit_ts, written_ids=deleted,
@@ -491,7 +514,7 @@ class VersionedTable:
                                  self.partition_rows)
         return self._install(removed, added, commit_ts, data_equivalent=True)
 
-    def _install(self, removed: set[int], added: list[Partition],
+    def _install(self, removed: Collection[int], added: list[Partition],
                  commit_ts: HlcTimestamp,
                  data_equivalent: bool = False,
                  written_ids: frozenset[str] = frozenset(),
