@@ -13,6 +13,13 @@ changed window partitions are found by keying every row of each
 endpoint. Over a storage-backed source the same rule probes
 micro-partition key indexes instead and reads only the changed window
 partitions (``tests/test_key_probe.py`` pins that with exact counts).
+
+The gates are on counted work, which is deterministic: the rows the
+derivative re-windows (``DifferentiationStats.delta_rows_out``, its raw
+output before consolidation — every row of each changed partition, at
+both endpoints) against the full relation's rows. Wall-clock timings
+only go to ``results.txt``; on a shared 2-core box their ratios are too
+noisy to gate.
 """
 
 import time
@@ -73,41 +80,40 @@ def _timed(function, repeats=3):
     return min(samples)
 
 
-def test_one_partition(benchmark):
-    source = _source_touching(1)
-    changes, __ = benchmark(lambda: differentiate(PLAN, source))
+def test_one_partition():
+    changes, __ = differentiate(PLAN, _source_touching(1))
     touched = {change.row[1] for change in changes}
     assert touched == {"g0"}  # the delta names only the changed partition
 
 
-def test_scaling_report(benchmark):
+def test_scaling_report():
     counts = [1, 10, 50, 200]
     rows = []
     timings = {}
+    rewindowed = {}
     for count in counts:
         source = _source_touching(count)
         timings[count] = _timed(lambda: differentiate(PLAN, source))
         changes, stats = differentiate(PLAN, source)
         touched = {change.row[1] for change in changes}
         assert len(touched) == count  # exactly the changed partitions
+        rewindowed[count] = stats.delta_rows_out
         rows.append([count, f"{timings[count] * 1e3:.2f} ms",
-                     len(changes)])
-
-    source = _source_touching(10)
-    benchmark(lambda: differentiate(PLAN, source))
+                     rewindowed[count], len(changes)])
 
     full_time = _timed(lambda: evaluate(
         PLAN, DictResolver({"items": BASE})))
 
     # Work grows with touched partitions...
-    assert timings[200] > 3 * timings[1]
-    # ...and touching few partitions beats recomputing all of them.
-    assert timings[1] < full_time / 2
+    assert rewindowed[200] > 3 * rewindowed[1]
+    # ...and touching few partitions re-windows far fewer rows than
+    # recomputing all of them.
+    assert rewindowed[1] < len(BASE) / 2
 
     emit("window — changed-partition derivative "
          f"({PARTITIONS} partitions x {ROWS_PER_PARTITION} rows)", [
              *table(["partitions touched", "differentiation time",
-                     "delta rows"], rows),
+                     "rows re-windowed", "delta rows"], rows),
              "",
              f"full window recompute over all partitions: "
              f"{full_time * 1e3:.2f} ms",

@@ -40,11 +40,11 @@ from repro.durability import codec
 from repro.engine.aggregates import (AvgAccumulator, CountAccumulator,
                                      CountIfAccumulator, CountStarAccumulator,
                                      DistinctAccumulator, ExtremeAccumulator,
-                                     SumAccumulator, _extreme)
+                                     Group, SumAccumulator, make_accumulator)
 from repro.engine import types as t
 from repro.errors import DurabilityError
 from repro.ivm.aggstate import (AggregateNodeState, AggStateStore,
-                                DistinctNodeState, _Group)
+                                DistinctNodeState)
 from repro.storage.catalog import Catalog, CatalogEntry
 from repro.storage.partition import Partition
 from repro.storage.table import VersionedTable
@@ -105,8 +105,7 @@ def _restore_accumulator(acc: Any, snap: dict) -> bool:
         if acc.want_max != snap["want_max"]:
             return False
         acc.counts = codec.decode(snap["counts"])
-        acc.best = (_extreme(list(acc.counts), acc.want_max)
-                    if acc.counts else None)
+        acc.rescan()
     else:  # distinct
         if acc.function != snap["function"]:
             return False
@@ -115,9 +114,8 @@ def _restore_accumulator(acc: Any, snap: dict) -> bool:
     return True
 
 
-def _snapshot_node(kind: str, state: object) -> Optional[dict]:
+def _snapshot_node(kind: str, state: AggregateNodeState) -> Optional[dict]:
     if kind == "Aggregate":
-        assert isinstance(state, AggregateNodeState)
         groups = []
         for group in state.groups.values():
             accs = [_snapshot_accumulator(acc) for acc in group.accumulators]
@@ -126,10 +124,9 @@ def _snapshot_node(kind: str, state: object) -> Optional[dict]:
             groups.append({"kv": codec.encode(tuple(group.key_values)),
                            "count": group.count, "accs": accs})
         return {"initialized": state.initialized, "groups": groups}
-    assert isinstance(state, DistinctNodeState)
     return {"initialized": state.initialized,
-            "rows": [[entry[0], codec.encode(tuple(entry[1]))]
-                     for entry in state.entries.values()]}
+            "rows": [[group.count, codec.encode(tuple(group.key_values))]
+                     for group in state.groups.values()]}
 
 
 def snapshot_agg_store(store: Optional[AggStateStore]) -> Optional[dict]:
@@ -144,7 +141,6 @@ def snapshot_agg_store(store: Optional[AggStateStore]) -> Optional[dict]:
         if snap is None:
             nodes = None
             break
-        assert isinstance(state, (AggregateNodeState, DistinctNodeState))
         nodes.append({"kind": kind, "sequence": sequence,
                       "signature": state.signature, "state": snap})
     return {"fingerprint": codec.encode(store.fingerprint),
@@ -160,15 +156,12 @@ def _hydrate_aggregate(snap: dict) -> Callable:
         for stored in snap["groups"]:
             if len(stored["accs"]) != len(plan.aggregates):
                 return None
-            accumulators = []
-            from repro.engine.aggregates import make_accumulator
-            for call, acc_snap in zip(plan.aggregates, stored["accs"]):
-                acc = make_accumulator(call)
+            key_values = codec.decode(stored["kv"])
+            group = Group(key_values, tuple(map(make_accumulator,
+                                                plan.aggregates)))
+            for acc, acc_snap in zip(group.accumulators, stored["accs"]):
                 if not _restore_accumulator(acc, acc_snap):
                     return None
-                accumulators.append(acc)
-            key_values = codec.decode(stored["kv"])
-            group = _Group(key_values, accumulators)
             group.count = stored["count"]
             state.groups[t.group_key(key_values)] = group
         state.initialized = snap["initialized"]
@@ -180,8 +173,9 @@ def _hydrate_distinct(snap: dict) -> Callable:
     def hydrate(plan: Any) -> Optional[DistinctNodeState]:
         state = DistinctNodeState(plan)
         for count, row in snap["rows"]:
-            decoded = codec.decode(row)
-            state.entries[t.group_key(decoded)] = [count, decoded]
+            group = Group(codec.decode(row))
+            group.count = count
+            state.groups[t.group_key(group.key_values)] = group
         state.initialized = snap["initialized"]
         return state
     return hydrate

@@ -21,9 +21,11 @@ per batch, never one evaluator call per row, group or partition. Join
 keys, sort keys, grouping keys, aggregate and window arguments are value
 arrays gathered by row index; a join records ``(left, right)`` index
 matches and gathers its output columns by index, and UNION ALL
-concatenates column arrays. What stays row-shaped are the producers whose
-unit of work is a row: VALUES, DISTINCT and FLATTEN assemble their output
-rows through the ``Relation`` row view. Every sort — ORDER BY, window
+concatenates column arrays. GROUP BY, scalar aggregates and DISTINCT run
+the one grouping fold of :mod:`repro.engine.aggregates` — the fold the
+incremental aggregate rules run too. What stays row-shaped are the
+producers whose unit of work is a row: VALUES and FLATTEN assemble their
+output rows through the ``Relation`` row view. Every sort — ORDER BY, window
 partitions, the streamed top-k — goes through one ordering kernel,
 :class:`~repro.engine.window.Ordering`, which sorts row indices by key.
 The interpreter (``Expression.eval``, selected by ``force_interpreted``) is
@@ -43,6 +45,7 @@ from itertools import compress as _itercompress
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import types as t
+from repro.engine.aggregates import Group, fold
 from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       Expression, IsNull, Literal,
                                       DEFAULT_CONTEXT, EvalContext,
@@ -55,7 +58,6 @@ from repro.engine.window import Ordering, evaluate_window_calls
 from repro.errors import InternalError, ReproError, UserError
 from repro.ivm import rowid
 from repro.plan import logical as lp
-from repro.engine.aggregates import evaluate_aggregate
 
 
 def evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
@@ -664,50 +666,39 @@ def aggregate_relation(plan: lp.Aggregate, child: Relation,
     """Evaluate grouped (or scalar) aggregation over a materialized input.
 
     Grouping keys and aggregate arguments are each evaluated once over the
-    child's column arrays; a group is the list of its row indices, and
-    each aggregate consumes its argument values gathered at those indices.
+    child's column arrays, then :func:`~repro.engine.aggregates.fold`
+    buckets the rows and feeds each group's argument slices to its
+    accumulators.
     """
     count = len(child)
     columns = child.columns
-    key_arrays = compile_row_columnar(plan.group_exprs, ctx)(columns, count)
-    groups: dict[tuple, list[int]] = {}
-    for index, key in enumerate(t.group_key_columns(key_arrays, count)):
-        members = groups.get(key)
-        if members is None:
-            groups[key] = members = []
-        members.append(index)
-    if plan.is_scalar and not groups:
-        # Scalar aggregate over empty input still yields one row.
-        groups[()] = []
-
-    arg_arrays = [None if call.arg is None else
-                  compile_expression_columnar(call.arg, ctx)(columns, count)
-                  for call in plan.aggregates]
-    output = Relation(plan.schema)
-    for members in groups.values():
-        whole = len(members) == count  # one group: nothing to gather
-        aggregates = tuple(
-            evaluate_aggregate(
-                call.function, call.distinct,
-                values if values is None or whole
-                else [values[index] for index in members], len(members))
-            for call, values in zip(plan.aggregates, arg_arrays))
-        key_values = tuple(array[members[0]] for array in key_arrays)
-        output.append(rowid.group_id(key_values), key_values + aggregates)
-    return output
+    groups: dict[tuple, Group] = {}
+    fold(groups, plan.aggregates,
+         compile_row_columnar(plan.group_exprs, ctx)(columns, count),
+         [None if call.arg is None else
+          compile_expression_columnar(call.arg, ctx)(columns, count)
+          for call in plan.aggregates], count)
+    return _group_relation(plan.schema, groups, rowid.group_id)
 
 
 def distinct_relation(schema, child: Relation) -> Relation:
-    output = Relation(schema)
-    seen: set[tuple] = set()
-    group_key = t.group_key
-    for row in child.rows:
-        key = group_key(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        output.append(rowid.distinct_id(row), row)
-    return output
+    """DISTINCT: the aggregation fold keyed by every column, with no
+    calls; each row value's first occurrence represents it."""
+    groups: dict[tuple, Group] = {}
+    fold(groups, (), child.columns, (), len(child))
+    return _group_relation(schema, groups, rowid.distinct_id)
+
+
+def _group_relation(schema, groups: dict[tuple, Group],
+                    row_id: Callable[[tuple], str]) -> Relation:
+    """One output row per group (the scalar aggregate's empty group
+    included), ids from the group's key values."""
+    rows = [group.output(keep_empty=True) for group in groups.values()]
+    columns = ([list(column) for column in zip(*rows)] if rows
+               else [[] for __ in schema])
+    return Relation.from_columns(
+        schema, columns,
+        [row_id(group.key_values) for group in groups.values()])
 
 
 def window_relation(plan: lp.Window, child: Relation, ctx: EvalContext,

@@ -19,9 +19,8 @@ it was built from) and materializes the other lazily, caching it;
 the columnar layout and every kernel — joins, unions and the derivative
 rules included — reads and writes it. The row view is for result
 delivery (``QueryResult``, cursor buffers, ``rows_by_id``), for the
-producers whose unit of work is a row (VALUES, DISTINCT, FLATTEN, the
-top-k heap, one-row-per-group aggregate output) and for a transaction's
-read-your-writes overlay.
+producers whose unit of work is a row (VALUES, FLATTEN) and for a
+transaction's read-your-writes overlay.
 """
 
 from __future__ import annotations

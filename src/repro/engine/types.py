@@ -218,7 +218,10 @@ _NULL_KEY = ("\x00sql-null\x00",)
 
 def group_key(values: Iterable[Value]) -> tuple:
     """A hashable key under which NULLs compare equal and numbers compare
-    across int/float (1 and 1.0 share a group, as in SQL)."""
+    across int/float (1 and 1.0 share a group, as in SQL). Numbers keep
+    their own value: Python's ``1 == 1.0`` and ``hash(1) == hash(1.0)``
+    already give that equality, and exactly — 2**53 and 2**53 + 1 are two
+    keys. Every NaN shares one key."""
     key = []
     for value in values:
         if value is None:
@@ -226,11 +229,10 @@ def group_key(values: Iterable[Value]) -> tuple:
         elif isinstance(value, bool):
             key.append(("b", value))
         elif isinstance(value, (int, float)):
-            # Normalize numerics so 1 and 1.0 coincide.
-            if isinstance(value, float) and (math.isnan(value)):
+            if isinstance(value, float) and math.isnan(value):
                 key.append(("nan",))
             else:
-                key.append(("n", float(value)))
+                key.append(("n", value))
         elif isinstance(value, (dict, list)):
             key.append(("v", canonical_json(value)))
         else:
@@ -258,7 +260,7 @@ def group_key_columns(columns: Sequence[Sequence], count: int) -> list[tuple]:
                 if isinstance(value, float) and math.isnan(value):
                     append(("nan",))
                 else:
-                    append(("n", float(value)))
+                    append(("n", value))
             elif isinstance(value, (dict, list)):
                 append(("v", canonical_json(value)))
             else:

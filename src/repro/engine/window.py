@@ -32,6 +32,11 @@ Frames follow the SQL defaults:
 * no ORDER BY → the whole partition is the frame (for aggregate functions);
 * ORDER BY present → cumulative frame, RANGE UNBOUNDED PRECEDING TO CURRENT
   ROW — peer rows (equal order keys) share frame results.
+
+Aggregate calls fold through the same accumulators as GROUP BY
+(:func:`~repro.engine.aggregates.make_accumulator`), one per partition; a
+cumulative frame feeds it row by row and reads it at each peer group's
+end, so a partition costs one pass, not one re-aggregation per peer group.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from operator import ne
 from typing import Optional, Sequence
 
 from repro.engine import types as t
-from repro.engine.aggregates import evaluate_aggregate
+from repro.engine.aggregates import make_accumulator
 from repro.engine.expressions import (EvalContext,
                                       compile_expression_columnar,
                                       compile_row_columnar)
@@ -267,13 +272,7 @@ def _evaluate_one(call: WindowCall, args: Optional[Sequence[Value]],
         return [last] * size
 
     if call.function in ("sum", "count", "avg", "min", "max", "count_if"):
-        frame = (None if args is None
-                 else [args[index] for index in ordered])
-        if not call.order_by:
-            # Whole-partition frame.
-            return [evaluate_aggregate(call.function, False, frame,
-                                       size)] * size
-        return _cumulative_values(call, frame, starts, size)
+        return _frame_values(call, args, ordered, starts)
 
     raise EvaluationError(f"unknown window function {call.function}")
 
@@ -287,14 +286,25 @@ def _rank_values(starts: Sequence[int], size: int,
     return values
 
 
-def _cumulative_values(call: WindowCall, frame: Optional[Sequence[Value]],
-                       starts: Sequence[int], size: int) -> list[Value]:
-    """Cumulative (RANGE UNBOUNDED PRECEDING) frame: peers share results.
-    ``frame`` holds the call's argument values in evaluation order."""
+def _frame_values(call: WindowCall, args: Optional[Sequence[Value]],
+                  ordered: Sequence[int],
+                  starts: Sequence[int]) -> list[Value]:
+    """An aggregate call over one partition, through one accumulator.
+    Without ORDER BY the whole partition is the frame. With it the frame
+    is cumulative (RANGE UNBOUNDED PRECEDING): rows go in one at a time in
+    evaluation order — a FLOAT running sum is the left fold in that order
+    — and every peer group reads the accumulator after its last row, so
+    peers share a value and the partition costs one pass."""
+    size = len(ordered)
+    accumulator = make_accumulator(call)
+    frame = ordered if args is None else [args[index] for index in ordered]
+    if not call.order_by:
+        accumulator.insert_arrays(frame)
+        return [accumulator.finalize()] * size
     values: list[Value] = []
+    insert = accumulator.insert
     for start, stop in _peer_groups(starts, size):
-        value = evaluate_aggregate(call.function, False,
-                                   None if frame is None else frame[:stop],
-                                   stop)
-        values.extend([value] * (stop - start))
+        for position in range(start, stop):
+            insert(frame[position])
+        values.extend([accumulator.finalize()] * (stop - start))
     return values

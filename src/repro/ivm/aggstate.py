@@ -8,10 +8,13 @@ the affected-group rule recomputes each touched group at both interval
 endpoints, so one inserted row into a million-row group re-aggregates a
 million rows. This module is the state-carrying alternative: a
 :class:`AggStateStore` holds one retractable accumulator set per output
-group (:mod:`repro.engine.aggregates`), and the stateful rules in
-:mod:`repro.ivm.rules_agg` fold the child delta straight into it — one
-insert/retract per delta row — emitting the output diff from the touched
-accumulators alone, with no endpoint recompute.
+group, and the stateful rules in :mod:`repro.ivm.rules_agg` fold the
+child delta straight into it — one insert/retract per delta row —
+emitting the output diff from the touched accumulators alone, with no
+endpoint recompute. The fold and the accumulators are the engine's own
+(:mod:`repro.engine.aggregates`, the same code full evaluation runs);
+this module adds what carried state needs: the touched-group diff,
+retraction, and the chunked initialize-and-merge.
 
 Carrying state across refreshes makes *interval continuity* load-bearing:
 the accumulators describe the child exactly at the data timestamp the
@@ -41,26 +44,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from repro.engine import types as t
-from repro.engine.aggregates import (Accumulator, RetractionError,
-                                     make_accumulator, retractable_call)
-from repro.engine.expressions import (EvalContext, compile_expression_columnar,
-                                      compile_row_columnar)
+from repro.engine.aggregates import Group, fold, retractable_call
+from repro.engine.expressions import EvalContext, compile_row_columnar
 from repro.engine.relation import Relation
 from repro.engine.types import SqlType
-from repro.errors import InternalError
 from repro.ivm import rowid
 from repro.ivm.changes import Action, Change, ChangeSet
 from repro.plan import logical as lp
 from repro.util.parallel import (MIN_PARALLEL_ROWS, chunk_spans, fanout_map,
                                  fanout_pool)
-
-
-class AggStateInconsistency(InternalError):
-    """The delta stream contradicts the stored accumulators (retraction of
-    a row the state never saw, a group count below zero). Like
-    :class:`~repro.errors.RowIdIntegrityError`, this marks state that must
-    not be trusted; the stateful rule invalidates the store and recomputes."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +147,17 @@ def _parallel_spans(count: int) -> Optional[list[tuple[int, int]]]:
     return spans if len(spans) > 1 else None
 
 
-def _chunked_eval(site: str, fn, columns: Sequence[Sequence], count: int,
+def _chunked_eval(fn, columns: Sequence[Sequence], count: int,
                   spans: list[tuple[int, int]]) -> list:
-    """Evaluate a compiled columnar function chunk-by-chunk on the
-    partition pool, concatenating the per-span results in span order —
-    the compiled functions are pure per-row maps, so the concatenation is
-    element-for-element identical to one whole-slice call."""
+    """Evaluate a ``compile_row_columnar`` function chunk-by-chunk on the
+    partition pool, concatenating each expression's per-span arrays in
+    span order — the compiled functions are pure per-row maps, so the
+    result is element-for-element identical to one whole-slice call."""
     def run(span: tuple[int, int]) -> list:
         start, stop = span
         return fn([column[start:stop] for column in columns], stop - start)
 
-    parts = fanout_map(site, run, spans)
-    out: list = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
-def _chunked_eval_rows(site: str, fn, columns: Sequence[Sequence],
-                       count: int, spans: list[tuple[int, int]]) -> list:
-    """Like :func:`_chunked_eval` for compiled functions returning one
-    array *per expression* (``compile_row_columnar``): the per-span
-    results concatenate array-wise."""
-    def run(span: tuple[int, int]) -> list:
-        start, stop = span
-        return fn([column[start:stop] for column in columns], stop - start)
-
-    parts = fanout_map(site, run, spans)
+    parts = fanout_map("fold-inputs", run, spans)
     # The compiled functions may hand back tuples; copy into lists so
     # the span results concatenate regardless.
     out = [list(array) for array in parts[0]]
@@ -191,40 +167,41 @@ def _chunked_eval_rows(site: str, fn, columns: Sequence[Sequence],
     return out
 
 
-class _Group:
-    """One output group: its key representative, raw row count, and one
-    accumulator per aggregate call."""
-
-    __slots__ = ("key_values", "count", "accumulators")
-
-    def __init__(self, key_values: tuple, accumulators: list[Accumulator]):
-        self.key_values = key_values
-        self.count = 0
-        self.accumulators = accumulators
-
-
 class AggregateNodeState:
-    """Accumulator state for one Aggregate node.
+    """Carried fold state for one Aggregate node.
 
-    ``groups`` maps the NULL-safe group key to a :class:`_Group`;
-    :meth:`fold` applies a consolidated child delta (deletes retract,
-    inserts insert) and returns the output diff of the touched groups.
-    A scalar aggregate keeps its single implicit group alive at zero rows
+    ``groups`` maps the NULL-safe group key to a
+    :class:`~repro.engine.aggregates.Group`, filled by the engine's one
+    grouping fold (:func:`~repro.engine.aggregates.fold`). What this class
+    adds is what carried state needs: :meth:`fold` applies a consolidated
+    child delta (deletes retract, inserts insert) and returns the output
+    diff of the touched groups, and :meth:`initialize` builds the state
+    once, in parallel chunks merged in order when a pool is installed. A
+    scalar aggregate keeps its single implicit group alive at zero rows
     (SQL: the empty aggregate still yields one row).
     """
 
-    def __init__(self, plan: lp.Aggregate):
+    #: Id of a group's output row: the key alone names it.
+    row_id = staticmethod(rowid.group_id)
+
+    def __init__(self, plan: lp.PlanNode):
         self.plan = plan
-        self.groups: dict[tuple, _Group] = {}
+        aggregate = isinstance(plan, lp.Aggregate)
+        self.calls: Sequence[lp.AggregateCall] = (
+            plan.aggregates if aggregate else ())
+        self.scalar = aggregate and plan.is_scalar
+        #: Evaluated over every folded slice: the group keys, then each
+        #: call's argument (a Distinct keys by its input columns as-is).
+        self._group_exprs = plan.group_exprs if aggregate else ()
+        self._exprs = [*self._group_exprs, *(call.arg for call in self.calls
+                                             if call.arg is not None)]
+        self.groups: dict[tuple, Group] = {}
         self.initialized = False
         #: Structural signature of the node, set by the store (keying
         #: defense in depth).
         self.signature = ""
 
     # -- construction --------------------------------------------------------
-
-    def _fresh_accumulators(self) -> list[Accumulator]:
-        return [make_accumulator(call) for call in self.plan.aggregates]
 
     def initialize(self, child: Relation, ctx: EvalContext) -> None:
         """Build the state from a full scan of the child at the interval
@@ -236,12 +213,9 @@ class AggregateNodeState:
         columns, count = child.columns, len(child)
         spans = _parallel_spans(count)
         if spans is None:
-            self._apply(columns, count, ctx, insert=True, touched=None)
+            self._apply(columns, count, ctx)
         else:
             self._initialize_parallel(columns, ctx, spans)
-        if self.plan.is_scalar and not self.groups:
-            self.groups[t.group_key(())] = _Group(
-                (), self._fresh_accumulators())
         self.initialized = True
 
     def _initialize_parallel(self, columns: Sequence[Sequence],
@@ -252,14 +226,14 @@ class AggregateNodeState:
         partials merge *in chunk order* — counts add, accumulators
         ``merge()``. The stateful gate admits exact accumulators only, so
         the merge is associative and the combined state — including the
-        group-dict insertion order, which is first-occurrence order
-        across ordered chunks, exactly as one serial scan would produce —
-        is identical to the serial initialization."""
+        group-dict insertion order and each group's representative, which
+        are first-occurrence across ordered chunks, exactly as one serial
+        scan would produce — is identical to the serial initialization."""
         def scan_chunk(span: tuple[int, int]) -> "AggregateNodeState":
             start, stop = span
-            partial = AggregateNodeState(self.plan)
+            partial = type(self)(self.plan)
             partial._apply([column[start:stop] for column in columns],
-                           stop - start, ctx, insert=True, touched=None)
+                           stop - start, ctx)
             return partial
 
         groups = self.groups
@@ -280,25 +254,19 @@ class AggregateNodeState:
         """Fold a consolidated child delta into the state — one
         insert/retract per delta row — and emit the output diff computed
         from the touched groups' accumulators alone."""
-        touched: dict[tuple, tuple[tuple, Optional[tuple]]] = {}
+        touched: dict[tuple, Optional[tuple]] = {}
         for action in (Action.DELETE, Action.INSERT):
             row_ids, columns = delta.under(action)
             self._apply(columns, len(row_ids), ctx,
-                        insert=action is Action.INSERT, touched=touched)
+                        retract=action is Action.DELETE, touched=touched)
 
         out: list[Change] = []
-        scalar = self.plan.is_scalar
-        for key, (key_values, old_row) in touched.items():
-            group = self.groups.get(key)
-            new_row = None
-            if group is not None:
-                if group.count or scalar:
-                    new_row = (tuple(group.key_values)
-                               + tuple(accumulator.finalize()
-                                       for accumulator in group.accumulators))
-                else:
-                    del self.groups[key]  # group vanished: reclaim state
-            row_id = rowid.group_id(key_values)
+        for key, old_row in touched.items():
+            group = self.groups[key]
+            new_row = group.output(self.scalar)
+            if new_row is None:
+                del self.groups[key]  # group vanished: reclaim state
+            row_id = self.row_id(group.key_values)
             if old_row is None:
                 if new_row is not None:
                     out.append(Change(Action.INSERT, row_id, new_row))
@@ -310,203 +278,34 @@ class AggregateNodeState:
         return ChangeSet(out)
 
     def _apply(self, columns: Sequence[Sequence], count: int,
-               ctx: EvalContext, insert: bool,
-               touched: Optional[dict]) -> None:
-        """Fold one side of a delta (or the initialization scan): bucket
-        the rows by group key columnar-style, then feed each group's
-        argument slices to its accumulators via the vectorized
-        ``insert_arrays``/``retract_arrays``."""
-        if not count:
-            return
-        plan = self.plan
-        groups = self.groups
-        #: Large folds chunk their pure columnar passes across the
-        #: partition pool (deterministic expressions only: per-row maps,
-        #: concatenated in span order, are identical to one full pass).
-        spans = _parallel_spans(count)
-
-        # Bucket row indices per group key, one columnar key pass.
-        buckets: dict[tuple, tuple[tuple, list[int]]] = {}
-        if plan.group_exprs:
-            key_fn = compile_row_columnar(plan.group_exprs, ctx)
-            if spans is not None and all(expr.is_deterministic
-                                         for expr in plan.group_exprs):
-                key_arrays = _chunked_eval_rows("fold-keys", key_fn,
-                                                columns, count, spans)
-            else:
-                key_arrays = key_fn(columns, count)
-            group_key = t.group_key
-            for index, key_values in enumerate(zip(*key_arrays)):
-                key = group_key(key_values)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = (key_values, [])
-                bucket[1].append(index)
+               ctx: EvalContext, retract: bool = False,
+               touched: Optional[dict] = None) -> None:
+        """Fold one side of a delta (or the initialization scan) through
+        the engine's grouping fold. A large fold chunks its columnar
+        expression pass across the partition pool (deterministic
+        expressions only: per-row maps, concatenated in span order, are
+        identical to one full pass)."""
+        fn = compile_row_columnar(self._exprs, ctx)
+        spans = _parallel_spans(count) if self._exprs else None
+        if spans is not None and all(expr.is_deterministic
+                                     for expr in self._exprs):
+            arrays = iter(_chunked_eval(fn, columns, count, spans))
         else:
-            buckets[t.group_key(())] = ((), list(range(count)))
-
-        # One columnar pass per aggregate argument over the whole slice.
-        arg_arrays: list[Optional[Sequence]] = []
-        for call in plan.aggregates:
-            if call.arg is None:
-                arg_arrays.append(None)
-                continue
-            arg_fn = compile_expression_columnar(call.arg, ctx)
-            if spans is not None and call.arg.is_deterministic:
-                arg_arrays.append(_chunked_eval("fold-args", arg_fn,
-                                                columns, count, spans))
-            else:
-                arg_arrays.append(arg_fn(columns, count))
-
-        for key, (key_values, indices) in buckets.items():
-            group = groups.get(key)
-            if group is None:
-                if not insert:
-                    raise AggStateInconsistency(
-                        f"retraction into unknown group {key_values!r}")
-                group = _Group(key_values, self._fresh_accumulators())
-                groups[key] = group
-            if touched is not None and key not in touched:
-                touched[key] = (group.key_values, self._finalized(group))
-            if insert:
-                group.count += len(indices)
-            else:
-                group.count -= len(indices)
-                if group.count < 0:
-                    raise AggStateInconsistency(
-                        f"group {key_values!r} retracted below zero rows")
-            for accumulator, arg_array in zip(group.accumulators, arg_arrays):
-                if arg_array is None:
-                    values: Sequence = indices  # count(*): length only
-                elif len(indices) == count:
-                    values = arg_array
-                else:
-                    values = [arg_array[index] for index in indices]
-                if insert:
-                    accumulator.insert_arrays(values)
-                else:
-                    accumulator.retract_arrays(values)
-
-    def _finalized(self, group: _Group) -> Optional[tuple]:
-        """The group's current output row, or None when it emits none."""
-        if not group.count and not self.plan.is_scalar:
-            return None
-        return (tuple(group.key_values)
-                + tuple(accumulator.finalize()
-                        for accumulator in group.accumulators))
+            arrays = iter(fn(columns, count))
+        key_arrays = ([next(arrays) for __ in self._group_exprs]
+                      if isinstance(self.plan, lp.Aggregate) else columns)
+        fold(self.groups, self.calls, key_arrays,
+             [None if call.arg is None else next(arrays)
+              for call in self.calls],
+             count, retract, touched, self.scalar)
 
 
-class DistinctNodeState:
-    """Count-per-value state for one Distinct node: each distinct output
-    row is a "group" whose accumulator is just its multiplicity."""
+class DistinctNodeState(AggregateNodeState):
+    """Carried state for one Distinct node: the same fold keyed by the
+    whole row, with no calls — each distinct row is a group whose state
+    is its multiplicity, represented by its first occurrence."""
 
-    def __init__(self, plan: lp.Distinct):
-        self.plan = plan
-        #: key -> [count, representative row]
-        self.entries: dict[tuple, list] = {}
-        self.initialized = False
-        self.signature = ""  # set by the store (keying defense in depth)
-
-    def initialize(self, child: Relation, ctx: EvalContext) -> None:
-        self.entries.clear()
-        columns, count = child.columns, len(child)
-        spans = _parallel_spans(count)
-        if spans is None:
-            for row, key in zip(_iter_rows(columns, count),
-                                t.group_key_columns(columns, count)):
-                entry = self.entries.get(key)
-                if entry is None:
-                    self.entries[key] = [1, row]
-                else:
-                    entry[0] += 1
-        else:
-            self._initialize_parallel(columns, spans)
-        self.initialized = True
-
-    def _initialize_parallel(self, columns: Sequence[Sequence],
-                             spans: list[tuple[int, int]]) -> None:
-        """Chunked distinct-count scan, merged in chunk order: counts
-        add, and the earlier chunk's representative wins — which is the
-        serial scan's first-occurrence representative. (The stateful gate
-        excludes inexact types, so representatives of equal keys are
-        value-identical anyway.)"""
-        def scan_chunk(span: tuple[int, int]) -> dict[tuple, list]:
-            start, stop = span
-            chunk = [column[start:stop] for column in columns]
-            size = stop - start
-            local: dict[tuple, list] = {}
-            for row, key in zip(_iter_rows(chunk, size),
-                                t.group_key_columns(chunk, size)):
-                entry = local.get(key)
-                if entry is None:
-                    local[key] = [1, row]
-                else:
-                    entry[0] += 1
-            return local
-
-        entries = self.entries
-        for local in fanout_map("distinct-init", scan_chunk, spans):
-            for key, entry in local.items():
-                mine = entries.get(key)
-                if mine is None:
-                    entries[key] = entry
-                else:
-                    mine[0] += entry[0]
-
-    def fold(self, delta: ChangeSet, ctx: EvalContext) -> ChangeSet:
-        touched: dict[tuple, Optional[tuple]] = {}
-        entries = self.entries
-
-        row_ids, columns = delta.under(Action.DELETE)
-        count = len(row_ids)
-        for row, key in zip(_iter_rows(columns, count),
-                            t.group_key_columns(columns, count)):
-            entry = entries.get(key)
-            if entry is None or entry[0] <= 0:
-                raise AggStateInconsistency(
-                    f"retraction of unknown distinct row {row!r}")
-            if key not in touched:
-                touched[key] = entry[1]
-            entry[0] -= 1
-
-        row_ids, columns = delta.under(Action.INSERT)
-        count = len(row_ids)
-        for row, key in zip(_iter_rows(columns, count),
-                            t.group_key_columns(columns, count)):
-            entry = entries.get(key)
-            if entry is None:
-                entries[key] = entry = [0, row]
-            if key not in touched:
-                touched[key] = entry[1] if entry[0] else None
-            if not entry[0]:
-                entry[1] = row  # fresh (or vanished-and-reborn) key
-            entry[0] += 1
-
-        out: list[Change] = []
-        for key, old_row in touched.items():
-            entry = entries.get(key)
-            new_row = None
-            if entry is not None:
-                if entry[0]:
-                    new_row = entry[1]
-                else:
-                    del entries[key]
-            if old_row is None:
-                if new_row is not None:
-                    out.append(Change(Action.INSERT,
-                                      rowid.distinct_id(new_row), new_row))
-            elif new_row is None:
-                out.append(Change(Action.DELETE,
-                                  rowid.distinct_id(old_row), old_row))
-            # both present: the representative is value-identical (the
-            # stateful gate excludes inexact types), so nothing changed.
-        return ChangeSet(out)
-
-
-def _iter_rows(columns: Sequence[Sequence], count: int):
-    if columns:
-        return zip(*columns)
-    return iter([()] * count)
+    row_id = staticmethod(rowid.distinct_id)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +329,7 @@ class AggStateStore:
     """
 
     def __init__(self):
-        self._nodes: dict[tuple[str, int], object] = {}
+        self._nodes: dict[tuple[str, int], AggregateNodeState] = {}
         self.fingerprint: Optional[tuple] = None
         #: Token (data timestamp) of the interval end the state describes;
         #: None until the first stateful refresh commits.
@@ -623,10 +422,8 @@ class AggStateStore:
             if pending is not None and pending[0] == signature:
                 state = pending[1](plan)
             if state is None:
-                if kind == "Aggregate":
-                    state = AggregateNodeState(plan)  # type: ignore[arg-type]
-                else:
-                    state = DistinctNodeState(plan)   # type: ignore[arg-type]
+                state = (AggregateNodeState(plan) if kind == "Aggregate"
+                         else DistinctNodeState(plan))
             state.signature = signature
             self._nodes[key] = state
         return state

@@ -23,6 +23,11 @@ the endpoint semi-joins take the columnar path
 :func:`~repro.engine.types.group_key_columns`) straight over the delta's
 columns.
 
+Both strategies run the engine's one grouping fold and its accumulators
+(:mod:`repro.engine.aggregates`) — the stateful one over carried state,
+the recompute through ``aggregate_relation`` / ``distinct_relation`` — so
+they cannot disagree on what an aggregate or a DISTINCT value means.
+
 Either way, an aggregate output row's id derives from its group key only
 (:func:`repro.ivm.rowid.group_id`), so a group whose value changes becomes
 a DELETE+INSERT under one id — an update — and a group whose input rows
@@ -32,21 +37,21 @@ all disappear becomes a plain DELETE.
 from __future__ import annotations
 
 from repro.engine import types as t
+from repro.engine.aggregates import RetractionError
 from repro.engine.executor import aggregate_relation, distinct_relation
 from repro.engine.expressions import compile_group_key_columnar
 from repro.errors import RowIdIntegrityError
 from repro.ivm import aggstate
-from repro.ivm.aggstate import AggStateInconsistency
 from repro.ivm.changes import ChangeSet
 from repro.ivm.differentiator import (Differentiator, diff_relations, rule,
                                       semi_join_keys)
-from repro.engine.aggregates import RetractionError
 from repro.plan import logical as lp
 
 #: Anomalies that mean the store no longer describes the interval's old
-#: endpoint; the rule invalidates and falls back to recomputation.
-_STATE_ANOMALIES = (AggStateInconsistency, RetractionError,
-                    RowIdIntegrityError)
+#: endpoint (a retraction into missing state, including the group-level
+#: ``AggStateInconsistency``); the rule invalidates and falls back to
+#: recomputation.
+_STATE_ANOMALIES = (RetractionError, RowIdIntegrityError)
 
 
 def _stateful_delta(differ: Differentiator, plan: lp.PlanNode, state,

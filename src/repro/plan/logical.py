@@ -22,7 +22,7 @@ columns first).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 from repro.engine.expressions import (ColumnRef, Comparison, Expression,
                                       conjoin, conjuncts)
@@ -276,6 +276,9 @@ class WindowCall:
     offset: int = 1  # for lag/lead
     output_name: str = ""
     output_type: SqlType = SqlType.VARIANT
+    #: Window aggregates take no DISTINCT; read by ``make_accumulator``
+    #: as on an :class:`AggregateCall`.
+    distinct: ClassVar[bool] = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.function}(...) over(...)"

@@ -122,7 +122,7 @@ class FanoutStats:
     pool: Optional[WorkerPool] = None
     #: Partition/chunk tasks dispatched to the pool.
     tasks: int = 0
-    #: Fan-out sites that ran (``"agg-init"``, ``"fold-keys"``, ...).
+    #: Fan-out sites that ran (``"agg-init"``, ``"fold-inputs"``, ...).
     sites: list[str] = field(default_factory=list)
 
     @property

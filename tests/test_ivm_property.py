@@ -85,8 +85,8 @@ mutations = st.tuples(
     items_rows)
 
 
-def build_tables(rows, prefix):
-    return Relation(ITEMS if prefix == "i" else LOOKUP,
+def build_tables(rows, prefix, items_schema=ITEMS):
+    return Relation(items_schema if prefix == "i" else LOOKUP,
                     list(rows), [f"{prefix}{n}" for n in range(len(rows))])
 
 
@@ -206,10 +206,26 @@ def test_three_way_evaluation_equivalence(items, lookups, item_mutation,
             assert list(produced_changes) == list(interpreted_changes)
 
 
+# The aggregate battery's items also carry a FLOAT column holding NaN and
+# -0.0, every NaN a fresh object (as rows read back from storage hold).
+ITEMS_F = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
+                    ("f", SqlType.FLOAT), ("val", SqlType.INT),
+                    table="items")
+PROVIDER_F = DictSchemaProvider({"items": ITEMS_F, "lookup": LOOKUP})
+floats = st.none() | st.sampled_from(["nan", "-0.0", "0.0", "1.5"]).map(float)
+items_f_rows = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from(GROUPS), floats,
+              st.integers(0, 12)),
+    max_size=10)
+mutations_f = st.tuples(
+    st.lists(st.sampled_from(["keep", "delete", "update"]), max_size=10),
+    items_f_rows)
+
 # Aggregate battery for the stateful three-way property: every
 # retractable shape (COUNT/COUNT_IF/SUM/AVG/MIN/MAX, DISTINCT-qualified
-# aggregates, scalar aggregates, DISTINCT, aggregation above a join) plus
-# one non-retractable shape (median) pinning the recompute fallback.
+# aggregates over INT and FLOAT, scalar aggregates, DISTINCT, aggregation
+# above a join) plus one non-retractable shape (median) pinning the
+# recompute fallback.
 AGG_QUERIES = [
     "SELECT grp, count(*) n, sum(val) s, min(val) lo, max(val) hi, "
     "avg(val) m FROM items GROUP BY grp",
@@ -220,8 +236,9 @@ AGG_QUERIES = [
     "SELECT l.label, count(*) n, min(i.val) lo FROM items i "
     "JOIN lookup l ON i.grp = l.key GROUP BY l.label",
     "SELECT grp, median(val) md FROM items GROUP BY grp",
+    "SELECT grp, count(distinct f) df, count(f) cf FROM items GROUP BY grp",
 ]
-AGG_PLANS = [build_plan(parse_query(sql), PROVIDER) for sql in AGG_QUERIES]
+AGG_PLANS = [build_plan(parse_query(sql), PROVIDER_F) for sql in AGG_QUERIES]
 
 
 def canon(changes: ChangeSet) -> list:
@@ -232,9 +249,9 @@ def canon(changes: ChangeSet) -> list:
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(items=items_rows,
+@given(items=items_f_rows,
        lookups=lookup_rows,
-       scripts=st.lists(mutations, min_size=1, max_size=3))
+       scripts=st.lists(mutations_f, min_size=1, max_size=3))
 def test_stateful_aggregate_three_way_equivalence(items, lookups, scripts):
     """The three aggregate maintenance strategies must be byte-identical
     on ``(row_id, row)`` output: the stateful accumulator fold (state
@@ -244,7 +261,7 @@ def test_stateful_aggregate_three_way_equivalence(items, lookups, scripts):
     which exercise MIN/MAX extremum deletions and vanishing groups."""
     for plan in AGG_PLANS:
         store = AggStateStore()
-        items_current = build_tables(items, "i")
+        items_current = build_tables(items, "i", ITEMS_F)
         lookup_current = build_tables(lookups, "l")
         for step, (item_ops, additions) in enumerate(scripts):
             items_next, items_delta = mutate(items_current, item_ops,

@@ -161,9 +161,7 @@ REPRO_CONFIG = AnalyzerConfig(
         # through WorkerPool.map_ordered.
         "partition-worker": (
             "ivm.aggstate.AggregateNodeState._initialize_parallel.scan_chunk",
-            "ivm.aggstate.DistinctNodeState._initialize_parallel.scan_chunk",
             "ivm.aggstate._chunked_eval.run",
-            "ivm.aggstate._chunked_eval_rows.run",
         ),
     },
     thread_confined=frozenset({
@@ -192,7 +190,14 @@ REPRO_CONFIG = AnalyzerConfig(
         # worker executing that refresh before it is published via
         # record_refresh.
         "DynamicTable", "RefreshRecord", "AggStateStore",
-        "AggregateNodeState", "DistinctNodeState", "_Group",
+        "AggregateNodeState", "DistinctNodeState",
+        # A fold's groups and their accumulators belong to one node state
+        # (or to one chunk's partial state, built on one worker and
+        # merged by the caller after the fan-out returns).
+        "Group", "CountStarAccumulator", "CountAccumulator",
+        "CountIfAccumulator", "SumAccumulator", "AvgAccumulator",
+        "ExtremeAccumulator", "DistinctAccumulator",
+        "CollectingAccumulator",
     }),
     race_allow=frozenset(),
 )

@@ -119,7 +119,6 @@ _MATERIALIZE_SCOPE = ("engine/executor.py", "ivm/", "streams/", "storage/",
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
     ("engine/executor.py", "_run_values"),
-    ("engine/executor.py", "distinct_relation"),
     ("engine/executor.py", "flatten_relation"),
     ("storage/table.py", "rows_by_id"),
 }
