@@ -38,6 +38,7 @@ from repro.sql.parser import parse_query
 from repro.storage.table import StagedWrite, VersionedTable
 from repro.streams.changes import changes_between
 from repro.txn.hlc import HlcTimestamp
+from repro.txn.manager import VersionReader
 
 sys.path.insert(0, os.path.dirname(__file__))
 from reporting import emit, emit_json  # noqa: E402
@@ -85,12 +86,8 @@ class _IntervalSource:
 
     def __init__(self, table, old, new):
         self._table, self._old, self._new = table, old, new
-
-    def scan_old(self, name):
-        return self._table.relation(self._old)
-
-    def scan_new(self, name):
-        return self._table.relation(self._new)
+        self.old = VersionReader(lambda name: (table, old))
+        self.new = VersionReader(lambda name: (table, new))
 
     def scan_delta(self, name):
         return changes_between(self._table, self._old, self._new)

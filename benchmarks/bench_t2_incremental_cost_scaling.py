@@ -44,7 +44,8 @@ def _source_for_delta(delta_rows: int):
              for offset in range(delta_rows)]
     delta = ChangeSet(Change(Action.INSERT, row_id, row)
                       for row_id, row in added)
-    new_relation = Relation.from_pairs(ITEMS, list(BASE.pairs()) + added)
+    new_relation = Relation(ITEMS, BASE.rows + [row for __, row in added],
+                            BASE.row_ids + [row_id for row_id, __ in added])
     return DictDeltaSource({"items": BASE}, {"items": new_relation},
                            {"items": delta})
 

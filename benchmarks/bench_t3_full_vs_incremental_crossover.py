@@ -68,7 +68,8 @@ def _mutated(fraction: float):
             pairs.append((row_id, new_row))
         else:
             pairs.append((row_id, row))
-    return Relation.from_pairs(ITEMS, pairs), ChangeSet(delta)
+    return (Relation(ITEMS, [row for __, row in pairs],
+                     [row_id for row_id, __ in pairs]), ChangeSet(delta))
 
 
 def _time(function, repeats=3):

@@ -62,7 +62,8 @@ def _source_with_small_delta():
              for offset in range(5)]
     delta_facts = ChangeSet(Change(Action.INSERT, row_id, row)
                             for row_id, row in added)
-    facts_new = Relation.from_pairs(FACTS, list(FACTS_REL.pairs()) + added)
+    facts_new = Relation(FACTS, FACTS_REL.rows + [row for __, row in added],
+                         FACTS_REL.row_ids + [row_id for row_id, __ in added])
 
     dim1_pairs = list(DIM1_REL.pairs())
     old_id, old_row = dim1_pairs[3]
@@ -70,7 +71,8 @@ def _source_with_small_delta():
     delta_dim1 = ChangeSet([Change(Action.DELETE, old_id, old_row),
                             Change(Action.INSERT, old_id, new_row)])
     dim1_pairs[3] = (old_id, new_row)
-    dim1_new = Relation.from_pairs(DIM1, dim1_pairs)
+    dim1_new = Relation(DIM1, [row for __, row in dim1_pairs],
+                        [row_id for row_id, __ in dim1_pairs])
 
     return DictDeltaSource(
         {"facts": FACTS_REL, "dim1": DIM1_REL, "dim2": DIM2_REL},

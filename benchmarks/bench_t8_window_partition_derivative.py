@@ -65,7 +65,8 @@ def _source_touching(partitions: int):
              for partition in range(partitions)]
     delta = ChangeSet(Change(Action.INSERT, row_id, row)
                       for row_id, row in added)
-    new_relation = Relation.from_pairs(ITEMS, list(BASE.pairs()) + added)
+    new_relation = Relation(ITEMS, BASE.rows + [row for __, row in added],
+                            BASE.row_ids + [row_id for row_id, __ in added])
     return DictDeltaSource({"items": BASE}, {"items": new_relation},
                            {"items": delta})
 

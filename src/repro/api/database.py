@@ -538,7 +538,12 @@ class Database:
 
 class _FrontierReader:
     """Resolver reading each source exactly at the DT's frontier cursor —
-    the snapshot the last refresh was (or should have been) computed on."""
+    the snapshot the last refresh was (or should have been) computed on.
+
+    The DVS oracle's reader, deliberately not a
+    :class:`~repro.txn.manager.VersionReader`: it offers only ``scan``, so
+    the oracle reads whole versions and a zone-map or key-index bug
+    cannot hide on both sides of :meth:`Database.check_dvs`."""
 
     def __init__(self, db: Database, dt: DynamicTable):
         self._db = db

@@ -36,7 +36,7 @@ class QueryResult:
 
     @staticmethod
     def from_relation(relation: Relation) -> "QueryResult":
-        return QueryResult(relation.schema, list(relation.rows),
+        return QueryResult(relation.schema, relation.rows,
                            list(relation.row_ids))
 
 

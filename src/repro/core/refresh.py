@@ -39,7 +39,6 @@ from repro.core.evolution import (EvolutionOutcome, check_evolution,
 from repro.core.frontier import Frontier, SourceCursor
 from repro.engine.executor import evaluate
 from repro.engine.expressions import DEFAULT_REGISTRY, EvalContext, FunctionRegistry
-from repro.engine.relation import Relation
 from repro.errors import (ChangeIntegrityError, DurabilityError,
                           NotInitializedError, TransactionError,
                           TransientError, UserError, is_transient)
@@ -51,9 +50,9 @@ from repro.plan.builder import build_plan
 from repro.plan.cache import PlanCache
 from repro.plan.rewrite import optimize
 from repro.storage.catalog import Catalog
-from repro.storage.table import TableVersion, VersionedTable
+from repro.storage.table import TableVersion
 from repro.streams.changes import changes_between
-from repro.txn.manager import TransactionManager
+from repro.txn.manager import TransactionManager, VersionReader
 from repro.util.parallel import WorkerPool, partition_parallelism
 from repro.util.timeutil import Timestamp
 
@@ -71,27 +70,10 @@ _RECORDED_ERRORS = (UserError, TransactionError, ChangeIntegrityError,
                     NotInitializedError, DurabilityError, TransientError)
 
 
-class _VersionResolver:
-    """SnapshotResolver over an explicit {table: version} pinning."""
-
-    def __init__(self, catalog: Catalog,
-                 versions: dict[str, TableVersion]):
-        self._catalog = catalog
-        self._versions = versions
-
-    def scan(self, table: str) -> Relation:
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation(self._versions[table])
-
-    def scan_pruned(self, table: str, bounds) -> Relation:
-        """Zone-map pruned scan for filters pushed down by the executor."""
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation_pruned(self._versions[table], bounds)
-
-
 class _FrontierDeltaSource:
     """DeltaSource for one refresh interval: frontier versions → resolved
-    new versions, with per-table change streams from the storage layer.
+    new versions, each endpoint a :class:`VersionReader` pinned to its
+    versions, with per-table change streams from the storage layer.
 
     Change streams are memoized: differentiation consults them once per
     Scan rule and once more for the insert-only consolidation-skip check,
@@ -103,44 +85,9 @@ class _FrontierDeltaSource:
         self._catalog = catalog
         self._old = old_versions
         self._new = new_versions
+        self.old = VersionReader.pinned(catalog, old_versions)
+        self.new = VersionReader.pinned(catalog, new_versions)
         self._delta_cache: dict[str, ChangeSet] = {}
-
-    def scan_old(self, table: str) -> Relation:
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation(self._old[table])
-
-    def scan_new(self, table: str) -> Relation:
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation(self._new[table])
-
-    def scan_old_pruned(self, table: str, bounds) -> Relation:
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation_pruned(self._old[table], bounds)
-
-    def scan_new_pruned(self, table: str, bounds) -> Relation:
-        versioned = self._catalog.versioned_table(table)
-        return versioned.relation_pruned(self._new[table], bounds)
-
-    def scan_old_matching(self, table: str, positions, keys,
-                          delta_rows: int) -> Optional[Relation]:
-        return self._matching(table, self._old[table], positions, keys,
-                              delta_rows)
-
-    def scan_new_matching(self, table: str, positions, keys,
-                          delta_rows: int) -> Optional[Relation]:
-        return self._matching(table, self._new[table], positions, keys,
-                              delta_rows)
-
-    def _matching(self, table: str, version: TableVersion, positions,
-                  keys, delta_rows: int) -> Optional[Relation]:
-        """The rows of ``table`` at ``version`` whose key over
-        ``positions`` is in ``keys()``, probed partition by partition — or
-        None when the ``delta_rows``-row delta asking is not smaller than
-        the table, where one scan is cheaper than that many probes."""
-        versioned = self._catalog.versioned_table(table)
-        if delta_rows >= versioned.row_count(version):
-            return None
-        return versioned.relation_matching(version, positions, keys())
 
     def scan_delta(self, table: str) -> ChangeSet:
         cached = self._delta_cache.get(table)
@@ -323,8 +270,8 @@ class RefreshEngine:
             record.rows_deleted = len(changes) - record.rows_inserted
         else:
             # INITIAL / REINITIALIZE / FULL: INSERT OVERWRITE from scratch.
-            resolver = _VersionResolver(self.catalog, new_versions)
-            result = evaluate(plan, resolver, ctx)
+            result = evaluate(
+                plan, VersionReader.pinned(self.catalog, new_versions), ctx)
             record.source_rows_scanned = self._source_row_count(new_versions)
             changes = ChangeSet.signed(Action.INSERT, result.row_ids,
                                        result.columns)

@@ -214,10 +214,9 @@ class _Executor:
         return self._resolver.scan(plan.table).with_schema(plan.schema)
 
     def _run_values(self, plan: lp.Values) -> Relation:
-        relation = Relation(plan.schema)
-        for index, row in enumerate(plan.rows):
-            relation.append(f"v:{index}", row)
-        return relation
+        return Relation.from_columns(
+            plan.schema, [list(column) for column in plan.columns],
+            [f"v:{index}" for index in range(plan.count)])
 
     # -- row-preserving operators ---------------------------------------------
 
@@ -723,13 +722,21 @@ def flatten_relation(plan: lp.Flatten, child: Relation,
                      ctx: EvalContext) -> Relation:
     """LATERAL FLATTEN: one output row per array element; non-array or NULL
     inputs contribute no rows (Snowflake's default OUTER => FALSE)."""
-    output = Relation(plan.schema)
     values = compile_expression_columnar(plan.input_expr, ctx)(
         child.columns, len(child))
-    for row_id, row, value in zip(child.row_ids, child.rows, values):
+    picks: list[int] = []
+    ids: list[str] = []
+    elements: list = []
+    positions: list[int] = []
+    for parent, (row_id, value) in enumerate(zip(child.row_ids, values)):
         if not isinstance(value, list):
             continue
         for index, element in enumerate(value):
-            output.append(rowid.flatten_id(row_id, index),
-                          row + (element, index))
-    return output
+            picks.append(parent)
+            ids.append(rowid.flatten_id(row_id, index))
+            elements.append(element)
+            positions.append(index)
+    columns = [list(map(column.__getitem__, picks))
+               for column in child.columns]
+    return Relation.from_columns(plan.schema,
+                                 columns + [elements, positions], ids)

@@ -11,16 +11,11 @@ alongside the data").
 Row view
 --------
 
-The row-tuple entry points remain: ``Relation(schema, rows, row_ids)``
-construction, ``rows`` access, ``pairs()``, ``__iter__``, ``append`` and
-``from_pairs``. Internally the relation holds *either* layout (whichever
-it was built from) and materializes the other lazily, caching it;
-``append`` keeps every materialized layout in sync. Storage scans build
-the columnar layout and every kernel — joins, unions and the derivative
-rules included — reads and writes it. The row view is for result
-delivery (``QueryResult``, cursor buffers, ``rows_by_id``), for the
-producers whose unit of work is a row (VALUES, FLATTEN) and for a
-transaction's read-your-writes overlay.
+``Relation(schema, rows, row_ids)`` still accepts row tuples: it
+transposes them once, at construction, and the relation is columnar from
+then on. ``rows``, ``pairs()`` and ``__iter__`` are views derived from
+the columns on each call, for result delivery (``QueryResult``, cursor
+buffers, ``rows_by_id``); no kernel reads them.
 """
 
 from __future__ import annotations
@@ -33,27 +28,28 @@ from repro.engine.schema import Schema
 class Relation:
     """An in-memory bag of rows with parallel row ids, stored column-major.
 
-    ``rows`` and ``columns`` are two views of the same data; at least one
-    is always materialized and the other is derived (and cached) on first
-    access. Callers must treat both as read-only — mutate only through
-    :meth:`append`.
+    ``columns[i]`` is column ``i``'s value array, parallel to
+    ``row_ids``. Callers must treat both as read-only: kernels build new
+    relations instead of editing one.
     """
 
-    __slots__ = ("schema", "row_ids", "_rows", "_columns")
+    __slots__ = ("schema", "row_ids", "columns")
 
     def __init__(self, schema: Schema, rows: Optional[list] = None,
                  row_ids: Optional[list] = None):
         self.schema = schema
-        self._rows: Optional[list[tuple]] = rows if rows is not None else []
-        self._columns: Optional[list] = None
+        rows = rows if rows is not None else []
         if row_ids is None:
             row_ids = []
-        if row_ids and len(row_ids) != len(self._rows):
+        if row_ids and len(row_ids) != len(rows):
             raise ValueError("row_ids must parallel rows")
-        if not row_ids and self._rows:
+        if not row_ids and rows:
             # Positional fallback ids; storage always provides real ids.
-            row_ids = [f"pos:{index}" for index in range(len(self._rows))]
+            row_ids = [f"pos:{index}" for index in range(len(rows))]
         self.row_ids: list[str] = row_ids
+        self.columns: list = ([list(column) for column in zip(*rows)]
+                              if rows else
+                              [[] for __ in range(len(schema))])
 
     @staticmethod
     def from_columns(schema: Schema, columns: Sequence[Sequence],
@@ -67,8 +63,7 @@ class Relation:
         """
         relation = Relation.__new__(Relation)
         relation.schema = schema
-        relation._rows = None
-        relation._columns = list(columns)
+        relation.columns = list(columns)
         if not row_ids:
             count = len(columns[0]) if columns else 0
             row_ids = [f"pos:{index}" for index in range(count)]
@@ -77,14 +72,25 @@ class Relation:
         relation.row_ids = row_ids
         return relation
 
+    @staticmethod
+    def concat(schema: Schema, blocks: Iterable) -> "Relation":
+        """Concatenate columnar blocks — anything with parallel
+        ``row_ids`` and ``columns``, such as micro-partitions — in order,
+        by extending per-column accumulators with whole column arrays."""
+        ids: list[str] = []
+        columns: list[list] = [[] for __ in range(len(schema))]
+        for block in blocks:
+            ids.extend(block.row_ids)
+            for accumulator, column in zip(columns, block.columns):
+                accumulator.extend(column)
+        return Relation.from_columns(schema, columns, ids)
+
     def with_schema(self, schema: Schema) -> "Relation":
-        """The same rows and ids, shared by reference in whichever
-        layouts are materialized, under ``schema`` (a scan requalifying
-        stored columns under the plan's alias)."""
+        """The same rows and ids, shared by reference, under ``schema`` (a
+        scan requalifying stored columns under the plan's alias)."""
         relation = Relation.__new__(Relation)
         relation.schema = schema
-        relation._rows = self._rows
-        relation._columns = self._columns
+        relation.columns = self.columns
         relation.row_ids = self.row_ids
         return relation
 
@@ -92,26 +98,10 @@ class Relation:
 
     @property
     def rows(self) -> list[tuple]:
-        """Row tuples (the row view; materialized lazily)."""
-        if self._rows is None:
-            columns = self._columns
-            if columns:
-                self._rows = list(zip(*columns))
-            else:
-                self._rows = [()] * len(self.row_ids)
-        return self._rows
-
-    @property
-    def columns(self) -> list:
-        """Per-column value arrays, parallel to ``row_ids`` (materialized
-        lazily from the row view when needed)."""
-        if self._columns is None:
-            rows = self._rows
-            if rows:
-                self._columns = [list(column) for column in zip(*rows)]
-            else:
-                self._columns = [[] for __ in range(len(self.schema))]
-        return self._columns
+        """Row tuples, built from the columns on each access."""
+        if self.columns:
+            return list(zip(*self.columns))
+        return [()] * len(self.row_ids)
 
     def column(self, index: int) -> Sequence:
         """One column's value array."""
@@ -127,41 +117,30 @@ class Relation:
         """Iterate ``(row_id, row)`` pairs."""
         return zip(self.row_ids, self.rows)
 
-    # -- mutation -------------------------------------------------------------
-
-    def append(self, row_id: str, row: tuple) -> None:
-        """Append one row, keeping every materialized layout in sync."""
-        if self._rows is not None:
-            self._rows.append(row)
-        columns = self._columns
-        if columns is not None:
-            for index, value in enumerate(row):
-                column = columns[index]
-                if type(column) is not list:
-                    columns[index] = column = list(column)
-                column.append(value)
-        self.row_ids.append(row_id)
-
-    @staticmethod
-    def from_pairs(schema: Schema, pairs: Iterable[tuple[str, tuple]]) -> "Relation":
-        relation = Relation(schema)
-        for row_id, row in pairs:
-            relation.append(row_id, row)
-        return relation
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        layout = "columnar" if self._columns is not None else "row-major"
-        return f"Relation({len(self)} rows, {layout})"
+        return f"Relation({len(self)} rows)"
 
 
 class SnapshotResolver(Protocol):
     """Resolves table names to relations at one fixed point in time.
 
-    Implementations: a transaction's snapshot view
-    (:class:`repro.txn.manager.Transaction`), or a plain dict in tests. The
-    executor never touches the catalog directly — this is what lets a
-    dynamic-table refresh evaluate its defining query "as of" its data
-    timestamp (delayed view semantics).
+    Four reads, of which only ``scan`` is required:
+
+    * ``scan(table)`` — the whole table;
+    * ``scan_pruned(table, bounds)`` — the partitions whose zone maps
+      might satisfy the executor's pushed-down filter bounds;
+    * ``scan_partitions(table)`` — the micro-partitions, for streaming
+      cursors and EXPLAIN's pruning report;
+    * ``scan_matching(table, positions, keys, delta_rows)`` — the rows
+      whose key is in ``keys()``, for the differentiator's probes.
+
+    Storage-backed resolvers implement all four once, in
+    :class:`repro.txn.manager.VersionReader`; a transaction adds its
+    read-your-writes overlay to the first three. :class:`DictResolver`
+    (tests, hand-built endpoints) has only ``scan``, so callers fall back
+    to reading the whole relation. The executor never touches the catalog
+    directly — this is what lets a dynamic-table refresh evaluate its
+    defining query "as of" its data timestamp (delayed view semantics).
     """
 
     def scan(self, table: str) -> Relation:

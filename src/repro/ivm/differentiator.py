@@ -48,7 +48,7 @@ from typing import Callable, Collection, Optional, Protocol, Sequence
 from repro.engine.executor import _compress, evaluate
 from repro.engine.expressions import (DEFAULT_CONTEXT, ColumnRef, EvalContext,
                                       Expression)
-from repro.engine.relation import Relation
+from repro.engine.relation import DictResolver, Relation, SnapshotResolver
 from repro.errors import NotIncrementalizableError, RowIdIntegrityError
 from repro.ivm.changes import Action, ChangeSet, consolidate
 from repro.plan import logical as lp
@@ -73,24 +73,37 @@ def _guard_row_ids(row_ids, origin: str) -> None:
 
 class DeltaSource(Protocol):
     """What differentiation needs from the storage layer: the two endpoint
-    snapshots of the refresh interval and the per-table change streams."""
+    snapshots of the refresh interval and the per-table change streams.
 
-    def scan_old(self, table: str) -> Relation:
-        """Contents of ``table`` at the interval start (previous data ts)."""
-        ...
+    ``old`` and ``new`` are snapshot resolvers (``scan(table)`` at the
+    interval start and end). A storage-backed source gives each endpoint
+    a :class:`~repro.txn.manager.VersionReader`, whose ``scan_pruned`` the
+    executor uses for pushed-down filters and whose ``scan_matching``
+    :meth:`Differentiator.probe` uses to read only the rows keyed by a
+    delta; a dict-backed endpoint has neither and is read whole.
+    """
 
-    def scan_new(self, table: str) -> Relation:
-        """Contents of ``table`` at the interval end (new data ts)."""
-        ...
+    old: SnapshotResolver
+    new: SnapshotResolver
 
     def scan_delta(self, table: str) -> ChangeSet:
         """Consolidated changes of ``table`` over the interval."""
         ...
 
-    # Optional, for storage-backed sources: ``scan_{old,new}_pruned(table,
-    # bounds)`` (zone-map pruned endpoint) and ``scan_{old,new}_matching(
-    # table, positions, keys, delta_rows)`` (the endpoint rows whose key
-    # over ``positions`` is in ``keys()``, or None when a scan is cheaper).
+
+class _GuardedEndpoint(DictResolver):
+    """One endpoint of a :class:`DictDeltaSource`: a dict of relations
+    whose scans reject positional-fallback row ids."""
+
+    def __init__(self, relations: dict[str, Relation], which: str):
+        super().__init__(relations)
+        self._which = which
+
+    def scan(self, table: str) -> Relation:
+        relation = super().scan(table)
+        _guard_row_ids(relation.row_ids,
+                       f"the {self._which} endpoint of table {table!r}")
+        return relation
 
 
 class DictDeltaSource:
@@ -98,15 +111,9 @@ class DictDeltaSource:
 
     def __init__(self, old: dict[str, Relation], new: dict[str, Relation],
                  deltas: dict[str, ChangeSet]):
-        self._old = old
-        self._new = new
+        self.old = _GuardedEndpoint(old, "old")
+        self.new = _GuardedEndpoint(new, "new")
         self._deltas = deltas
-
-    def scan_old(self, table: str) -> Relation:
-        return self._old[table]
-
-    def scan_new(self, table: str) -> Relation:
-        return self._new[table]
 
     def scan_delta(self, table: str) -> ChangeSet:
         return self._deltas.get(table, ChangeSet())
@@ -124,49 +131,6 @@ class DifferentiationStats:
     agg_stateful_folds: int = 0  # aggregate nodes refreshed by state fold
     agg_recomputes: int = 0      # aggregate nodes refreshed by endpoint recompute
     consolidation_skipped: bool = False
-
-
-class _EndpointResolver:
-    """Adapter presenting one endpoint of a DeltaSource as a snapshot."""
-
-    def __init__(self, source: DeltaSource, which: str):
-        self._source = source
-        self._which = which
-
-    def scan(self, table: str) -> Relation:
-        if self._which == "old":
-            relation = self._source.scan_old(table)
-        else:
-            relation = self._source.scan_new(table)
-        _guard_row_ids(relation.row_ids,
-                       f"the {self._which} endpoint of table {table!r}")
-        return relation
-
-    def scan_pruned(self, table: str, bounds) -> Relation:
-        """Zone-map pruned endpoint scan, when the delta source's storage
-        supports it; falls back to a full scan otherwise."""
-        pruned = getattr(self._source, f"scan_{self._which}_pruned", None)
-        if pruned is None:
-            return self.scan(table)
-        relation = pruned(table, bounds)
-        _guard_row_ids(relation.row_ids,
-                       f"the {self._which} endpoint of table {table!r}")
-        return relation
-
-    def scan_matching(self, table: str, positions: tuple[int, ...],
-                      keys: Callable[[], Collection[tuple]],
-                      delta_rows: int) -> Optional[Relation]:
-        """Key-probed endpoint scan, or None when the delta source has no
-        partition access or judges a scan cheaper."""
-        matching = getattr(self._source, f"scan_{self._which}_matching",
-                           None)
-        if matching is None:
-            return None
-        relation = matching(table, positions, keys, delta_rows)
-        if relation is not None:
-            _guard_row_ids(relation.row_ids,
-                           f"the {self._which} endpoint of table {table!r}")
-        return relation
 
 
 #: Rule registry: operator class name -> rule(differ, plan) -> ChangeSet.
@@ -221,8 +185,6 @@ class Differentiator:
         self.agg_state = agg_state
         self._agg_handle_counts: dict[str, int] = {}
         self.stats = DifferentiationStats()
-        self._old_resolver = _EndpointResolver(source, "old")
-        self._new_resolver = _EndpointResolver(source, "new")
         self._old_cache: dict[int, Relation] = {}
         self._new_cache: dict[int, Relation] = {}
         self._delta_cache: dict[int, ChangeSet] = {}
@@ -237,7 +199,7 @@ class Differentiator:
         """Evaluate ``plan`` at the interval start (memoized)."""
         key = id(plan)
         if key not in self._old_cache:
-            relation = evaluate(plan, self._old_resolver, self.ctx)
+            relation = evaluate(plan, self.source.old, self.ctx)
             self.stats.endpoint_evals += 1
             self.stats.endpoint_rows += len(relation)
             self._old_cache[key] = relation
@@ -247,7 +209,7 @@ class Differentiator:
         """Evaluate ``plan`` at the interval end (memoized)."""
         key = id(plan)
         if key not in self._new_cache:
-            relation = evaluate(plan, self._new_resolver, self.ctx)
+            relation = evaluate(plan, self.source.new, self.ctx)
             self.stats.endpoint_evals += 1
             self.stats.endpoint_rows += len(relation)
             self._new_cache[key] = relation
@@ -267,10 +229,13 @@ class Differentiator:
         if not key_exprs or not isinstance(plan, lp.Scan) or not all(
                 isinstance(expr, ColumnRef) for expr in key_exprs):
             return None
-        resolver = self._old_resolver if which == "old" else self._new_resolver
-        probed = resolver.scan_matching(
-            plan.table, tuple(expr.index for expr in key_exprs), keys,
-            delta_rows)
+        reader = self.source.old if which == "old" else self.source.new
+        scan_matching = getattr(reader, "scan_matching", None)
+        if scan_matching is None:
+            return None
+        probed = scan_matching(plan.table,
+                               tuple(expr.index for expr in key_exprs), keys,
+                               delta_rows)
         if probed is None:
             return None
         self.stats.endpoint_evals += 1

@@ -559,7 +559,7 @@ class _Builder:
         if select.from_ is not None:
             plan = self._build_from(select.from_)
         else:
-            plan = lp.Values(Schema(()), ((),))  # SELECT without FROM: one row
+            plan = lp.Values(Schema(()), (), 1)  # SELECT without FROM: one row
 
         if select.where is not None:
             if _contains_aggregate(select.where) or _window_calls(select.where):

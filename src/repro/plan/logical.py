@@ -85,17 +85,19 @@ class Scan(PlanNode):
 
 @dataclass(frozen=True)
 class Values(PlanNode):
-    """Literal rows (used for INSERT ... VALUES and in tests)."""
+    """Literal rows, column-major: ``columns[i]`` holds column ``i``'s
+    ``count`` values (``SELECT`` without ``FROM``: no columns, one row)."""
 
     schema: Schema
-    rows: tuple[tuple, ...]
+    columns: tuple[tuple, ...]
+    count: int
 
     def with_children(self, children: Sequence[PlanNode]) -> PlanNode:
         assert not children
         return self
 
     def _describe(self) -> str:
-        return f"Values({len(self.rows)} rows)"
+        return f"Values({self.count} rows)"
 
 
 @dataclass(frozen=True)

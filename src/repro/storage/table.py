@@ -256,14 +256,8 @@ class VersionedTable:
         """Concatenate partitions into one relation by extending
         per-column accumulators with whole partition column arrays — no
         row tuples are ever built."""
-        ids: list[str] = []
-        columns: list[list] = [[] for __ in range(len(self.schema))]
-        for partition_id in partition_ids:
-            partition = self._partitions[partition_id]
-            ids.extend(partition.row_ids)
-            for accumulator, column in zip(columns, partition.columns):
-                accumulator.extend(column)
-        return Relation.from_columns(self.schema, columns, ids)
+        return Relation.concat(self.schema, map(self._partitions.__getitem__,
+                                                partition_ids))
 
     def relation_pruned(self, version: TableVersion | None,
                         bounds: Sequence[tuple[int, str, object]]) -> Relation:

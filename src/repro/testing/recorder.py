@@ -30,13 +30,13 @@ from repro.api import Database, QueryResult
 from repro.core.dynamic_table import DynamicTable
 from repro.engine.executor import evaluate
 from repro.engine.expressions import EvalContext
-from repro.engine.relation import Relation
 from repro.isolation.history import (Derive, Event, History, Read, Version,
                                      Write)
 from repro.plan.builder import build_plan
 from repro.sql import nodes as n
 from repro.sql.parser import parse_statement
 from repro.errors import UserError
+from repro.txn.manager import VersionReader, snapshot_pin
 from repro.util.timeutil import Timestamp
 
 
@@ -48,22 +48,18 @@ class ObservedRead:
     versions: list[Version] = field(default_factory=list)
 
 
-class RecordingReader:
+class RecordingReader(VersionReader):
     """A snapshot resolver that records which table versions it serves."""
 
     def __init__(self, db: Database, wall: Timestamp, observed: ObservedRead):
-        self._db = db
-        self._wall = wall
-        self._observed = observed
+        snapshot = snapshot_pin(db.catalog, wall)
 
-    def scan(self, table: str) -> Relation:
-        entry = self._db.catalog.get(table)
-        if entry.kind == "dynamic table":
-            entry.payload.ensure_readable()  # type: ignore[union-attr]
-        versioned = self._db.catalog.versioned_table(table)
-        version = versioned.version_at(self._wall)
-        self._observed.versions.append(Version(table, version.index))
-        return versioned.relation(version)
+        def pin(table: str):
+            versioned, version = snapshot(table)
+            observed.versions.append(Version(table, version.index))
+            return versioned, version
+
+        super().__init__(pin)
 
 
 class HistoryRecorder:

@@ -36,8 +36,9 @@ Model:
   manager blocks up to :attr:`TransactionManager.lock_timeout` seconds,
   so contended commits queue instead of failing spuriously.
 
-Dynamic-table refreshes use a transaction like any DML, but resolve their
-*source* versions through a refresh-specific resolver built in
+Every storage-backed read of a pinned snapshot goes through one
+:class:`VersionReader`. Dynamic-table refreshes use a transaction like any
+DML, but read their *source* versions through readers pinned by
 :mod:`repro.core.refresh` (regular tables as-of the data timestamp,
 upstream DTs by exact refresh-timestamp match).
 """
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Optional, Union
+from typing import Callable, Collection, Optional, Union
 
 from repro.engine.relation import Relation
 from repro.errors import LockConflict, NotInitializedError, TransactionError
@@ -143,6 +144,9 @@ class Transaction:
         self.aborted = False
         #: Per-table version overrides (used by refreshes to pin sources).
         self._version_overrides: dict[str, TableVersion] = {}
+        #: The snapshot every read without an overlay goes through.
+        self._reader = VersionReader(snapshot_pin(
+            manager.catalog, snapshot, self._version_overrides))
         #: Refresh metadata riding on this transaction's WAL commit
         #: record (set by the refresh engine before commit): the frontier
         #: advance that recovery must replay alongside the data changes.
@@ -159,64 +163,51 @@ class Transaction:
 
     # -- reads (SnapshotResolver) ----------------------------------------------
 
-    def _version_of(self, table: str,
-                    versioned: VersionedTable) -> TableVersion:
-        version = self._version_overrides.get(table)
-        if version is None:
-            version = versioned.version_at(self.snapshot)
-        return version
-
     def scan(self, table: str) -> Relation:
-        versioned = self._resolve_table(table)
-        version = self._version_of(table, versioned)
-        base = versioned.relation(version)
-        write = self._writes.get(table)
-        if write is None or not self._overlays(write):
-            return base
-        overlaid = Relation(base.schema)
-        if not write.overwrite:
-            for row_id, row in base.pairs():
-                if row_id in write.deletes:
-                    continue
-                overlaid.append(row_id, write.updates.get(row_id, row))
-        for row_id, row in zip(self._insert_ids.get(table, ()),
-                               write.inserts):
-            overlaid.append(row_id, row)
-        return overlaid
+        overlay = self._overlay(table)
+        if overlay is None:
+            return self._reader.scan(table)
+        schema, partitions = overlay
+        return Relation.concat(schema, partitions)
 
     def scan_pruned(self, table: str, bounds) -> Relation:
         """Zone-map pruned scan. With no staged writes on the table this
-        is exactly the snapshot reader's pruned read; with an overlay the
-        full (unpruned) overlaid relation is returned — a superset is
-        always sound, since the caller re-applies its predicate."""
-        versioned = self._resolve_table(table)
-        write = self._writes.get(table)
-        if write is None or not self._overlays(write):
-            return versioned.relation_pruned(
-                self._version_of(table, versioned), bounds)
-        return self.scan(table)
+        is exactly the snapshot reader's pruned read; with an overlay it
+        keeps the overlaid partitions that might match ``bounds`` (see
+        :class:`_OverlayPartition` for why that stays sound)."""
+        overlay = self._overlay(table)
+        if overlay is None:
+            return self._reader.scan_pruned(table, bounds)
+        schema, partitions = overlay
+        return Relation.concat(schema, (partition for partition in partitions
+                                        if partition.might_match(bounds)))
 
     def scan_partitions(self, table: str):
         """Partition-granular reads (streaming cursors) inside a
-        transaction. Tables the transaction has not written stream their
-        snapshot partitions directly; written tables stream the base
-        partitions with deletes/updates applied, then one synthetic
-        partition of the staged inserts — the same rows, ids, and order
-        as :meth:`scan`. The staged state is copied now, so a stream
+        transaction: the overlay's partitions, in the rows, ids, and order
+        of :meth:`scan`. The staged state is copied now, so a stream
         serves the overlay as of its creation even if later statements
         stage more writes.
         """
-        versioned = self._resolve_table(table)
-        version = self._version_of(table, versioned)
+        overlay = self._overlay(table)
+        if overlay is None:
+            return self._reader.scan_partitions(table)
+        return overlay[1]
+
+    def _overlay(self, table: str):
+        """``(schema, partitions)`` of ``table`` with this transaction's
+        staged writes applied — the snapshot's partitions with deletes and
+        updates applied (none after an overwrite), then one synthetic
+        partition of the staged inserts — or None when it has nothing to
+        overlay, and reads go straight to the pinned snapshot."""
         write = self._writes.get(table)
         if write is None or not self._overlays(write):
-            return iter(versioned.partitions_of(version))
-        deletes = frozenset(write.deletes)
-        updates = dict(write.updates)
+            return None
+        versioned, version = self._reader.pin(table)
         partitions = ([] if write.overwrite
                       else versioned.partitions_of(version))
-        return _overlay_partition_stream(
-            partitions, deletes, updates,
+        return versioned.schema, _overlay_partition_stream(
+            partitions, frozenset(write.deletes), dict(write.updates),
             list(self._insert_ids.get(table, ())), list(write.inserts))
 
     @staticmethod
@@ -234,16 +225,6 @@ class Transaction:
         """Pin reads of ``table`` to a specific version (refresh source
         resolution, section 5.3)."""
         self._version_overrides[table] = version
-
-    def _resolve_table(self, name: str) -> VersionedTable:
-        catalog = self._manager.catalog
-        entry = catalog.get(name)
-        if entry.kind == "dynamic table":
-            payload = entry.payload
-            ensure = getattr(payload, "ensure_readable", None)
-            if ensure is not None:
-                ensure()  # raises NotInitializedError before first refresh
-        return catalog.versioned_table(name)
 
     # -- writes ------------------------------------------------------------------
 
@@ -502,7 +483,85 @@ class Transaction:
         self._locked.clear()
 
 
-class SnapshotReader:
+#: A pin: the table to read and the version of it to read.
+Pin = Callable[[str], tuple[VersionedTable, TableVersion]]
+
+
+def snapshot_pin(catalog: Catalog, point: Snapshot,
+                 overrides: Optional[dict[str, TableVersion]] = None) -> Pin:
+    """Pin each table at its version as of ``point`` — unless
+    ``overrides`` (a transaction's :meth:`~Transaction.pin_version` map,
+    read at each call) names one. A dynamic table must have been
+    refreshed at least once (:class:`NotInitializedError` otherwise)."""
+    def pin(table: str) -> tuple[VersionedTable, TableVersion]:
+        entry = catalog.get(table)
+        if entry.kind == "dynamic table":
+            ensure = getattr(entry.payload, "ensure_readable", None)
+            if ensure is not None:
+                ensure()
+        versioned = catalog.versioned_table(table)
+        version = overrides.get(table) if overrides else None
+        return versioned, (version if version is not None
+                           else versioned.version_at(point))
+    return pin
+
+
+class VersionReader:
+    """The one way to read a pinned snapshot: every storage-backed
+    resolver is this class over some ``pin(table) -> (VersionedTable,
+    TableVersion)``.
+
+    The pins: a snapshot point (:class:`SnapshotReader`, and a
+    transaction's reads outside its own writes), a refresh's ``{table:
+    version}`` map (:meth:`pinned`: its sources, and both endpoints of the
+    interval it differentiates) and the history recorder's. Each read
+    calls the storage method for its access path on the pinned version;
+    the version is resolved when the read is made, not when its result
+    is consumed — a streaming cursor serves exactly the snapshot of its
+    execute() call even when later commits land at the same wall clock,
+    and partitions are immutable, so iterating them lazily is safe.
+    """
+
+    def __init__(self, pin: Pin):
+        self.pin = pin
+
+    @classmethod
+    def pinned(cls, catalog: Catalog,
+               versions: dict[str, TableVersion]) -> "VersionReader":
+        """A reader of each table at the version ``versions`` names."""
+        return cls(lambda table: (catalog.versioned_table(table),
+                                  versions[table]))
+
+    def scan(self, table: str) -> Relation:
+        versioned, version = self.pin(table)
+        return versioned.relation(version)
+
+    def scan_pruned(self, table: str, bounds) -> Relation:
+        """Zone-map pruned scan (filters pushed down by the executor)."""
+        versioned, version = self.pin(table)
+        return versioned.relation_pruned(version, bounds)
+
+    def scan_partitions(self, table: str):
+        """The micro-partitions of the pinned version — the
+        partition-granular read behind streaming cursors."""
+        versioned, version = self.pin(table)
+        return iter(versioned.partitions_of(version))
+
+    def scan_matching(self, table: str, positions: tuple[int, ...],
+                      keys: Callable[[], Collection[tuple]],
+                      delta_rows: int) -> Optional[Relation]:
+        """The rows of ``table`` whose key over ``positions`` is in
+        ``keys()``, probed partition by partition — or None, without
+        calling ``keys``, when the ``delta_rows``-row delta asking is not
+        smaller than the table, where one scan is cheaper than that many
+        probes."""
+        versioned, version = self.pin(table)
+        if delta_rows >= versioned.row_count(version):
+            return None
+        return versioned.relation_matching(version, positions, keys())
+
+
+class SnapshotReader(VersionReader):
     """A read-only resolver at a fixed snapshot (no transaction state).
 
     The snapshot is a wall time (time-travel reads: every commit at that
@@ -511,39 +570,7 @@ class SnapshotReader:
     """
 
     def __init__(self, catalog: Catalog, wall: Snapshot):
-        self._catalog = catalog
-        self._wall = wall
-
-    def _resolve(self, table: str) -> VersionedTable:
-        entry = self._catalog.get(table)
-        if entry.kind == "dynamic table":
-            ensure = getattr(entry.payload, "ensure_readable", None)
-            if ensure is not None:
-                ensure()
-        return self._catalog.versioned_table(table)
-
-    def scan(self, table: str) -> Relation:
-        versioned = self._resolve(table)
-        return versioned.relation(versioned.version_at(self._wall))
-
-    def scan_pruned(self, table: str, bounds) -> Relation:
-        """Zone-map pruned scan (filters pushed down by the executor)."""
-        versioned = self._resolve(table)
-        return versioned.relation_pruned(versioned.version_at(self._wall),
-                                         bounds)
-
-    def scan_partitions(self, table: str):
-        """The micro-partitions of the snapshot's version — the
-        partition-granular read behind streaming cursors.
-
-        The version is resolved *now*, not at first pull: a streaming
-        cursor must serve exactly the snapshot of its execute() call even
-        when later commits land at the same wall clock. Partitions are
-        immutable, so iterating the pinned set lazily afterwards is safe.
-        """
-        versioned = self._resolve(table)
-        version = versioned.version_at(self._wall)
-        return iter(versioned.partitions_of(version))
+        super().__init__(snapshot_pin(catalog, wall))
 
 
 class TransactionManager:

@@ -185,7 +185,8 @@ BASE = [("i0", (1, "a", 10)), ("i1", (2, "a", 20)), ("i2", (3, "b", 30))]
 
 
 def rel(pairs):
-    return Relation.from_pairs(ITEMS, pairs)
+    return Relation(ITEMS, [row for __, row in pairs],
+                    [row_id for row_id, __ in pairs])
 
 
 def source_for(old, new):

@@ -252,7 +252,8 @@ class TestZoneMapPruning:
 
 class TestLimit:
     def _values(self, count):
-        return lp.Values(ITEMS, tuple((i, "g", i) for i in range(count)))
+        rows = [(i, "g", i) for i in range(count)]
+        return lp.Values(ITEMS, tuple(zip(*rows)), count)
 
     def test_limit_truncates(self):
         plan = lp.Limit(self._values(10), 3)

@@ -51,14 +51,6 @@ class TestRelationBlockLayout:
         assert relation.column(2) == [10, 20]
         assert relation.columns is relation.columns  # cached once built
 
-    def test_append_keeps_layouts_in_sync(self):
-        relation = Relation.from_columns(ITEMS, [[1], ["a"], [10]], ["r0"])
-        __ = relation.rows  # materialize both layouts
-        relation.append("r1", (2, "b", 20))
-        assert relation.rows == [(1, "a", 10), (2, "b", 20)]
-        assert relation.columns == [[1, 2], ["a", "b"], [10, 20]]
-        assert relation.row_ids == ["r0", "r1"]
-
     def test_empty_columnar_relation(self):
         relation = Relation.from_columns(ITEMS, [[], [], []], [])
         assert len(relation) == 0

@@ -119,3 +119,22 @@ def test_oracle_detects_corruption():
     dt.table.apply(StagedWrite(changeset=poison), db.txns.hlc.now())
     with pytest.raises(AssertionError, match="DVS violation"):
         db.check_dvs("d")
+
+
+def test_oracle_reads_whole_versions(monkeypatch):
+    """The oracle must not share the refresh's access paths: with zone
+    maps claiming no partition can match, initialization prunes every
+    row of ``WHERE v > 0`` away, and only an oracle that reads whole
+    versions still sees the rows the DT lost."""
+    from repro.storage.partition import Partition
+
+    db = Database()
+    db.create_warehouse("wh")
+    db.execute("CREATE TABLE t (k int, v int)")
+    db.execute("INSERT INTO t VALUES (1, 5), (2, 7), (3, -1)")
+    monkeypatch.setattr(Partition, "might_match", lambda self, bounds: False)
+    db.create_dynamic_table("d", "SELECT k, v FROM t WHERE v > 0",
+                            "1 minute", "wh")
+    assert db.query("SELECT count(*) FROM d").rows == [(0,)]
+    with pytest.raises(AssertionError, match="DVS violation"):
+        db.check_dvs("d")

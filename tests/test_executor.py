@@ -292,12 +292,7 @@ class _PartitionedResolver:
                          for name, (relation, __) in tables.items()}
 
     def scan(self, table):
-        relation = Relation(self._schemas[table])
-        for partition in self._partitions[table]:
-            for row_id, row in zip(partition.row_ids,
-                                   zip(*partition.columns)):
-                relation.append(row_id, row)
-        return relation
+        return Relation.concat(self._schemas[table], self._partitions[table])
 
     def scan_partitions(self, table):
         return iter(self._partitions[table])

@@ -109,7 +109,8 @@ def mutate(relation, ops, additions, prefix):
         row_id = f"{prefix}new{offset}"
         delta.append(("+", row_id, row))
         pairs.append((row_id, row))
-    return Relation.from_pairs(relation.schema, pairs), changeset(*delta)
+    return (Relation(relation.schema, [row for __, row in pairs],
+                     [row_id for row_id, __ in pairs]), changeset(*delta))
 
 
 def columnar(relations):

@@ -29,7 +29,8 @@ PROVIDER = DictSchemaProvider({"items": ITEMS, "lookup": LOOKUP})
 
 
 def rel(schema, pairs):
-    return Relation.from_pairs(schema, pairs)
+    return Relation(schema, [row for __, row in pairs],
+                    [row_id for row_id, __ in pairs])
 
 
 def apply_changes(old: Relation, changes: ChangeSet) -> dict:

@@ -48,16 +48,10 @@ class TestRelation:
             Relation(self.SCHEMA, [(1,), (2,)], ["only-one"])
 
     def test_pairs_roundtrip(self):
-        relation = Relation.from_pairs(self.SCHEMA, [("x", (1,)),
-                                                     ("y", (2,))])
+        relation = Relation(self.SCHEMA, [(1,), (2,)], ["x", "y"])
         assert list(relation.pairs()) == [("x", (1,)), ("y", (2,))]
         assert len(relation) == 2
         assert list(relation) == [(1,), (2,)]
-
-    def test_append(self):
-        relation = Relation(self.SCHEMA)
-        relation.append("r", (9,))
-        assert relation.rows == [(9,)]
 
 
 class TestSimClock:

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import Database
-from repro.core.refresh import _VersionResolver
 from repro.engine.executor import evaluate, extract_scan_bounds
 from repro.engine.expressions import (ColumnRef, Comparison, IsNull, Literal,
                                       conjoin)
@@ -26,6 +25,7 @@ from repro.plan.rewrite import optimize
 from repro.sql.parser import parse_query
 from repro.storage.partition import (Partition, build_partitions,
                                      zone_maps_of_columns)
+from repro.txn.manager import VersionReader
 
 _OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
 
@@ -156,8 +156,8 @@ def test_where_after_deletes_matches_unpruned_scan(seed):
             plan = optimize(build_plan(parse_query(sql), db.catalog,
                                        db.registry))
             unpruned = evaluate(plan, DictResolver({"t": table.relation()}))
-            pruned = evaluate(plan, _VersionResolver(db.catalog,
-                                                     {"t": version}))
+            pruned = evaluate(plan, VersionReader.pinned(db.catalog,
+                                                         {"t": version}))
             assert pruned.row_ids == unpruned.row_ids, sql
             assert pruned.rows == unpruned.rows, sql
             assert db.query(sql).rows == unpruned.rows, sql

@@ -103,9 +103,9 @@ REPRO_CONFIG = AnalyzerConfig(
     },
     method_seams={
         # resolver.scan(...) in the executor: every snapshot resolver.
-        "scan": ("Transaction", "SnapshotReader", "DictResolver"),
-        "scan_pruned": ("Transaction", "SnapshotReader"),
-        "scan_partitions": ("Transaction", "SnapshotReader"),
+        "scan": ("Transaction", "VersionReader", "DictResolver"),
+        "scan_pruned": ("Transaction", "VersionReader"),
+        "scan_partitions": ("Transaction", "VersionReader"),
         # The aggregate fold's accumulator protocol.
         "insert": ("subclasses-of:Accumulator",),
         "retract": ("subclasses-of:Accumulator",),
@@ -126,7 +126,7 @@ REPRO_CONFIG = AnalyzerConfig(
     scheduler_paths=("scheduler/",),
     hot_path_roots=(
         "txn.manager.Transaction.scan_partitions",
-        "txn.manager.SnapshotReader.scan_partitions",
+        "txn.manager.VersionReader.scan_partitions",
     ),
     entry_points={
         # Pool workers of the server front end (each statement runs on
@@ -169,7 +169,7 @@ REPRO_CONFIG = AnalyzerConfig(
         # thread at a time (the connection serialization lock enforces
         # it for server sessions).
         "Transaction", "Session", "Connection", "Cursor",
-        "PreparedStatement", "QueryResult", "SnapshotReader",
+        "PreparedStatement", "QueryResult", "VersionReader",
         "_OverlayPartition", "_StagedPartition", "StagedWrite",
         # The discrete-event scheduler runs on the driving thread; its
         # callbacks (including the checkpoint tick) and all tick

@@ -21,7 +21,8 @@ convention-enforced:
 
 ``materialize``
     The whole refresh path (``engine/executor.py``, ``ivm/``,
-    ``streams/``, ``storage/``, ``core/refresh.py``) stays columnar:
+    ``streams/``, ``storage/``, ``core/refresh.py``) and the
+    transaction's read-your-writes overlay (``txn/``) stay columnar:
     ``.rows`` / ``.pairs()`` materialization there defeats the columnar
     data plane and is only allowed at sites recorded in the baseline
     allowlist below (each a deliberate row-shaped boundary) or marked
@@ -109,17 +110,15 @@ _LOCK_SCOPE = ("server/", "txn/manager.py")
 _LOCK_METHODS = {"lock", "acquire"}
 
 #: Modules that must stay columnar: the refresh path, partition to delta
-#: to partition.
+#: to partition, and the transaction's read-your-writes overlay.
 _MATERIALIZE_SCOPE = ("engine/executor.py", "ivm/", "streams/", "storage/",
-                      "core/refresh.py")
+                      "core/refresh.py", "txn/")
 
 #: Baseline allowlist for the materialize rule: (module path, enclosing
 #: scope) pairs for the row-shaped boundaries that predate the linter.
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_run_values"),
-    ("engine/executor.py", "flatten_relation"),
     ("storage/table.py", "rows_by_id"),
 }
 
