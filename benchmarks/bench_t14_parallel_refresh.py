@@ -17,13 +17,8 @@ Two claims from the parallel refresh subsystem:
   table names). Before this subsystem, every one of these commits but
   the first per snapshot window would conflict and retry.
 
-Intra-refresh partition fan-out is also exercised (wide source table,
-1/2/4 partition workers) and its task counts recorded; its wall-clock
-effect is reported informationally in ``results.txt`` only.
-
-Deterministic facts (modeled makespans, speedups, conflict counts, task
-counts) land in ``BENCH_parallel.json``; wall-clock numbers go to
-``results.txt``.
+Deterministic facts (modeled makespans, speedups, conflict counts) land
+in ``BENCH_parallel.json``; wall-clock numbers go to ``results.txt``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_t14_parallel_refresh.py
 """
@@ -45,7 +40,6 @@ from reporting import emit, emit_json, table  # noqa: E402
 #: Independent DTs in the refresh graph (plus one joined dependent).
 INDEPENDENT_DTS = 8
 PARALLELISM_LEVELS = (1, 2, 4)
-PARTITION_FANOUTS = (1, 2, 4)
 MIN_SPEEDUP_AT_4 = 1.7
 
 CONTENDED_WRITERS = 4
@@ -57,9 +51,8 @@ TXNS_PER_ROW = 25
 # ---------------------------------------------------------------------------
 
 
-def _build_graph(parallelism, partition_fanout=None):
-    db = Database(parallelism=parallelism,
-                  partition_fanout=partition_fanout)
+def _build_graph(parallelism):
+    db = Database(parallelism=parallelism)
     # The warehouse has enough slots that the dispatch width under test
     # is the binding constraint.
     db.create_warehouse("wh", size=INDEPENDENT_DTS)
@@ -68,8 +61,7 @@ def _build_graph(parallelism, partition_fanout=None):
                ", ".join(f"({i % 16}, {i})" for i in range(4000)))
     for index in range(INDEPENDENT_DTS):
         # Pairwise-independent aggregates over the full source: each
-        # refresh folds the whole (wide) delta, so partition fan-out has
-        # enough rows to chunk.
+        # refresh folds the whole (wide) delta.
         db.create_dynamic_table(
             f"ind{index}",
             f"SELECT k, sum(v + {index}) s, count(*) n FROM src "
@@ -86,8 +78,8 @@ def _build_graph(parallelism, partition_fanout=None):
     return db
 
 
-def _run_dag(parallelism, partition_fanout=None):
-    db = _build_graph(parallelism, partition_fanout)
+def _run_dag(parallelism):
+    db = _build_graph(parallelism)
     started = time.perf_counter()
     report = db.run_for(7 * MINUTE)
     elapsed = time.perf_counter() - started
@@ -98,7 +90,6 @@ def _run_dag(parallelism, partition_fanout=None):
     # second; both are deterministic.
     by_timestamp: dict[int, int] = {}
     refreshes = 0
-    partition_tasks = 0
     for entry in db.catalog.entries(kind="dynamic table"):
         for record in entry.payload.refresh_history:
             if not record.succeeded:
@@ -107,16 +98,12 @@ def _run_dag(parallelism, partition_fanout=None):
             by_timestamp[record.data_timestamp] = max(
                 by_timestamp.get(record.data_timestamp, 0),
                 record.end_wall)
-            if record.parallel:
-                partition_tasks += record.parallel.get(
-                    "partition_tasks", 0)
     makespan = sum(end - ts for ts, end in by_timestamp.items())
     return {
         "workers": parallelism,
         "refreshes": refreshes,
         "makespan_s": makespan / SECOND,
         "throughput": refreshes / (makespan / SECOND),
-        "partition_tasks": partition_tasks,
         "elapsed": elapsed,
         "skipped": report.refreshes_skipped,
     }
@@ -180,10 +167,7 @@ def _run_disjoint_rows():
 
 def _measure():
     dag = [_run_dag(level) for level in PARALLELISM_LEVELS]
-    fanned = [_run_dag(4, partition_fanout=fanout)
-              for fanout in PARTITION_FANOUTS]
-    disjoint = _run_disjoint_rows()
-    return dag, fanned, disjoint
+    return dag, _run_disjoint_rows()
 
 
 _cache = None
@@ -197,7 +181,7 @@ def _measured():
 
 
 def test_dag_parallel_throughput_scales():
-    dag, __, __ = _measured()
+    dag, __ = _measured()
     base = dag[0]
     at4 = dag[-1]
     # Identical logical work at every level...
@@ -210,15 +194,8 @@ def test_dag_parallel_throughput_scales():
         f"< {MIN_SPEEDUP_AT_4}x")
 
 
-def test_partition_fanout_dispatches_tasks():
-    __, fanned, __ = _measured()
-    assert fanned[0]["partition_tasks"] == 0  # fanout 1 stays inline
-    for run in fanned[1:]:
-        assert run["partition_tasks"] > 0
-
-
 def test_disjoint_row_writers_never_conflict():
-    __, __, disjoint = _measured()
+    __, disjoint = _measured()
     assert disjoint["conflicts"] == 0
     assert disjoint["retries"] == 0
     assert disjoint["lost_updates"] == 0
@@ -226,7 +203,7 @@ def test_disjoint_row_writers_never_conflict():
 
 
 def test_emit_report():
-    dag, fanned, disjoint = _measured()
+    dag, disjoint = _measured()
     base = dag[0]
     emit(f"t14 — parallel refresh: DAG dispatch ({INDEPENDENT_DTS} "
          "independent DTs + 1 joined)", table(
@@ -238,10 +215,6 @@ def test_emit_report():
                f"{run['throughput'] / base['throughput']:.2f}x",
                f"{run['elapsed']:.2f}"]
               for run in dag]))
-    emit("t14 — parallel refresh: partition fan-out at 4 DAG workers",
-         table(["partition workers", "tasks dispatched", "wall s"],
-               [[fanout, run["partition_tasks"], f"{run['elapsed']:.2f}"]
-                for fanout, run in zip(PARTITION_FANOUTS, fanned)]))
     emit(f"t14 — parallel refresh: disjoint-row commits "
          f"({CONTENDED_WRITERS} writers x {TXNS_PER_ROW} txns/row)", [
              f"transactions: {disjoint['transactions']}, "
@@ -268,10 +241,6 @@ def test_emit_report():
                 run["throughput"] / base["throughput"], 3),
         } for run in dag],
         "min_speedup_at_4_workers": MIN_SPEEDUP_AT_4,
-        "partition_fanout": [{
-            "partition_workers": fanout,
-            "tasks_dispatched": run["partition_tasks"],
-        } for fanout, run in zip(PARTITION_FANOUTS, fanned)],
         "disjoint_rows": {
             "writers": disjoint["writers"],
             "transactions": disjoint["transactions"],
@@ -284,7 +253,6 @@ def test_emit_report():
 
 def main() -> None:
     test_dag_parallel_throughput_scales()
-    test_partition_fanout_dispatches_tasks()
     test_disjoint_row_writers_never_conflict()
     test_emit_report()
 

@@ -6,7 +6,7 @@ change more than 10% of their DT, highlighting the need to be able to
 dynamically choose full refreshes when a large fraction of the data has
 changed."
 
-Two query series, measured as actual Python runtime:
+Two query series:
 
 * **linear plan** (filter + project): differentiation is truly O(Δ) — at
   0.1% churn incremental wins by orders of magnitude; as churn → 100% the
@@ -21,6 +21,13 @@ Two query series, measured as actual Python runtime:
   below by a full input scan — reproducing exactly the limitation the
   paper flags as its top future-work item ("we expect major performance
   opportunities from incorporating a 'previous state'").
+
+The gates are on counted work, which is deterministic: the incremental
+side's rows are the ``DifferentiationStats`` delta rows every derivative
+produced (``delta_rows_out``) plus the rows its endpoint evaluations
+materialized (``endpoint_rows``); the full side's are the rows its scans
+read. Wall-clock timings only go to ``results.txt``; on a shared 2-core
+box their ratios are too noisy to gate.
 """
 
 import time
@@ -82,55 +89,78 @@ def _time(function, repeats=3):
     return min(samples)  # min is robust to scheduler noise
 
 
+class _CountingResolver(DictResolver):
+    """A resolver that counts the rows its scans read."""
+
+    def __init__(self, relations):
+        super().__init__(relations)
+        self.rows_read = 0
+
+    def scan(self, table):
+        relation = super().scan(table)
+        self.rows_read += len(relation)
+        return relation
+
+
+def _incremental_rows(stats):
+    return stats.delta_rows_out + stats.endpoint_rows
+
+
 def _sweep(plan, fractions):
+    """Per churn fraction: the incremental refresh's
+    ``(DifferentiationStats, seconds)`` and the full refresh's ``(rows
+    read, seconds)``."""
     incremental = {}
     full = {}
     for fraction in fractions:
         new_relation, delta = _mutated(fraction)
         source = DictDeltaSource({"items": BASE}, {"items": new_relation},
                                  {"items": delta})
-        resolver = DictResolver({"items": new_relation})
-        incremental[fraction] = _time(lambda: differentiate(plan, source))
-        full[fraction] = _time(lambda: evaluate(plan, resolver))
+        resolver = _CountingResolver({"items": new_relation})
+        __, stats = differentiate(plan, source)
+        evaluate(plan, resolver)
+        incremental[fraction] = (stats,
+                                 _time(lambda: differentiate(plan, source)))
+        full[fraction] = (resolver.rows_read,
+                          _time(lambda: evaluate(plan, resolver)))
     return incremental, full
 
 
-def test_crossover(benchmark):
+def test_crossover():
     fractions = [0.001, 0.01, 0.05, 0.25, 1.0]
     linear_incr, linear_full = _sweep(LINEAR_PLAN, fractions)
     agg_incr, agg_full = _sweep(AGGREGATE_PLAN, fractions)
 
-    new_relation, delta = _mutated(0.01)
-    source = DictDeltaSource({"items": BASE}, {"items": new_relation},
-                             {"items": delta})
-    benchmark(lambda: differentiate(LINEAR_PLAN, source))
-
     # Linear plan: crossover exists.
-    assert linear_full[0.001] > 10 * linear_incr[0.001]  # incr dominates
-    assert linear_incr[1.0] > linear_full[1.0]           # full wins at 100%
-    advantage = [linear_full[f] / linear_incr[f] for f in fractions]
+    work = {fraction: (_incremental_rows(linear_incr[fraction][0]),
+                       linear_full[fraction][0]) for fraction in fractions}
+    assert work[0.001][1] > 10 * work[0.001][0]  # incremental dominates
+    assert work[1.0][0] > work[1.0][1]           # full wins at 100%
+    advantage = [full / incr for incr, full in work.values()]
     assert advantage[0] > advantage[-1]
 
     # Aggregate plan: endpoint evaluation bounds incremental from below —
-    # the section 5.5.3 no-state-reuse limitation.
-    assert agg_incr[0.001] > 0.3 * agg_full[0.001]
+    # the section 5.5.3 no-state-reuse limitation: even at 0.1% churn its
+    # endpoint reads cover at least one scan of the table.
+    assert agg_incr[0.001][0].endpoint_rows >= TABLE_ROWS
 
     rows = []
     for fraction in fractions:
-        rows.append([
-            f"{fraction:.1%}",
-            f"{linear_incr[fraction] * 1e3:.2f} ms",
-            f"{linear_full[fraction] * 1e3:.2f} ms",
-            f"{linear_full[fraction] / linear_incr[fraction]:.1f}x",
-            f"{agg_incr[fraction] * 1e3:.2f} ms",
-            f"{agg_full[fraction] * 1e3:.2f} ms",
-            f"{agg_full[fraction] / agg_incr[fraction]:.1f}x",
-        ])
+        row = [f"{fraction:.1%}"]
+        for incr, full in ((linear_incr, linear_full), (agg_incr, agg_full)):
+            (stats, incr_s), (full_rows, full_s) = (incr[fraction],
+                                                    full[fraction])
+            row += [_incremental_rows(stats), full_rows,
+                    f"{incr_s * 1e3:.2f} ms", f"{full_s * 1e3:.2f} ms",
+                    f"{full_s / incr_s:.1f}x"]
+        rows.append(row)
     emit("crossover — incremental vs full refresh "
          f"({TABLE_ROWS} rows, {GROUPS} groups)", [
              *table(["rows changed",
-                     "linear incr", "linear full", "speedup",
-                     "agg incr", "agg full", "speedup"], rows),
+                     "linear incr rows", "linear full rows", "linear incr",
+                     "linear full", "speedup",
+                     "agg incr rows", "agg full rows", "agg incr",
+                     "agg full", "speedup"], rows),
              "",
              "paper shape (linear): incremental dominates at <1% churn; "
              "full wins at ~100% churn.",

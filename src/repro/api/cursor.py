@@ -1,17 +1,18 @@
 """DB-API-flavored cursors with per-micro-partition streaming reads.
 
 A :class:`Cursor` executes statements against its session and serves
-SELECT results page by page: the underlying plan is evaluated lazily, one
-micro-partition at a time (:func:`repro.engine.executor.stream_evaluate`),
-so ``fetchmany(k)`` holds at most the unserved remainder of a single
-partition beyond the page it returns — a large scan never materializes an
-O(result) row list. Each streamed batch is a
-:class:`~repro.engine.relation.Relation` — the partition's column arrays,
-filtered and projected by the executor's kernels — which the cursor
-transposes into row tuples once per batch pulled. ``ORDER BY ... LIMIT k``
-streams through a bounded top-k heap (at most ``k`` buffered rows); plans
-whose shape cannot stream (aggregates, joins, unbounded sorts)
-transparently fall back to one materialized batch.
+SELECT results page by page: every plan is evaluated as a stream of
+batches over its scans' micro-partitions
+(:func:`repro.engine.executor.stream_evaluate`, the executor's one
+operator set). Row-preserving plans run lazily, so ``fetchmany(k)`` holds
+at most the unserved remainder of a single partition beyond the page it
+returns — a large scan never materializes an O(result) row list.
+``ORDER BY ... LIMIT k`` keeps a bounded top-k (at most ``k`` rows).
+Materializing operators run when the cursor executes: a GROUP BY or
+DISTINCT folds partition by partition and holds only its groups; joins,
+windows and unbounded sorts hold their inputs. Each batch is a
+:class:`~repro.engine.relation.Relation`, which the cursor transposes
+into row tuples once per batch pulled.
 
 The surface follows PEP 249 where it makes sense for an embedded
 analytical engine: ``execute`` / ``executemany``, ``fetchone`` /
@@ -186,8 +187,8 @@ class Cursor:
                 except StopIteration:
                     self._batches = None
                     break
-            # Streamed and materialized batches alike are Relations: one
-            # transpose per batch beats one tuple-unpack per row.
+            # Every batch is a Relation: one transpose per batch beats
+            # one tuple-unpack per row.
             self._buffer.extend(batch.rows)
         return bool(self._buffer)
 

@@ -58,7 +58,6 @@ class Database:
                  checkpoint_every: Duration | None = None,
                  checkpoint_wal_bytes: int | None = None,
                  parallelism: int | None = None,
-                 partition_fanout: int | None = None,
                  wal_failure_policy: str = "readonly"):
         """``path`` opts into durability: the directory holds the WAL and
         checkpoint files, existing state is recovered before the first
@@ -72,9 +71,7 @@ class Database:
 
         ``parallelism`` turns on DAG-parallel scheduled refreshes with
         that many concurrent workers (None keeps the serial scheduler);
-        ``partition_fanout`` gives the refresh engine a worker pool of
-        that size for intra-refresh partition work. Both modes produce
-        byte-identical table states to serial refresh; see
+        it produces byte-identical table states to serial refresh; see
         :meth:`set_parallelism`.
 
         ``wal_failure_policy`` decides what a *failed WAL write* does:
@@ -92,9 +89,8 @@ class Database:
                                     outer_join_strategy)
         self.scheduler = Scheduler(self.catalog, self.engine, self.warehouses,
                                    self.clock, cost_model)
-        if parallelism is not None or partition_fanout is not None:
-            self.set_parallelism(parallelism,
-                                 partition_fanout=partition_fanout)
+        if parallelism is not None:
+            self.set_parallelism(parallelism)
         #: Optimized-plan cache shared by every session's prepared
         #: statements (parameter-aware keys; see repro.plan.cache).
         self.plan_cache = PlanCache()
@@ -141,31 +137,13 @@ class Database:
 
     # -- parallel refresh ---------------------------------------------------------
 
-    def set_parallelism(self, workers: int | None,
-                        partition_fanout: int | None = None) -> None:
-        """(Re)configure parallel refresh.
-
-        ``workers`` — DAG-level: scheduled refreshes of independent DTs
-        run concurrently in dependency waves on ``workers`` threads, and
-        the scheduler's modeled durations queue on as many dispatch
-        slots. ``None`` restores the exact serial legacy scheduler.
-
-        ``partition_fanout`` — intra-refresh: one refresh's
-        aggregate-state scans and folds fan out across a pool of that
-        size (``None`` keeps them inline). The pools are separate by
-        design, so a refresh occupying a DAG worker never blocks on the
-        partition pool it submits to.
-        """
-        from repro.util.parallel import WorkerPool
-
+    def set_parallelism(self, workers: int | None) -> None:
+        """(Re)configure parallel refresh: scheduled refreshes of
+        independent DTs run concurrently in dependency waves on
+        ``workers`` threads, and the scheduler's modeled durations queue
+        on as many dispatch slots. ``None`` restores the exact serial
+        legacy scheduler."""
         self.scheduler.set_parallelism(workers)
-        previous = self.engine.partition_pool
-        self.engine.partition_pool = (
-            WorkerPool(partition_fanout, name="repro-partition")
-            if partition_fanout is not None and partition_fanout > 1
-            else None)
-        if previous is not None:
-            previous.close()
 
     # -- sessions ----------------------------------------------------------------
 

@@ -599,8 +599,7 @@ class Session:
             # Parallel-refresh observability, same `-- <section> ...`
             # format: the parallelism each referenced DT's most recent
             # executed refresh actually chose — its dependency-wave
-            # placement and DAG worker count, and/or the partition
-            # fan-out its delta work used.
+            # placement and DAG worker count.
             lines.extend(self._parallel_lines(statement.select))
             # Failure-driven staleness, same `-- <section> ...` format:
             # which referenced DTs are serving old data because they are
@@ -673,15 +672,8 @@ class Session:
                     continue
                 info = past.parallel
                 if info:
-                    parts = []
-                    if "wave" in info:
-                        parts.append(f"wave {info['wave']}/{info['waves']}, "
-                                     f"workers={info['workers']}")
-                    if "partition_tasks" in info:
-                        parts.append(
-                            f"partition fan-out={info['partition_workers']} "
-                            f"({info['partition_tasks']} tasks)")
-                    lines.append(f"-- parallel {name}: " + ", ".join(parts))
+                    lines.append(f"-- parallel {name}: wave {info['wave']}/"
+                                 f"{info['waves']}, workers={info['workers']}")
                 break
         return lines
 
@@ -759,9 +751,7 @@ class Session:
     def _stream_prepared(self, prepared: PreparedStatement, binds: object,
                          ) -> tuple[Schema, Iterator[Relation]]:
         """Schema + per-micro-partition batch iterator for a SELECT (the
-        cursor's read path); falls back to one materialized batch when the
-        plan shape (or an open transaction's overlay read) cannot
-        stream."""
+        cursor's read path)."""
         with statement_boundary(prepared.sql):
             if not prepared.is_query:
                 raise UserError("cannot stream a non-SELECT statement")
@@ -773,10 +763,7 @@ class Session:
             with self._execution_guard():
                 plan = prepared.plan()
                 reader, ctx = self._read_state(values)
-                batches = stream_evaluate(plan, reader, ctx)
-                if batches is None:
-                    batches = iter([evaluate(plan, reader, ctx)])
-                return plan.schema, batches
+                return plan.schema, stream_evaluate(plan, reader, ctx)
 
     # -- reads ---------------------------------------------------------------
 

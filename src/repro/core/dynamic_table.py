@@ -140,9 +140,8 @@ class RefreshRecord:
     #: lets the history recorder reconstruct derivation provenance.
     frontier: Optional[Frontier] = None
     #: Parallel-execution observability (None when fully serial): the
-    #: engine contributes ``partition_workers`` / ``partition_tasks``
-    #: (intra-refresh fan-out); the DAG-parallel scheduler adds ``wave``,
-    #: ``waves``, and ``workers``. Surfaced by EXPLAIN.
+    #: DAG-parallel scheduler's ``wave``, ``waves``, and ``workers``.
+    #: Surfaced by EXPLAIN.
     parallel: Optional[dict] = None
 
     def reset_outcome(self) -> None:

@@ -30,8 +30,6 @@ entry fails the refresh — the paper's first production validation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.dynamic_table import (DynamicTable, RefreshAction,
                                       RefreshRecord)
 from repro.core.evolution import (EvolutionOutcome, check_evolution,
@@ -53,7 +51,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import TableVersion
 from repro.streams.changes import changes_between
 from repro.txn.manager import TransactionManager, VersionReader
-from repro.util.parallel import WorkerPool, partition_parallelism
 from repro.util.timeutil import Timestamp
 
 
@@ -115,12 +112,6 @@ class RefreshEngine:
         #: the DT's own query changes the query text — each changes the
         #: key, so stale plans are never served and age out of the LRU.
         self._plan_cache = PlanCache(limit=_PLAN_CACHE_LIMIT)
-        #: Intra-refresh partition pool (None = fully serial refreshes).
-        #: Installed thread-locally around each refresh, so aggregate-state
-        #: scans and folds fan out; distinct from any
-        #: DAG-level coordinator pool, so a refresh running on a DAG
-        #: worker never waits on the pool it occupies.
-        self.partition_pool: Optional[WorkerPool] = None
 
     # -- public API ----------------------------------------------------------------
 
@@ -169,11 +160,7 @@ class RefreshEngine:
         txn = self.txn_manager.begin(snapshot_wall=refresh_ts)
         try:
             txn.lock(dt.name)
-            with partition_parallelism(self.partition_pool) as fanout:
-                self._execute(dt, refresh_ts, record, txn)
-            if fanout.tasks:
-                record.parallel = {"partition_workers": fanout.workers,
-                                   "partition_tasks": fanout.tasks}
+            self._execute(dt, refresh_ts, record, txn)
         except BaseException:
             if txn.committed is None and not txn.aborted:
                 txn.abort()

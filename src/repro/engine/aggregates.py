@@ -1,7 +1,7 @@
 """Aggregate functions: one accumulator per call, one grouping fold.
 
 Every aggregate is defined once, as an **accumulator**: a per-group
-object with ``insert``/``retract``/``merge``/``finalize`` (plus the
+object with ``insert``/``retract``/``finalize`` (plus the
 vectorized ``insert_arrays``/``retract_arrays`` over columnar slices).
 :func:`make_accumulator` builds one for every call shape the plan builder
 binds, and every caller aggregates through it: GROUP BY, scalar
@@ -67,13 +67,12 @@ class Accumulator:
     """One aggregate's per-group state.
 
     The protocol: ``insert(value)`` folds one input row in, ``retract
-    (value)`` removes a previously inserted row, ``merge(other)`` absorbs
-    another accumulator of the same shape (partial states computed per
-    partition), and ``finalize()`` yields the aggregate's current SQL
-    value. ``insert_arrays``/``retract_arrays`` fold a whole columnar
-    slice at once; the base implementations loop, concrete accumulators
-    override them with bulk arithmetic where the function allows
-    (``sum``/``len`` run at C speed).
+    (value)`` removes a previously inserted row, and ``finalize()``
+    yields the aggregate's current SQL value.
+    ``insert_arrays``/``retract_arrays`` fold a whole columnar slice at
+    once; the base implementations loop, concrete accumulators override
+    them with bulk arithmetic where the function allows (``sum``/``len``
+    run at C speed).
 
     Every retractable operation is O(1) (amortized for MIN/MAX, whose
     extremum rescan is paid only when the current extremum's last copy is
@@ -87,9 +86,6 @@ class Accumulator:
         raise NotImplementedError
 
     def retract(self, value: Value) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "Accumulator") -> None:
         raise NotImplementedError
 
     def finalize(self) -> Value:
@@ -119,9 +115,6 @@ class CountStarAccumulator(Accumulator):
         self.count -= 1
         if self.count < 0:
             raise RetractionError("count(*) retracted below zero")
-
-    def merge(self, other: "CountStarAccumulator") -> None:
-        self.count += other.count
 
     def finalize(self) -> Value:
         return self.count
@@ -185,9 +178,11 @@ class CountIfAccumulator(CountStarAccumulator):
 
 class SumAccumulator(Accumulator):
     """SUM(x): running total plus the non-NULL count that decides the
-    all-NULL → NULL result. ``insert`` is a left fold in arrival order;
-    ``insert_arrays`` adds the slice's ``sum()``, so one slice into a
-    fresh accumulator is exactly ``sum()`` of its non-NULL values."""
+    all-NULL → NULL result. ``insert`` is a left fold in arrival order,
+    and so is ``insert_arrays``: it continues ``sum()`` from the running
+    total, so folding slices one after another is ``sum()`` of all their
+    non-NULL values in order — exactly, up to Python 3.12's ``sum()``
+    compensating FLOAT rounding within each call."""
 
     __slots__ = ("total", "count")
 
@@ -207,10 +202,6 @@ class SumAccumulator(Accumulator):
             if self.count < 0:
                 raise RetractionError("sum retracted below zero rows")
 
-    def merge(self, other: "SumAccumulator") -> None:
-        self.total += other.total
-        self.count += other.count
-
     def finalize(self) -> Value:
         return self.total if self.count else None
 
@@ -218,7 +209,7 @@ class SumAccumulator(Accumulator):
         nulls = values.count(None)
         if nulls:
             values = [value for value in values if value is not None]
-        self.total += sum(values)
+        self.total = sum(values, self.total)
         self.count += len(values)
 
     def retract_arrays(self, values: Sequence[Value]) -> None:
@@ -302,11 +293,6 @@ class ExtremeAccumulator(Accumulator):
         if value == self.best:
             self.rescan()
 
-    def merge(self, other: "ExtremeAccumulator") -> None:
-        for value, count in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0) + count
-        self.rescan()
-
     def finalize(self) -> Value:
         return self.best
 
@@ -358,13 +344,6 @@ class DistinctAccumulator(Accumulator):
         if self._summing:
             self.total -= value
 
-    def merge(self, other: "DistinctAccumulator") -> None:
-        for value, count in other.counts.items():
-            present = self.counts.get(value, 0)
-            self.counts[value] = present + count
-            if not present and self._summing:
-                self.total += value
-
     def finalize(self) -> Value:
         distinct = len(self.counts)
         if self.function == "count":
@@ -402,9 +381,6 @@ class CollectingAccumulator(Accumulator):
     def retract(self, value: Value) -> None:
         raise RetractionError(
             f"{self.function} keeps no retractable state")
-
-    def merge(self, other: "CollectingAccumulator") -> None:
-        self.insert_arrays(other.collected())
 
     def collected(self) -> list:
         """The values kept, in arrival order."""

@@ -8,41 +8,47 @@ a REINITIALIZE, and a long chain of INCREMENTAL refreshes all converge on
 byte-identical table states — the property the paper's randomized
 production validation (section 6.1) checks.
 
-The executor is a pull-based engine: each operator materializes its
-output. Every operator exists once, as a kernel below built from the
-operator's plan node and applied to its materialized input(s);
-:func:`evaluate` applies a kernel to the whole input and
-:func:`stream_evaluate` applies the *same* kernel to one micro-partition
-at a time. Every kernel evaluates its expressions **vector-at-a-time**:
-it reads ``Relation.columns`` and runs each expression once over whole
-column arrays through the vectorized compiler
-(:func:`compile_expression_columnar`) — one tight loop per expression node
-per batch, never one evaluator call per row, group or partition. Join
-keys, sort keys, grouping keys, aggregate and window arguments are value
-arrays gathered by row index; a join records ``(left, right)`` index
-matches and gathers its output columns by index, and UNION ALL
-concatenates column arrays. GROUP BY, scalar aggregates and DISTINCT run
-the one grouping fold of :mod:`repro.engine.aggregates` — the fold the
-incremental aggregate rules run too. What stays row-shaped are the
-producers whose unit of work is a row: VALUES and FLATTEN assemble their
-output rows through the ``Relation`` row view. Every sort — ORDER BY, window
-partitions, the streamed top-k — goes through one ordering kernel,
-:class:`~repro.engine.window.Ordering`, which sorts row indices by key.
-The interpreter (``Expression.eval``, selected by ``force_interpreted``) is
-the reference semantics.
+There is one execution path: an operator table (``_OPERATORS``) in which
+every plan node turns its children's **batch streams** — iterators of
+``Relation`` batches — into its own. Filter, Project and FLATTEN map
+their kernels over batches; LIMIT and ``ORDER BY ... LIMIT k`` pull
+lazily and stop early (a bounded top-k keeps at most ``k`` rows); UNION
+ALL chains its branch streams; GROUP BY, scalar aggregates and DISTINCT
+fold batch by batch into one groups dict through the grouping fold of
+:mod:`repro.engine.aggregates` — the fold the incremental aggregate
+rules run too; joins, windows and unbounded sorts drain their inputs.
+:func:`evaluate` is that stream with every scan read whole (the relation
+cache, ``scan_pruned``'s zone maps, a transaction's overlay), drained
+into one relation; :func:`stream_evaluate` is the same stream with every
+scan read one micro-partition at a time, which is how a cursor serves a
+large scan, or a GROUP BY over one, holding one partition (or the
+groups) rather than the table.
+
+Every kernel evaluates its expressions **vector-at-a-time**: it reads
+``Relation.columns`` and runs each expression once over whole column
+arrays through the vectorized compiler (:func:`compile_expression_columnar`)
+— one tight loop per expression node per batch, never one evaluator call
+per row or group. Join keys, sort keys, grouping keys, aggregate and
+window arguments are value arrays gathered by row index; a join records
+``(left, right)`` index matches and gathers its output columns by index,
+and UNION ALL rewrites only row ids. FLATTEN is the one producer whose
+unit of work is a row. Every sort — ORDER BY, window partitions, top-k —
+goes through one ordering kernel, :class:`~repro.engine.window.Ordering`,
+which sorts row indices by key. The interpreter (``Expression.eval``,
+selected by ``force_interpreted``) is the reference semantics.
 
 Filters directly over scans additionally push simple column-vs-literal
-bounds into the storage layer when the resolver supports it
-(``scan_pruned``), letting zone-mapped micro-partitions be skipped
-wholesale. Pruning only ever removes rows the predicate would reject, so
+bounds into the scan — ``scan_pruned`` for a whole read, each
+partition's ``might_match`` for a streamed one — letting zone-mapped
+micro-partitions be skipped wholesale. Pruning only ever removes rows the predicate would reject, so
 output rows, order, and row ids are unchanged; :func:`scan_pruning_stats`
 reports the partitions-scanned/skipped split so EXPLAIN can surface it.
 """
 
 from __future__ import annotations
 
-from itertools import compress as _itercompress
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, compress as _itercompress
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import types as t
 from repro.engine.aggregates import Group, fold
@@ -62,8 +68,24 @@ from repro.plan import logical as lp
 
 def evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
              ctx: EvalContext = DEFAULT_CONTEXT) -> Relation:
-    """Evaluate ``plan`` against ``resolver``'s snapshot."""
-    return _Executor(resolver, ctx).run(plan)
+    """Evaluate ``plan`` against ``resolver``'s snapshot: the operator
+    stream with every scan read whole, drained into one relation."""
+    return _drain(plan.schema, _Run(resolver, ctx, False).stream(plan))
+
+
+def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
+                    ctx: EvalContext = DEFAULT_CONTEXT) -> Iterator[Relation]:
+    """Evaluate ``plan`` lazily: the same operator stream as
+    :func:`evaluate`, with every scan read one micro-partition at a time.
+
+    Draining it yields exactly :func:`evaluate`'s rows, ids and order
+    (except that a FLOAT ``sum`` folded partition by partition may round
+    differently in the last place under Python 3.12's compensated
+    ``sum()``). Scans are pinned, and materializing operators (aggregates, DISTINCT,
+    joins, windows, unbounded sorts) run, when the stream is created; row
+    preserving operators and LIMIT run as batches are pulled.
+    """
+    return _Run(resolver, ctx, True).stream(plan)
 
 
 #: A pushed-down scan bound: either ``("cmp", column_index, op, value)``
@@ -195,223 +217,167 @@ def _compress(block_columns: Sequence[Sequence], row_ids: Sequence[str],
              for column in block_columns], kept)
 
 
-class _Executor:
-    def __init__(self, resolver: SnapshotResolver, ctx: EvalContext):
-        self._resolver = resolver
-        self._ctx = ctx
+# ---------------------------------------------------------------------------
+# The operator table: every plan node turns its children's batch streams
+# into its own
+# ---------------------------------------------------------------------------
 
-    def run(self, plan: lp.PlanNode) -> Relation:
-        method = getattr(self, f"_run_{type(plan).__name__.lower()}", None)
-        if method is None:
+#: A stream of relation batches, all under one plan node's schema.
+Batches = Iterator[Relation]
+
+
+class _Run:
+    """One evaluation: the snapshot, the execution context, and whether
+    its scans are read one micro-partition at a time."""
+
+    __slots__ = ("resolver", "ctx", "partitioned")
+
+    def __init__(self, resolver: SnapshotResolver, ctx: EvalContext,
+                 partitioned: bool):
+        self.resolver = resolver
+        self.ctx = ctx
+        self.partitioned = partitioned
+
+    def stream(self, plan: lp.PlanNode) -> Batches:
+        operator = _OPERATORS.get(type(plan))
+        if operator is None:
             raise InternalError(f"no executor for {type(plan).__name__}")
-        return method(plan)
+        return operator(plan, self)
 
-    # -- leaves --------------------------------------------------------------
-
-    def _run_scan(self, plan: lp.Scan) -> Relation:
-        # Requalify under the plan's schema (alias binding); data unchanged
-        # and shared by reference.
-        return self._resolver.scan(plan.table).with_schema(plan.schema)
-
-    def _run_values(self, plan: lp.Values) -> Relation:
-        return Relation.from_columns(
-            plan.schema, [list(column) for column in plan.columns],
-            [f"v:{index}" for index in range(plan.count)])
-
-    # -- row-preserving operators ---------------------------------------------
-
-    def _run_project(self, plan: lp.Project) -> Relation:
-        return project_kernel(plan, self._ctx)(self.run(plan.child))
-
-    def _run_filter(self, plan: lp.Filter) -> Relation:
-        return filter_kernel(plan, self._ctx)(self._filter_input(plan))
-
-    def _filter_input(self, plan: lp.Filter) -> Relation:
-        """The filter's input, zone-map pruned when it is a direct scan and
-        the resolver supports pruned reads."""
-        child = plan.child
-        if isinstance(child, lp.Scan):
-            scan_pruned = getattr(self._resolver, "scan_pruned", None)
-            if scan_pruned is not None:
-                bounds = extract_scan_bounds(plan.predicate, self._ctx)
-                if bounds:
-                    return scan_pruned(child.table,
-                                       bounds).with_schema(child.schema)
-        return self.run(child)
-
-    # -- joins ----------------------------------------------------------------
-
-    def _run_join(self, plan: lp.Join) -> Relation:
-        left = self.run(plan.left)
-        right = self.run(plan.right)
-        return join_relations(plan, left, right, self._ctx)
-
-    # -- union ------------------------------------------------------------------
-
-    def _run_unionall(self, plan: lp.UnionAll) -> Relation:
-        union_id = rowid.union_id
-        row_ids: list[str] = []
-        columns: list[list] = [[] for __ in plan.schema]
-        for branch, child in enumerate(plan.inputs):
-            relation = self.run(child)
-            row_ids.extend(union_id(branch, row_id)
-                           for row_id in relation.row_ids)
-            for accumulator, column in zip(columns, relation.columns):
-                accumulator.extend(column)
-        return Relation.from_columns(plan.schema, columns, row_ids)
-
-    # -- aggregation ---------------------------------------------------------
-
-    def _run_aggregate(self, plan: lp.Aggregate) -> Relation:
-        child = self.run(plan.child)
-        return aggregate_relation(plan, child, self._ctx)
-
-    def _run_distinct(self, plan: lp.Distinct) -> Relation:
-        child = self.run(plan.child)
-        return distinct_relation(plan.schema, child)
-
-    # -- windows -----------------------------------------------------------------
-
-    def _run_window(self, plan: lp.Window) -> Relation:
-        child = self.run(plan.child)
-        return window_relation(plan, child, self._ctx)
-
-    # -- flatten ---------------------------------------------------------------
-
-    def _run_flatten(self, plan: lp.Flatten) -> Relation:
-        child = self.run(plan.child)
-        return flatten_relation(plan, child, self._ctx)
-
-    # -- presentation operators -------------------------------------------------
-
-    def _run_sort(self, plan: lp.Sort) -> Relation:
-        child = self.run(plan.child)
-        count = len(child)
-        keys = compile_row_columnar([expr for expr, __ in plan.keys],
-                                    self._ctx)(child.columns, count)
-        ordered = Ordering(child.columns, child.row_ids, keys,
-                           [flag for __, flag in plan.keys]).sort(range(count))
-        return Relation.from_columns(
-            plan.schema,
-            [[column[index] for index in ordered]
-             for column in child.columns],
-            [child.row_ids[index] for index in ordered])
-
-    def _run_limit(self, plan: lp.Limit) -> Relation:
-        # The executor materializes each child, so LIMIT cannot stream the
-        # subtree; it slices the child's column arrays directly.
-        return limit_relation(plan.schema, self.run(plan.child), plan.count)
-
-
-# ---------------------------------------------------------------------------
-# Streaming evaluation (per-micro-partition, for the cursor API)
-# ---------------------------------------------------------------------------
-
-def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
-                    ctx: EvalContext = DEFAULT_CONTEXT,
-                    ) -> Optional[Iterator[Relation]]:
-    """Evaluate ``plan`` lazily, one micro-partition at a time.
-
-    Supports the row-preserving pipeline shapes — a chain of Project /
-    Filter / Limit over a single Scan, UNION ALL over such chains (branch
-    streams are concatenated), and ``ORDER BY ... LIMIT k`` (a columnar
-    bounded top-k over the child stream) — when the resolver exposes
-    partition-granular reads (``scan_partitions``). Returns an iterator of
-    :class:`Relation` batches, one per surviving partition, or None when
-    the plan (a join, aggregate, unbounded sort, ...) or the resolver
-    cannot stream; callers then fall back to :func:`evaluate`.
-
-    The stream produces exactly the rows, ids, and order of the
-    materialized path because it *is* the materialized path applied per
-    partition: each batch goes through the same ``filter_kernel`` /
-    ``project_kernel`` / ``limit_relation`` kernels (zone-map partition
-    pruning only ever skips rows the predicate rejects), and the top-k
-    sorts through the same ordering kernel as ``ORDER BY`` (ORDER BY keys,
-    then the stable tie-break digest), so its ``k`` survivors are the
-    materialized sort's first ``k``. No list of more than one partition's
-    rows is ever built — a sorted-limit cursor holds at most ``k`` rows
-    beyond the current partition — which is what lets a cursor serve pages
-    of a large scan in O(partition) memory.
-    """
-    if isinstance(plan, lp.Scan):
-        return _scan_batches(plan, resolver, ())
-
-    if isinstance(plan, lp.Filter):
-        child = plan.child
-        if isinstance(child, lp.Scan):
-            batches = _scan_batches(
-                child, resolver, extract_scan_bounds(plan.predicate, ctx))
+    def read(self, plan: lp.Scan, bounds: Sequence[ScanBound]) -> Batches:
+        """A scan's batches, requalified under the plan's schema (alias
+        binding) and zone-map pruned under ``bounds``. Partitioned: one
+        batch per micro-partition, column arrays shared by reference,
+        pinned now and read as the stream is pulled. Otherwise — or when
+        the resolver has no partition-granular access — the whole table
+        as one batch, read now through ``scan_pruned`` (given bounds and
+        a resolver that has it) or ``scan``."""
+        resolver = self.resolver
+        scan_partitions = (getattr(resolver, "scan_partitions", None)
+                           if self.partitioned else None)
+        if scan_partitions is not None:
+            partitions = scan_partitions(plan.table)
+            if bounds:
+                partitions = (partition for partition in partitions
+                              if partition.might_match(bounds))
+            return (Relation.from_columns(plan.schema, partition.columns,
+                                          list(partition.row_ids))
+                    for partition in partitions)
+        scan_pruned = getattr(resolver, "scan_pruned", None)
+        if bounds and scan_pruned is not None:
+            relation = scan_pruned(plan.table, bounds)
         else:
-            batches = stream_evaluate(child, resolver, ctx)
-        if batches is None:
-            return None
-        return map(filter_kernel(plan, ctx), batches)
-
-    if isinstance(plan, lp.Project):
-        batches = stream_evaluate(plan.child, resolver, ctx)
-        if batches is None:
-            return None
-        return map(project_kernel(plan, ctx), batches)
-
-    if isinstance(plan, lp.Limit):
-        if plan.count < 0:
-            return None  # evaluate() reports the error (limit_relation)
-        child = plan.child
-        # ORDER BY ... LIMIT k: a bounded top-k over the child stream —
-        # the sorted-limit cursor never materializes the full
-        # result. The Sort may sit directly below, or below the final
-        # Project (how the builder binds ORDER BY over unprojected
-        # columns).
-        project = child if isinstance(child, lp.Project) else None
-        sort = child if project is None else project.child
-        if isinstance(sort, lp.Sort):
-            batches = stream_evaluate(sort.child, resolver, ctx)
-            if batches is None:
-                return None
-            return _topk_batches(batches, sort, plan.count, ctx, project)
-        batches = stream_evaluate(child, resolver, ctx)
-        if batches is None:
-            return None
-        return _limit_batches(plan, batches)
-
-    if isinstance(plan, lp.UnionAll):
-        # Branch streams are *created* eagerly — pinning every branch's
-        # snapshot at execute time, exactly like the materialized path —
-        # then drained one after the other, so a unioned SELECT still
-        # holds at most one partition's rows. Row ids match
-        # ``_run_unionall`` (union_id over the branch ordinal).
-        streams = []
-        for child in plan.inputs:
-            batches = stream_evaluate(child, resolver, ctx)
-            if batches is None:
-                return None  # one branch can't stream -> materialize all
-            streams.append(batches)
-        return _union_batches(plan, streams)
-
-    return None  # joins/aggregates/unbounded sorts/etc. must materialize
+            relation = resolver.scan(plan.table)
+        return _one(relation.with_schema(plan.schema))
 
 
-def _scan_batches(plan: lp.Scan, resolver: SnapshotResolver,
-                  bounds: Sequence[ScanBound],
-                  ) -> Optional[Iterator[Relation]]:
-    """One relation per micro-partition of the scanned table (column
-    arrays shared by reference), zone-map pruned under ``bounds``; None
-    when the resolver has no partition-granular access."""
-    scan_partitions = getattr(resolver, "scan_partitions", None)
-    if scan_partitions is None:
-        return None
-    partitions = scan_partitions(plan.table)
-    if bounds:
-        partitions = (partition for partition in partitions
-                      if partition.might_match(bounds))
-    return (Relation.from_columns(plan.schema, partition.columns,
-                                  list(partition.row_ids))
-            for partition in partitions)
+def _one(relation: Relation) -> Batches:
+    return iter((relation,))
 
 
-def _union_batches(plan: lp.UnionAll, streams: list) -> Iterator[Relation]:
+def _drain(schema, batches: Batches) -> Relation:
+    """Every batch of a stream as one relation — the batch itself when
+    there is only one."""
+    first = next(batches, None)
+    second = next(batches, None) if first is not None else None
+    if second is None:
+        return first if first is not None else Relation.concat(schema, ())
+    return Relation.concat(schema, chain((first, second), batches))
+
+
+def _scan(plan: lp.Scan, run: _Run) -> Batches:
+    return run.read(plan, ())
+
+
+def _values(plan: lp.Values, run: _Run) -> Batches:
+    return _one(Relation.from_columns(
+        plan.schema, [list(column) for column in plan.columns],
+        [f"v:{index}" for index in range(plan.count)]))
+
+
+def _filter(plan: lp.Filter, run: _Run) -> Batches:
+    child = plan.child
+    if isinstance(child, lp.Scan):
+        batches = run.read(child, extract_scan_bounds(plan.predicate,
+                                                      run.ctx))
+    else:
+        batches = run.stream(child)
+    return map(filter_kernel(plan, run.ctx), batches)
+
+
+def _project(plan: lp.Project, run: _Run) -> Batches:
+    return map(project_kernel(plan, run.ctx), run.stream(plan.child))
+
+
+def _flatten(plan: lp.Flatten, run: _Run) -> Batches:
+    return map(flatten_kernel(plan, run.ctx), run.stream(plan.child))
+
+
+def _limit(plan: lp.Limit, run: _Run) -> Batches:
+    if plan.count < 0:
+        raise UserError(
+            f"LIMIT count must be non-negative, got {plan.count}")
+    child = plan.child
+    # ORDER BY ... LIMIT k: a bounded top-k over the sort's input stream.
+    # The Sort may sit directly below, or below the final Project (how
+    # the builder binds ORDER BY over unprojected columns).
+    project = child if isinstance(child, lp.Project) else None
+    sort = child if project is None else project.child
+    if isinstance(sort, lp.Sort):
+        return _topk_batches(run.stream(sort.child), sort, plan.count,
+                             run.ctx, project)
+    return _limit_batches(plan, run.stream(child))
+
+
+def _union_all(plan: lp.UnionAll, run: _Run) -> Batches:
+    # Branch streams are *created* eagerly — every branch's snapshot is
+    # pinned now — then drained one after the other.
+    return _union_batches(plan, [run.stream(child) for child in plan.inputs])
+
+
+def _aggregate(plan: lp.Aggregate, run: _Run) -> Batches:
+    return _one(aggregate_relation(plan, run.stream(plan.child), run.ctx))
+
+
+def _distinct(plan: lp.Distinct, run: _Run) -> Batches:
+    return _one(distinct_relation(plan.schema, run.stream(plan.child)))
+
+
+def _join(plan: lp.Join, run: _Run) -> Batches:
+    left = _drain(plan.left.schema, run.stream(plan.left))
+    right = _drain(plan.right.schema, run.stream(plan.right))
+    return _one(join_relations(plan, left, right, run.ctx))
+
+
+def _window(plan: lp.Window, run: _Run) -> Batches:
+    child = _drain(plan.child.schema, run.stream(plan.child))
+    return _one(window_relation(plan, child, run.ctx))
+
+
+def _sort(plan: lp.Sort, run: _Run) -> Batches:
+    child = _drain(plan.child.schema, run.stream(plan.child))
+    count = len(child)
+    keys = compile_row_columnar([expr for expr, __ in plan.keys],
+                                run.ctx)(child.columns, count)
+    ordered = Ordering(child.columns, child.row_ids, keys,
+                       [flag for __, flag in plan.keys]).sort(range(count))
+    return _one(Relation.from_columns(
+        plan.schema, [_gather(column, ordered) for column in child.columns],
+        _gather(child.row_ids, ordered)))
+
+
+_OPERATORS: dict[type, Callable[..., Batches]] = {
+    lp.Scan: _scan, lp.Values: _values, lp.Filter: _filter,
+    lp.Project: _project, lp.Flatten: _flatten, lp.Limit: _limit,
+    lp.UnionAll: _union_all, lp.Aggregate: _aggregate,
+    lp.Distinct: _distinct, lp.Join: _join, lp.Window: _window,
+    lp.Sort: _sort,
+}
+
+
+def _union_batches(plan: lp.UnionAll, streams: list[Batches]) -> Batches:
     """Concatenate branch streams, rewriting row ids under the branch's
-    union ordinal (identical to the materialized UNION ALL)."""
+    union ordinal."""
     union_id = rowid.union_id
     for branch, batches in enumerate(streams):
         for batch in batches:
@@ -420,29 +386,28 @@ def _union_batches(plan: lp.UnionAll, streams: list) -> Iterator[Relation]:
                 [union_id(branch, row_id) for row_id in batch.row_ids])
 
 
-def _limit_batches(plan: lp.Limit,
-                   batches: Iterator[Relation]) -> Iterator[Relation]:
+def _limit_batches(plan: lp.Limit, batches: Batches) -> Batches:
     remaining = plan.count
     while remaining > 0:  # checked before each pull: no partition wasted
         batch = next(batches, None)
         if batch is None:
             return
-        head = limit_relation(plan.schema, batch, remaining)
+        head = Relation.from_columns(
+            plan.schema, [column[:remaining] for column in batch.columns],
+            batch.row_ids[:remaining])
         remaining -= len(head)
         yield head
 
 
-def _topk_batches(batches: Iterator[Relation], sort: lp.Sort, count: int,
+def _topk_batches(batches: Batches, sort: lp.Sort, count: int,
                   ctx: EvalContext, project: Optional[lp.Project],
-                  ) -> Iterator[Relation]:
-    """Stream implementation of ``ORDER BY ... LIMIT count``: keep the
-    ``count`` best rows seen so far as column arrays (their ORDER BY key
-    arrays alongside), sort each batch together with them through the
-    ordering kernel, and keep the first ``count`` — then emit one batch in
-    exactly the materialized sort-then-limit order. ``project`` is the
-    final projection when one sits between the Limit and the Sort —
-    applied to the ``count`` surviving rows in output order, matching the
-    materialized Project-over-Sort."""
+                  ) -> Batches:
+    """``ORDER BY ... LIMIT count``: keep the ``count`` best rows seen so
+    far as column arrays (their ORDER BY key arrays alongside), sort each
+    batch together with them through the ordering kernel, and keep the
+    first ``count`` — then emit one batch in exactly the sort-then-limit
+    order. ``project`` is the final projection when one sits between the
+    Limit and the Sort, applied to the ``count`` surviving rows."""
     if not count:
         return
     keys_fn = compile_row_columnar([expr for expr, __ in sort.keys], ctx)
@@ -506,15 +471,6 @@ def project_kernel(plan: lp.Project, ctx: EvalContext) -> Kernel:
         return Relation.from_columns(
             schema, columns_fn(child.columns, len(child)), child.row_ids)
     return project_relation
-
-
-def limit_relation(schema, child: Relation, count: int) -> Relation:
-    """The first ``count`` rows of ``child`` (column-array slices)."""
-    if count < 0:
-        raise UserError(f"LIMIT count must be non-negative, got {count}")
-    return Relation.from_columns(
-        schema, [column[:count] for column in child.columns],
-        child.row_ids[:count])
 
 
 #: How many candidate pairs a join condition is evaluated over at once.
@@ -660,31 +616,39 @@ def join_relations(plan: lp.Join, left: Relation, right: Relation,
         row_ids)
 
 
-def aggregate_relation(plan: lp.Aggregate, child: Relation,
+def aggregate_relation(plan: lp.Aggregate, batches: Iterable[Relation],
                        ctx: EvalContext) -> Relation:
-    """Evaluate grouped (or scalar) aggregation over a materialized input.
+    """Evaluate grouped (or scalar) aggregation over the child's batches.
 
-    Grouping keys and aggregate arguments are each evaluated once over the
-    child's column arrays, then :func:`~repro.engine.aggregates.fold`
-    buckets the rows and feeds each group's argument slices to its
-    accumulators.
+    Grouping keys and aggregate arguments are each evaluated over one
+    batch's column arrays, then :func:`~repro.engine.aggregates.fold`
+    buckets its rows into the groups seen so far and feeds each group's
+    argument slice to its accumulators — so only the groups, never the
+    whole input, are held.
     """
-    count = len(child)
-    columns = child.columns
+    keys_fn = compile_row_columnar(plan.group_exprs, ctx)
+    args_fns = [None if call.arg is None
+                else compile_expression_columnar(call.arg, ctx)
+                for call in plan.aggregates]
     groups: dict[tuple, Group] = {}
-    fold(groups, plan.aggregates,
-         compile_row_columnar(plan.group_exprs, ctx)(columns, count),
-         [None if call.arg is None else
-          compile_expression_columnar(call.arg, ctx)(columns, count)
-          for call in plan.aggregates], count)
+    if plan.is_scalar:
+        # The implicit group has its row even when no batch arrives.
+        fold(groups, plan.aggregates, (),
+             [None if fn is None else [] for fn in args_fns], 0)
+    for batch in batches:
+        count, columns = len(batch), batch.columns
+        fold(groups, plan.aggregates, keys_fn(columns, count),
+             [None if fn is None else fn(columns, count) for fn in args_fns],
+             count)
     return _group_relation(plan.schema, groups, rowid.group_id)
 
 
-def distinct_relation(schema, child: Relation) -> Relation:
+def distinct_relation(schema, batches: Iterable[Relation]) -> Relation:
     """DISTINCT: the aggregation fold keyed by every column, with no
     calls; each row value's first occurrence represents it."""
     groups: dict[tuple, Group] = {}
-    fold(groups, (), child.columns, (), len(child))
+    for batch in batches:
+        fold(groups, (), batch.columns, (), len(batch))
     return _group_relation(schema, groups, rowid.distinct_id)
 
 
@@ -718,25 +682,28 @@ def window_relation(plan: lp.Window, child: Relation, ctx: EvalContext,
                                  child.row_ids)
 
 
-def flatten_relation(plan: lp.Flatten, child: Relation,
-                     ctx: EvalContext) -> Relation:
+def flatten_kernel(plan: lp.Flatten, ctx: EvalContext) -> Kernel:
     """LATERAL FLATTEN: one output row per array element; non-array or NULL
     inputs contribute no rows (Snowflake's default OUTER => FALSE)."""
-    values = compile_expression_columnar(plan.input_expr, ctx)(
-        child.columns, len(child))
-    picks: list[int] = []
-    ids: list[str] = []
-    elements: list = []
-    positions: list[int] = []
-    for parent, (row_id, value) in enumerate(zip(child.row_ids, values)):
-        if not isinstance(value, list):
-            continue
-        for index, element in enumerate(value):
-            picks.append(parent)
-            ids.append(rowid.flatten_id(row_id, index))
-            elements.append(element)
-            positions.append(index)
-    columns = [list(map(column.__getitem__, picks))
-               for column in child.columns]
-    return Relation.from_columns(plan.schema,
-                                 columns + [elements, positions], ids)
+    input_fn = compile_expression_columnar(plan.input_expr, ctx)
+    schema = plan.schema
+
+    def flatten_relation(child: Relation) -> Relation:
+        values = input_fn(child.columns, len(child))
+        picks: list[int] = []
+        ids: list[str] = []
+        elements: list = []
+        positions: list[int] = []
+        for parent, (row_id, value) in enumerate(zip(child.row_ids, values)):
+            if not isinstance(value, list):
+                continue
+            for index, element in enumerate(value):
+                picks.append(parent)
+                ids.append(rowid.flatten_id(row_id, index))
+                elements.append(element)
+                positions.append(index)
+        columns = [list(map(column.__getitem__, picks))
+                   for column in child.columns]
+        return Relation.from_columns(schema, columns + [elements, positions],
+                                     ids)
+    return flatten_relation

@@ -19,13 +19,13 @@ attribute load and a dict-emptiness test — the benchmark
 (``benchmarks/bench_t15_fault_recovery.py``) gates the armed-but-idle
 overhead of the threaded points at under 5%.
 
-Thread safety: rules fire from scheduler coordinator workers and
-partition-pool workers concurrently; per-rule hit counters mutate under
-the registry mutex. Note that under real thread parallelism the *order*
-in which concurrent hits reach a point is scheduling-dependent — an
-nth-hit rule deterministically fires on the nth arrival, whichever task
-that is. The convergence property the chaos test asserts holds for any
-arrival order; runs that must replay victim-exactly run serially.
+Thread safety: rules fire from scheduler coordinator workers
+concurrently; per-rule hit counters mutate under the registry mutex.
+Note that under real thread parallelism the *order* in which concurrent
+hits reach a point is scheduling-dependent — an nth-hit rule
+deterministically fires on the nth arrival, whichever task that is. The
+convergence property the chaos test asserts holds for any arrival order;
+runs that must replay victim-exactly run serially.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ KNOWN_POINTS = (
     "wal.fsync",           # before os.fsync (escalates to degraded mode)
     "checkpoint.write",    # checkpoint serialization/installation
     "refresh.execute",     # RefreshEngine, before an attempt begins
-    "worker.task",         # WorkerPool task startup (DAG + partition pools)
+    "worker.task",         # WorkerPool task startup (DAG-parallel refresh)
     "txn.commit",          # Transaction.commit, before validation
 )
 

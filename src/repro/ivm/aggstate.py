@@ -13,8 +13,8 @@ child delta straight into it — one insert/retract per delta row —
 emitting the output diff from the touched accumulators alone, with no
 endpoint recompute. The fold and the accumulators are the engine's own
 (:mod:`repro.engine.aggregates`, the same code full evaluation runs);
-this module adds what carried state needs: the touched-group diff,
-retraction, and the chunked initialize-and-merge.
+this module adds what carried state needs: the touched-group diff and
+retraction.
 
 Carrying state across refreshes makes *interval continuity* load-bearing:
 the accumulators describe the child exactly at the data timestamp the
@@ -51,8 +51,6 @@ from repro.engine.types import SqlType
 from repro.ivm import rowid
 from repro.ivm.changes import Action, Change, ChangeSet
 from repro.plan import logical as lp
-from repro.util.parallel import (MIN_PARALLEL_ROWS, chunk_spans, fanout_map,
-                                 fanout_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -136,37 +134,6 @@ def refresh_strategy(plan: lp.PlanNode) -> list[tuple[lp.PlanNode, str, str]]:
 # Per-node state
 # ---------------------------------------------------------------------------
 
-def _parallel_spans(count: int) -> Optional[list[tuple[int, int]]]:
-    """Contiguous chunk spans for fanning a ``count``-row columnar slice
-    out to the refresh's partition pool — or None when no pool is
-    installed / the slice is too small to be worth splitting."""
-    pool = fanout_pool()
-    if pool is None or count < 2 * MIN_PARALLEL_ROWS:
-        return None
-    spans = chunk_spans(count, pool.workers)
-    return spans if len(spans) > 1 else None
-
-
-def _chunked_eval(fn, columns: Sequence[Sequence], count: int,
-                  spans: list[tuple[int, int]]) -> list:
-    """Evaluate a ``compile_row_columnar`` function chunk-by-chunk on the
-    partition pool, concatenating each expression's per-span arrays in
-    span order — the compiled functions are pure per-row maps, so the
-    result is element-for-element identical to one whole-slice call."""
-    def run(span: tuple[int, int]) -> list:
-        start, stop = span
-        return fn([column[start:stop] for column in columns], stop - start)
-
-    parts = fanout_map("fold-inputs", run, spans)
-    # The compiled functions may hand back tuples; copy into lists so
-    # the span results concatenate regardless.
-    out = [list(array) for array in parts[0]]
-    for part in parts[1:]:
-        for array, extra in zip(out, part):
-            array.extend(extra)
-    return out
-
-
 class AggregateNodeState:
     """Carried fold state for one Aggregate node.
 
@@ -176,9 +143,8 @@ class AggregateNodeState:
     adds is what carried state needs: :meth:`fold` applies a consolidated
     child delta (deletes retract, inserts insert) and returns the output
     diff of the touched groups, and :meth:`initialize` builds the state
-    once, in parallel chunks merged in order when a pool is installed. A
-    scalar aggregate keeps its single implicit group alive at zero rows
-    (SQL: the empty aggregate still yields one row).
+    once. A scalar aggregate keeps its single implicit group alive at
+    zero rows (SQL: the empty aggregate still yields one row).
     """
 
     #: Id of a group's output row: the key alone names it.
@@ -205,48 +171,10 @@ class AggregateNodeState:
 
     def initialize(self, child: Relation, ctx: EvalContext) -> None:
         """Build the state from a full scan of the child at the interval
-        start (paid once; every later refresh folds deltas only). Under a
-        partition pool the one-big-child-scan splits into contiguous
-        chunks folded into per-chunk partial states, combined via each
-        accumulator's exact ``merge()``."""
+        start (paid once; every later refresh folds deltas only)."""
         self.groups.clear()
-        columns, count = child.columns, len(child)
-        spans = _parallel_spans(count)
-        if spans is None:
-            self._apply(columns, count, ctx)
-        else:
-            self._initialize_parallel(columns, ctx, spans)
+        self._apply(child.columns, len(child), ctx)
         self.initialized = True
-
-    def _initialize_parallel(self, columns: Sequence[Sequence],
-                             ctx: EvalContext,
-                             spans: list[tuple[int, int]]) -> None:
-        """Chunked initialization: each chunk builds a fresh partial
-        state (insert-only, so no retraction can miss a group), then the
-        partials merge *in chunk order* — counts add, accumulators
-        ``merge()``. The stateful gate admits exact accumulators only, so
-        the merge is associative and the combined state — including the
-        group-dict insertion order and each group's representative, which
-        are first-occurrence across ordered chunks, exactly as one serial
-        scan would produce — is identical to the serial initialization."""
-        def scan_chunk(span: tuple[int, int]) -> "AggregateNodeState":
-            start, stop = span
-            partial = type(self)(self.plan)
-            partial._apply([column[start:stop] for column in columns],
-                           stop - start, ctx)
-            return partial
-
-        groups = self.groups
-        for partial in fanout_map("agg-init", scan_chunk, spans):
-            for key, group in partial.groups.items():
-                mine = groups.get(key)
-                if mine is None:
-                    groups[key] = group  # partials are discarded: adopt
-                else:
-                    mine.count += group.count
-                    for accumulator, other in zip(mine.accumulators,
-                                                  group.accumulators):
-                        accumulator.merge(other)
 
     # -- the fold ------------------------------------------------------------
 
@@ -281,17 +209,8 @@ class AggregateNodeState:
                ctx: EvalContext, retract: bool = False,
                touched: Optional[dict] = None) -> None:
         """Fold one side of a delta (or the initialization scan) through
-        the engine's grouping fold. A large fold chunks its columnar
-        expression pass across the partition pool (deterministic
-        expressions only: per-row maps, concatenated in span order, are
-        identical to one full pass)."""
-        fn = compile_row_columnar(self._exprs, ctx)
-        spans = _parallel_spans(count) if self._exprs else None
-        if spans is not None and all(expr.is_deterministic
-                                     for expr in self._exprs):
-            arrays = iter(_chunked_eval(fn, columns, count, spans))
-        else:
-            arrays = iter(fn(columns, count))
+        the engine's grouping fold."""
+        arrays = iter(compile_row_columnar(self._exprs, ctx)(columns, count))
         key_arrays = ([next(arrays) for __ in self._group_exprs]
                       if isinstance(self.plan, lp.Aggregate) else columns)
         fold(self.groups, self.calls, key_arrays,

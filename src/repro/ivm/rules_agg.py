@@ -95,8 +95,8 @@ def delta_aggregate(differ: Differentiator, plan: lp.Aggregate) -> ChangeSet:
     child_old = semi_join_keys(differ.old(plan.child), key_fn, affected)
     child_new = semi_join_keys(differ.new(plan.child), key_fn, affected)
 
-    old_result = aggregate_relation(plan, child_old, differ.ctx)
-    new_result = aggregate_relation(plan, child_new, differ.ctx)
+    old_result = aggregate_relation(plan, (child_old,), differ.ctx)
+    new_result = aggregate_relation(plan, (child_new,), differ.ctx)
     return diff_relations(old_result, new_result)
 
 
@@ -118,8 +118,8 @@ def delta_distinct(differ: Differentiator, plan: lp.Distinct) -> ChangeSet:
     key_fn = t.group_key_columns
     affected = set(key_fn(child_delta.columns, len(child_delta)))
 
-    old_result = distinct_relation(
-        plan.schema, semi_join_keys(differ.old(plan.child), key_fn, affected))
-    new_result = distinct_relation(
-        plan.schema, semi_join_keys(differ.new(plan.child), key_fn, affected))
+    old_result = distinct_relation(plan.schema, (semi_join_keys(
+        differ.old(plan.child), key_fn, affected),))
+    new_result = distinct_relation(plan.schema, (semi_join_keys(
+        differ.new(plan.child), key_fn, affected),))
     return diff_relations(old_result, new_result)

@@ -59,9 +59,8 @@ def dependency_waves(due: Sequence[DynamicTable], graph: DependencyGraph,
 class ParallelRefreshCoordinator:
     """Runs one wave of independent refreshes concurrently.
 
-    Owns the DAG-level :class:`WorkerPool` — deliberately distinct from
-    the engine's partition pool, so a refresh running *on* a DAG worker
-    that fans partition work out can never wait on the pool it occupies.
+    Owns the DAG-level :class:`WorkerPool`; each worker runs one whole
+    refresh.
     """
 
     def __init__(self, engine: RefreshEngine, workers: int):

@@ -253,10 +253,9 @@ class Scheduler:
             records = self._coordinator.refresh_wave(
                 [(dt, time) for dt in runnable])
             for dt, upstream_ends, record in zip(runnable, ends, records):
-                info = dict(record.parallel or {})
-                info.update({"wave": wave_index + 1, "waves": len(waves),
-                             "workers": self.parallelism})
-                record.parallel = info
+                record.parallel = {"wave": wave_index + 1,
+                                   "waves": len(waves),
+                                   "workers": self.parallelism}
                 self._account(dt, time, record, upstream_ends,
                               completed_at_tick)
 

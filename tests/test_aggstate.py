@@ -85,19 +85,6 @@ class TestAccumulators:
         with pytest.raises(RetractionError):
             acc.retract(99)
 
-    def test_merge_partial_states(self):
-        left, right = SumAccumulator(), SumAccumulator()
-        left.insert_arrays([1, 2])
-        right.insert_arrays([3, None])
-        left.merge(right)
-        assert left.finalize() == 6
-
-        low, high = ExtremeAccumulator(True), ExtremeAccumulator(True)
-        low.insert_arrays([1, 2])
-        high.insert_arrays([9])
-        low.merge(high)
-        assert low.finalize() == 9
-
     def test_distinct_accumulator_counts_values_not_rows(self):
         acc = DistinctAccumulator("count")
         acc.insert_arrays([7, 7, 8, None])

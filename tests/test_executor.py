@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.executor import evaluate
 from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
+from repro.errors import ReproError, UserError
 from repro.plan.builder import DictSchemaProvider, build_plan
+from repro.plan.rewrite import optimize
 from repro.sql.parser import parse_query
 
 ORDERS = schema_of(("id", SqlType.INT), ("cust", SqlType.TEXT),
@@ -413,10 +416,162 @@ class TestStreamingTopK:
                 self._check(f"SELECT id, cust FROM orders ORDER BY "
                             f"{order_by} LIMIT {count}", rows)
 
-    def test_unbounded_sort_still_materializes(self):
+
+
+# ---------------------------------------------------------------------------
+# One operator set: draining the stream is evaluating the plan
+# ---------------------------------------------------------------------------
+
+WIDE = schema_of(("a", SqlType.INT), ("b", SqlType.TEXT), ("c", SqlType.INT),
+                 ("x", SqlType.FLOAT), ("p", SqlType.VARIANT))
+WIDE_PROVIDER = DictSchemaProvider({"t": WIDE, "u": WIDE})
+
+
+class _PrunedPartitionedResolver(_PartitionedResolver):
+    """Partitions plus the zone-map pruned whole read, so :func:`evaluate`
+    prunes through ``scan_pruned`` while the stream prunes per
+    partition."""
+
+    def scan_pruned(self, table, bounds):
+        return Relation.concat(self._schemas[table], (
+            partition for partition in self._partitions[table]
+            if partition.might_match(bounds)))
+
+
+# Few values per column: NULLs and ties everywhere. The FLOAT values are
+# dyadic, so their sums are exact in any order: Python 3.12's sum()
+# compensates rounding, and a sum folded partition by partition may then
+# differ in the last place from one folded whole.
+_WIDE_ROW = st.tuples(
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([None, "p", "q"]),
+    st.sampled_from([None, 0, 1, 2, 5]),
+    st.sampled_from([None, 0.25, 0.5, 4.0, -1.5]),
+    st.sampled_from([None, {}, {"tags": "s"}, {"tags": [1, 2]},
+                     {"tags": [3]}]))
+_TABLE = st.tuples(st.lists(_WIDE_ROW, max_size=12), st.integers(1, 5))
+_PREDICATE = st.sampled_from([
+    "c >= 2", "a = 1", "b IS NULL", "x > 0.3", "a = 1 OR c IS NULL",
+    "c % 2 = 0", "b <> 'p'"])
+_SORT_KEYS = st.sampled_from(["c", "c DESC, b", "x, a DESC", "b DESC, x"])
+_JOIN_KIND = st.sampled_from(["", "LEFT", "RIGHT", "FULL"])
+_JOIN_ON = st.sampled_from(["l.a = r.a", "l.c < r.c",
+                            "l.a = r.a AND l.b <> r.b"])
+# Every generated query yields (a INT, b TEXT, c INT, x FLOAT), so any
+# one can feed any other.
+_LEAF = st.one_of(
+    st.sampled_from(["t", "u"]).map("SELECT a, b, c, x FROM {}".format),
+    st.tuples(st.sampled_from(["t", "u"]), _PREDICATE).map(
+        lambda args: "SELECT a, b, c, x FROM {} WHERE {}".format(*args)),
+    st.sampled_from(["t", "u"]).map(
+        "SELECT s.a, s.b, f.index c, s.x FROM {} s, "
+        "LATERAL FLATTEN(input => s.p:tags) f".format),
+    st.just("SELECT 1 a, 'q' b, 2 c, 0.5 x"))
+_AGGREGATES = st.sampled_from([
+    "SELECT a, min(b) b, count(*) c, sum(x) x FROM ({}) s GROUP BY a",
+    "SELECT c % 3 a, max(b) b, sum(c) c, avg(x) x FROM ({}) s "
+    "GROUP BY c % 3",
+    "SELECT a, listagg(b) b, count(DISTINCT c) c, min(x) x FROM ({}) s "
+    "GROUP BY a, b",
+    "SELECT count(*) a, max(b) b, sum(c) c, avg(x) x FROM ({}) s",
+    "SELECT count(c) a, min(b) b, sum(DISTINCT c) c, sum(x) x FROM ({}) s"])
+_DISTINCTS = st.sampled_from([
+    "SELECT DISTINCT a, b, c, x FROM ({}) s",
+    "SELECT DISTINCT a, b, c % 2 c, x FROM ({}) s"])
+_WINDOWS = st.sampled_from([
+    "SELECT a, b, row_number() OVER (PARTITION BY b ORDER BY c, a) c, "
+    "sum(x) OVER (PARTITION BY a) x FROM ({}) s",
+    "SELECT a, b, rank() OVER (ORDER BY c DESC) c, x FROM ({}) s"])
+
+
+def _extend(children):
+    def wrap(templates):
+        return st.tuples(templates, children).map(
+            lambda args: args[0].format(args[1]))
+
+    return st.one_of(
+        st.tuples(children, _PREDICATE).map(
+            lambda args: "SELECT a, b, c, x FROM ({}) s WHERE {}".format(
+                *args)),
+        children.map("SELECT a, b, c + 1 c, x * 2 x FROM ({}) s".format),
+        st.tuples(children, children).map(
+            lambda args: "SELECT * FROM ({}) s1 UNION ALL "
+                         "SELECT * FROM ({}) s2".format(*args)),
+        st.tuples(children, _JOIN_KIND, children, _JOIN_ON).map(
+            lambda args: "SELECT l.a, r.b, l.c, r.x FROM ({}) l {} JOIN "
+                         "({}) r ON {}".format(*args)),
+        wrap(_AGGREGATES), wrap(_DISTINCTS), wrap(_WINDOWS),
+        st.tuples(children, _SORT_KEYS).map(
+            lambda args: "SELECT * FROM ({}) s ORDER BY {}".format(*args)),
+        st.tuples(children, _SORT_KEYS, st.integers(0, 6)).map(
+            lambda args: "SELECT * FROM ({}) s ORDER BY {} LIMIT {}".format(
+                *args)),
+        st.tuples(children, st.integers(0, 6)).map(
+            lambda args: "SELECT * FROM ({}) s LIMIT {}".format(*args)))
+
+
+_QUERY = st.recursive(_LEAF, _extend, max_leaves=5)
+
+
+def _outcome(run):
+    """``run()``'s ``(row_id, row)`` pairs, or the type of its error."""
+    try:
+        return list(run())
+    except ReproError as exc:
+        return type(exc)
+
+
+class TestOneOperatorSet:
+    """:func:`stream_evaluate` and :func:`evaluate` are one operator set:
+    draining the stream of any plan gives the evaluated rows, ids and
+    order, whatever the partitioning."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sql=_QUERY, optimized=st.booleans(), t=_TABLE, u=_TABLE)
+    def test_drained_stream_equals_evaluate(self, sql, optimized, t, u):
         from repro.engine.executor import stream_evaluate
 
-        resolver = self._resolver([(1, "a", 3)])
+        tables = {}
+        for name, (rows, partition_rows) in (("t", t), ("u", u)):
+            tables[name] = (Relation(WIDE, rows, [f"{name}:{index}" for index
+                                                  in range(len(rows))]),
+                            partition_rows)
+        resolver = _PrunedPartitionedResolver(tables)
+        plan = build_plan(parse_query(sql), WIDE_PROVIDER)
+        if optimized:
+            plan = optimize(plan)
+        evaluated = _outcome(lambda: evaluate(plan, resolver).pairs())
+        streamed = _outcome(lambda: (
+            pair for batch in stream_evaluate(plan, resolver)
+            for pair in batch.pairs()))
+        assert streamed == evaluated, sql
+
+    def test_scalar_aggregate_over_no_partitions_has_its_row(self):
+        from repro.engine.executor import stream_evaluate
+
+        resolver = _PartitionedResolver({"t": (Relation(WIDE, []), 4)})
+        assert resolver.scan_partitions("t") is not None
+        assert not list(resolver.scan_partitions("t"))
         plan = build_plan(parse_query(
-            "SELECT id FROM orders ORDER BY amt"), PROVIDER)
-        assert stream_evaluate(plan, resolver) is None
+            "SELECT count(*), sum(c), min(b) FROM t"), WIDE_PROVIDER)
+        streamed = [row for batch in stream_evaluate(plan, resolver)
+                    for row in batch.rows]
+        assert streamed == [(0, None, None)]
+        assert evaluate(plan, resolver).rows == streamed
+
+    def test_negative_limit_raises_when_the_stream_is_created(self):
+        from repro.engine.executor import stream_evaluate
+        from repro.plan import logical as lp
+
+        resolver = self._resolver()
+        scan = build_plan(parse_query("SELECT a FROM t"), WIDE_PROVIDER)
+        with pytest.raises(UserError, match="non-negative"):
+            stream_evaluate(lp.Limit(scan, -1), resolver)
+        with pytest.raises(UserError, match="non-negative"):
+            evaluate(lp.Limit(scan, -1), resolver)
+
+    def _resolver(self):
+        rows = [(index % 3, "p", index, 0.5, None) for index in range(9)]
+        return _PartitionedResolver(
+            {"t": (Relation(WIDE, rows, [f"t:{i}" for i in range(9)]), 2)})

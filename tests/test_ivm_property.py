@@ -386,9 +386,9 @@ def _parallel_workload(seed):
     return batch(rng.randint(400, 700), 0), ddl, names, mutations
 
 
-def _run_parallel_workload(workload, parallelism=None, partition_fanout=None):
+def _run_parallel_workload(workload, parallelism=None):
     initial, ddl, names, mutations = workload
-    db = Database(parallelism=parallelism, partition_fanout=partition_fanout)
+    db = Database(parallelism=parallelism)
     db.create_warehouse("wh", size=4)
     db.execute("CREATE TABLE src (k INT, v INT)")
     db.execute(f"INSERT INTO src VALUES {initial}")
@@ -411,20 +411,13 @@ def _run_parallel_workload(workload, parallelism=None, partition_fanout=None):
 
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10**9), workers=st.integers(2, 4),
-       fanout=st.integers(2, 4))
-def test_parallel_refresh_equivalence(seed, workers, fanout):
+@given(seed=st.integers(0, 10**9), workers=st.integers(2, 4))
+def test_parallel_refresh_equivalence(seed, workers):
     """The tentpole invariant of the parallel refresh subsystem: for ANY
-    DT graph, ANY mutation stream, and ANY worker count, DAG-parallel and
-    partition-parallel refresh produce ``(row_id, row)`` states
-    byte-identical to the serial loop's — same rows, same row ids, in
-    every dynamic table."""
+    DT graph, ANY mutation stream, and ANY worker count, DAG-parallel
+    refresh produces ``(row_id, row)`` states byte-identical to the
+    serial loop's — same rows, same row ids, in every dynamic table."""
     workload = _parallel_workload(seed)
     serial = _run_parallel_workload(workload)
     dag = _run_parallel_workload(workload, parallelism=workers)
-    fanned = _run_parallel_workload(workload, partition_fanout=fanout)
-    combined = _run_parallel_workload(workload, parallelism=workers,
-                                      partition_fanout=fanout)
     assert dag == serial
-    assert fanned == serial
-    assert combined == serial

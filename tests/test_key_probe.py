@@ -154,7 +154,7 @@ def probe_calls(monkeypatch) -> list:
 def test_probe_matches_scan_byte_for_byte(seed, parallel, probe_calls):
     db, rng = _database(seed)
     if parallel:
-        db.set_parallelism(4, partition_fanout=4)
+        db.set_parallelism(4)
     names = []
     for index, sql in enumerate(JOINS + WINDOWS):
         names.append(f"dt{index}")

@@ -1,6 +1,6 @@
 """Tests for the parallel refresh subsystem: worker pools, dependency
-waves, DAG-parallel scheduling, partition fan-out, row-level commit
-conflicts, and the thread-safety of the shared monitors."""
+waves, DAG-parallel scheduling, row-level commit conflicts, and the
+thread-safety of the shared monitors."""
 
 import threading
 import time as wallclock
@@ -18,8 +18,7 @@ from repro.scheduler.liveness import LivenessMonitor
 from repro.server.server import ServerStats
 from repro.storage.catalog import Catalog
 from repro.txn.manager import TransactionManager
-from repro.util.parallel import (WorkerPool, chunk_spans, fanout_map,
-                                 fanout_pool, partition_parallelism)
+from repro.util.parallel import WorkerPool
 from repro.util.timeutil import MINUTE, SECOND
 
 
@@ -64,65 +63,6 @@ class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-
-
-class TestChunkSpans:
-    def test_covers_range_exactly(self):
-        spans = chunk_spans(1000, 4)
-        assert spans[0][0] == 0 and spans[-1][1] == 1000
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert stop == start
-
-    def test_respects_minimum(self):
-        # 600 rows at minimum 256 → at most 2 chunks, never 4.
-        assert len(chunk_spans(600, 4)) == 2
-        assert chunk_spans(100, 4) == [(0, 100)]
-
-    def test_empty(self):
-        assert chunk_spans(0, 4) == []
-
-    def test_deterministic(self):
-        assert chunk_spans(5000, 3) == chunk_spans(5000, 3)
-
-
-class TestFanoutContext:
-    def test_inline_without_context(self):
-        # No installed pool: fanout_map degrades to a plain ordered map.
-        assert fanout_map("t", lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-
-    def test_records_tasks_and_orders_results(self):
-        pool = WorkerPool(4)
-        try:
-            with partition_parallelism(pool) as stats:
-                out = fanout_map("diff", lambda x: x * 2, list(range(6)))
-            assert out == [x * 2 for x in range(6)]
-            assert stats.tasks == 6
-            assert stats.sites == ["diff"]
-            assert stats.workers == 4
-        finally:
-            pool.close()
-
-    def test_workers_never_see_the_context(self):
-        # The fan-out slot is thread-local: tasks running on pool workers
-        # must not observe the installing refresh's pool, or partition
-        # work could recursively fan out and deadlock the bounded pool.
-        pool = WorkerPool(2)
-        try:
-            with partition_parallelism(pool):
-                seen = fanout_map("probe", lambda _: fanout_pool(),
-                                  [1, 2, 3, 4])
-            assert seen == [None, None, None, None]
-        finally:
-            pool.close()
-
-    def test_context_restored_after_refresh(self):
-        pool = WorkerPool(2)
-        try:
-            with partition_parallelism(pool):
-                pass
-            assert fanout_pool() is None
-        finally:
-            pool.close()
 
 
 def _graph_db():
@@ -181,10 +121,10 @@ class TestDependencyWaves:
         assert waves == [["x"], ["y"], ["z"]]
 
 
-def _run_workload(parallelism=None, partition_fanout=None):
+def _run_workload(parallelism=None):
     """A multi-DT graph under a mutation stream; returns the final
     (row_id, row) states of every DT plus the scheduler report."""
-    db = Database(parallelism=parallelism, partition_fanout=partition_fanout)
+    db = Database(parallelism=parallelism)
     db.create_warehouse("wh", size=4)
     db.execute("CREATE TABLE src (k INT, v INT)")
     db.execute("INSERT INTO src VALUES " +
@@ -297,27 +237,6 @@ class TestDispatchSlotModel:
         assert records["p"].start_wall == records["q"].start_wall
         assert (records["p"].start_wall
                 == records["p"].data_timestamp)
-
-
-class TestPartitionFanoutEquivalence:
-    def test_states_byte_identical_to_serial(self):
-        __, serial, __ = _run_workload()
-        __, fanned, __ = _run_workload(partition_fanout=4)
-        assert fanned == serial
-
-    def test_combined_modes_byte_identical(self):
-        __, serial, __ = _run_workload()
-        __, both, __ = _run_workload(parallelism=2, partition_fanout=4)
-        assert both == serial
-
-    def test_fanout_metadata_recorded(self):
-        db, __, __ = _run_workload(partition_fanout=4)
-        fanned = [record.parallel for record
-                  in db.catalog.get("agg").payload.refresh_history
-                  if record.parallel]
-        assert fanned, "large deltas must fan partition work out"
-        assert all(info["partition_workers"] == 4 for info in fanned)
-        assert all(info["partition_tasks"] > 0 for info in fanned)
 
 
 @pytest.fixture

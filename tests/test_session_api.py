@@ -447,6 +447,39 @@ class TestCursorStreaming:
         paged_db.execute("INSERT INTO big VALUES (9999, 0)")
         assert len(cursor.fetchall()) == self.TOTAL_ROWS
 
+    def test_group_by_folds_at_execute_time(self, paged_db,
+                                            partition_counter):
+        # A materializing operator runs when the cursor executes: the
+        # fold has read every partition before the first fetch, so the
+        # cursor serves its execute-time snapshot whatever commits next.
+        sql = "SELECT val, count(*) n FROM big GROUP BY val"
+        expected = paged_db.query(sql).rows
+        cursor = paged_db.cursor()
+        cursor.execute(sql)
+        assert partition_counter["count"] == 10
+        paged_db.execute("INSERT INTO big VALUES (9999, 0), (9998, 11)")
+        assert cursor.fetchall() == expected
+
+    def test_union_all_pins_every_branch_at_execute_time(self, paged_db):
+        # Branch streams are created when the cursor executes, not when
+        # the previous branch runs dry: a write the transaction stages
+        # after execute() stays out of the second branch too.
+        session = paged_db.session()
+        session.begin()
+        cursor = session.cursor()
+        cursor.execute("SELECT id FROM big WHERE id < 3 "
+                       "UNION ALL SELECT id FROM big WHERE id >= 9990")
+        session.execute("INSERT INTO big VALUES (9999, 0)")
+        assert cursor.fetchall() == [(0,), (1,), (2,)]
+        session.rollback()
+
+    def test_scalar_aggregate_over_an_empty_table_has_its_row(self,
+                                                              paged_db):
+        paged_db.execute("CREATE TABLE empty (v int)")
+        cursor = paged_db.cursor()
+        cursor.execute("SELECT count(*), sum(v) FROM empty")
+        assert cursor.fetchall() == [(0, None)]
+
     def test_union_all_streams_per_partition(self, paged_db,
                                              partition_counter):
         # UNION ALL concatenates branch streams: the cursor keeps
@@ -504,28 +537,27 @@ class TestCursorStreaming:
         cursor.execute(sql)
         assert sorted(cursor.fetchall()) == sorted(paged_db.query(sql).rows)
 
-    @pytest.mark.parametrize("sql, streams", [
-        ("SELECT id, val * 2 d FROM big WHERE val >= 5", True),
-        ("SELECT id FROM big WHERE id >= 120 LIMIT 70", True),
-        ("SELECT id, val FROM big WHERE val > 2 ORDER BY val DESC, id "
-         "LIMIT 7", True),
-        ("SELECT id FROM big WHERE id < 60 "
-         "UNION ALL SELECT val FROM big WHERE id >= 440", True),
-        ("SELECT val, count(*) n FROM big GROUP BY val", False),
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, val * 2 d FROM big WHERE val >= 5",
+        "SELECT id FROM big WHERE id >= 120 LIMIT 70",
+        "SELECT id, val FROM big WHERE val > 2 ORDER BY val DESC, id "
+        "LIMIT 7",
+        "SELECT id FROM big WHERE id < 60 "
+        "UNION ALL SELECT val FROM big WHERE id >= 440",
+        "SELECT val, count(*) n FROM big GROUP BY val",
+        "SELECT id FROM big ORDER BY val, id DESC",
     ])
     def test_streamed_and_materialized_batches_are_one_type(self, paged_db,
-                                                            sql, streams):
-        # The cursor consumes one batch type whether the plan streamed
-        # (one Relation per partition, through the executor's kernels) or
-        # fell back to a single materialized Relation; rows, ids and
-        # order are identical either way.
-        from repro.engine.executor import evaluate, stream_evaluate
+                                                            sql):
+        # Every plan streams: the cursor consumes Relation batches (one
+        # per partition through row-preserving operators, one from a
+        # materializing operator), and rows, ids and order are those of
+        # the evaluated plan.
+        from repro.engine.executor import evaluate
 
         session = paged_db.session()
         prepared = session.prepare(sql)
         reader, ctx = session._read_state(())
-        assert (stream_evaluate(prepared.plan(), reader, ctx)
-                is not None) == streams
         __, batches = session._stream_prepared(prepared, None)
         batches = list(batches)
         assert all(type(batch) is Relation for batch in batches)

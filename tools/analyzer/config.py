@@ -109,7 +109,6 @@ REPRO_CONFIG = AnalyzerConfig(
         # The aggregate fold's accumulator protocol.
         "insert": ("subclasses-of:Accumulator",),
         "retract": ("subclasses-of:Accumulator",),
-        "merge": ("subclasses-of:Accumulator",),
         "finalize": ("subclasses-of:Accumulator",),
         "insert_arrays": ("subclasses-of:Accumulator",),
         "retract_arrays": ("subclasses-of:Accumulator",),
@@ -156,13 +155,6 @@ REPRO_CONFIG = AnalyzerConfig(
         "refresh-worker": (
             "core.refresh.RefreshEngine.refresh",
         ),
-        # Partition-pool workers: the intra-refresh fan-out closures
-        # (chunked aggregate scans and columnar folds), submitted
-        # through WorkerPool.map_ordered.
-        "partition-worker": (
-            "ivm.aggstate.AggregateNodeState._initialize_parallel.scan_chunk",
-            "ivm.aggstate._chunked_eval.run",
-        ),
     },
     thread_confined=frozenset({
         # One transaction / session / statement / cursor is used by one
@@ -192,8 +184,7 @@ REPRO_CONFIG = AnalyzerConfig(
         "DynamicTable", "RefreshRecord", "AggStateStore",
         "AggregateNodeState", "DistinctNodeState",
         # A fold's groups and their accumulators belong to one node state
-        # (or to one chunk's partial state, built on one worker and
-        # merged by the caller after the fan-out returns).
+        # or one evaluation.
         "Group", "CountStarAccumulator", "CountAccumulator",
         "CountIfAccumulator", "SumAccumulator", "AvgAccumulator",
         "ExtremeAccumulator", "DistinctAccumulator",

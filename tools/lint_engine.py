@@ -31,7 +31,7 @@ convention-enforced:
 ``accumulator-protocol``
     Every class deriving from ``Accumulator`` must implement (or
     inherit a real implementation of) the full
-    ``insert``/``retract``/``merge``/``finalize`` protocol; a partial
+    ``insert``/``retract``/``finalize`` protocol; a partial
     accumulator would break retraction-based incremental aggregation at
     runtime, in whatever query shape first exercises the missing method.
 
@@ -136,7 +136,7 @@ BARE_EXCEPT_ALLOWLIST: set[tuple[str, str]] = {
 }
 
 #: The accumulator protocol every concrete accumulator must provide.
-_ACCUMULATOR_PROTOCOL = ("insert", "retract", "merge", "finalize")
+_ACCUMULATOR_PROTOCOL = ("insert", "retract", "finalize")
 _ACCUMULATOR_ROOT = "Accumulator"
 
 #: The only subtree allowed to do direct file I/O.

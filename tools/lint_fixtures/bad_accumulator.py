@@ -10,15 +10,12 @@ class Accumulator:
     def retract(self, value):
         raise NotImplementedError
 
-    def merge(self, other):
-        raise NotImplementedError
-
     def finalize(self):
         raise NotImplementedError
 
 
 class HalfSumAccumulator(Accumulator):
-    # VIOLATION: no retract/merge — the first retraction-bearing delta
+    # VIOLATION: no retract — the first retraction-bearing delta
     # hits NotImplementedError at refresh time.
 
     def __init__(self):
