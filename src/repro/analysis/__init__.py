@@ -1,7 +1,7 @@
 """Static semantic analysis: typed diagnostics for every statement.
 
-Layer 1 of the PR-6 static-analysis subsystem (layer 2, the
-engine-invariant linter, lives in ``tools/lint_engine.py``). See
+Layer 1 of the static-analysis subsystem (layer 2, the analyzer of the
+engine's own source, lives in ``tools/analyzer``). See
 :mod:`repro.analysis.diagnostics` for the code registry and
 :mod:`repro.analysis.analyzer` for the passes.
 """

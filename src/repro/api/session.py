@@ -67,7 +67,7 @@ from repro.engine.expressions import (Cast, ColumnRef, EvalContext,
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import Value
-from repro.core.dynamic_table import (apply_policy_options,
+from repro.core.dynamic_table import (DynamicTable, apply_policy_options,
                                       encode_option_detail)
 from repro.errors import (AnalysisError, CatalogError, LockConflict,
                           ParseError, ReproError, StatementError,
@@ -506,22 +506,10 @@ class Session:
         if durability is None:
             return ()
         from repro.analysis.diagnostics import make_diagnostic
-        from repro.core.evolution import collect_source_names
 
-        try:
-            names = sorted(collect_source_names(select,
-                                                self.database.catalog))
-        except ReproError:
-            return ()  # binding problems are already reported as RPR00x
         diagnostics = []
-        for name in names:
-            try:
-                entry = self.database.catalog.get(name)
-            except ReproError:
-                continue
-            if entry.kind != "dynamic table":
-                continue
-            if durability.agg_recovery_status(entry.payload) == "rebuild":
+        for name, dt in self._referenced_dynamic_tables(select):
+            if durability.agg_recovery_status(dt) == "rebuild":
                 diagnostics.append(make_diagnostic(
                     "RPR031",
                     f"dynamic table {name!r} carries aggregate state not "
@@ -624,21 +612,9 @@ class Session:
                     f"-- durability wal: {status['wal_bytes']} bytes, "
                     f"{status['records_since_checkpoint']} records to "
                     f"replay on restart ({checkpoint_note})")
-                from repro.core.evolution import collect_source_names
-
-                try:
-                    names = sorted(collect_source_names(
-                        statement.select, self.database.catalog))
-                except ReproError:
-                    names = []
-                for name in names:
-                    try:
-                        entry = self.database.catalog.get(name)
-                    except ReproError:
-                        continue
-                    if entry.kind != "dynamic table":
-                        continue
-                    agg = durability.agg_recovery_status(entry.payload)
+                for name, dt in self._referenced_dynamic_tables(
+                        statement.select):
+                    agg = durability.agg_recovery_status(dt)
                     if agg is None:
                         continue
                     lines.append(
@@ -649,25 +625,34 @@ class Session:
                                 "restart"))
             return "\n".join(lines)
 
+    def _referenced_dynamic_tables(
+            self, select: n.Select) -> list[tuple[str, DynamicTable]]:
+        """The dynamic tables ``select`` reads, as ``(name, dt)`` pairs
+        sorted by name; ``[]`` when the query does not bind (binding
+        problems are reported as RPR00x by the analyzer)."""
+        from repro.core.evolution import collect_source_names
+
+        catalog = self.database.catalog
+        try:
+            names = sorted(collect_source_names(select, catalog))
+        except ReproError:
+            return []
+        found = []
+        for name in names:
+            try:
+                entry = catalog.get(name)
+            except ReproError:
+                continue
+            if entry.kind == "dynamic table":
+                found.append((name, entry.payload))
+        return found
+
     def _parallel_lines(self, select: n.Select) -> list[str]:
         """``-- parallel <dt>: ...`` EXPLAIN lines for every referenced
         DT whose most recent executed refresh recorded parallelism."""
-        from repro.core.evolution import collect_source_names
-
-        try:
-            names = sorted(collect_source_names(select,
-                                                self.database.catalog))
-        except ReproError:
-            return []
         lines: list[str] = []
-        for name in names:
-            try:
-                entry = self.database.catalog.get(name)
-            except ReproError:
-                continue
-            if entry.kind != "dynamic table":
-                continue
-            for past in reversed(entry.payload.refresh_history):
+        for name, dt in self._referenced_dynamic_tables(select):
+            for past in reversed(dt.refresh_history):
                 if past.skipped:
                     continue
                 info = past.parallel
@@ -682,23 +667,10 @@ class Session:
         DT serving stale data because of failures (its own or an
         upstream's) — section 3.3.3's graceful degradation made visible
         at query time."""
-        from repro.core.evolution import collect_source_names
         from repro.scheduler.liveness import staleness_report
         from repro.util.timeutil import format_duration
 
-        try:
-            names = sorted(collect_source_names(select,
-                                                self.database.catalog))
-        except ReproError:
-            return []
-        dts = []
-        for name in names:
-            try:
-                entry = self.database.catalog.get(name)
-            except ReproError:
-                continue
-            if entry.kind == "dynamic table":
-                dts.append(entry.payload)
+        dts = [dt for __, dt in self._referenced_dynamic_tables(select)]
         lines: list[str] = []
         now = self.database.clock.now()
         for entry in staleness_report(dts, now):

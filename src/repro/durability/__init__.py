@@ -19,8 +19,9 @@ three layers:
   continuity token no longer matches (the self-healing invalidation path
   of :mod:`repro.ivm.aggstate`).
 
-All file I/O for data lives in this package — ``tools/lint_engine.py``
-enforces that nothing else in the engine opens data files directly.
+All file I/O for data lives in this package — ``python -m
+tools.analyzer`` (rule ENG005) enforces that nothing else in the engine
+opens data files directly.
 """
 
 from repro.durability.manager import DurabilityManager

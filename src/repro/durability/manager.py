@@ -9,7 +9,8 @@ Only *after* ``open`` returns does the database attach the manager to
 the catalog and transaction manager, so replayed operations are never
 re-logged.
 
-Logging discipline (enforced by ``tools/lint_engine.py``):
+Logging discipline (``python -m tools.analyzer`` checks the first point,
+rule ENG007):
 
 * commit records are appended by :meth:`log_commit` from inside the
   transaction manager's commit mutex — WAL order equals commit order;

@@ -285,7 +285,7 @@ class Scheduler:
                     dt, time,
                     upstream_failed=self._upstream_failed(upstream, time))
                 return None
-            except Exception as exc:
+            except Exception as exc:  # eng: allow-ENG006 (skip gate: recorded, never propagated)
                 # Anything else is a real error, not a missing version.
                 # It must never be swallowed as a silent skip: record it
                 # on the DT as a failed attempt (visible in history,

@@ -299,7 +299,7 @@ class Server:
                 last_conflict = exc
                 # Real backoff between retries of a real thread; the
                 # simulated clock cannot stall another session's commit.
-                time.sleep(backoff)  # lint: allow-wall-clock
+                time.sleep(backoff)  # eng: allow-ENG001 (real-thread backoff)
                 backoff = min(backoff * 2, _BACKOFF_CAP)
                 continue
             except BaseException:

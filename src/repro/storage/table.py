@@ -335,7 +335,7 @@ class VersionedTable:
 
     def rows_by_id(self, version: TableVersion | None = None) -> dict[str, tuple]:
         relation = self.relation(version)
-        return dict(relation.pairs())
+        return dict(relation.pairs())  # eng: allow-ENG003 (row-shaped result delivery)
 
     def row_count(self, version: TableVersion | None = None) -> int:
         if version is None:

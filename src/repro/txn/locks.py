@@ -44,7 +44,7 @@ class LockManager:
         """
         # Cross-thread blocking needs a real monotonic deadline; the
         # simulated clock cannot advance while this thread waits.
-        deadline = (time.monotonic() + timeout  # lint: allow-wall-clock
+        deadline = (time.monotonic() + timeout  # eng: allow-ENG001 (blocking wait)
                     ) if timeout > 0 else None
         with self._condition:
             while True:
@@ -55,7 +55,7 @@ class LockManager:
                 if deadline is None:
                     raise LockConflict(
                         f"table {table!r} is locked by transaction {current}")
-                remaining = deadline - time.monotonic()  # lint: allow-wall-clock
+                remaining = deadline - time.monotonic()  # eng: allow-ENG001 (blocking wait)
                 if remaining <= 0:
                     raise LockConflict(
                         f"timed out after {timeout:.1f}s waiting for lock on "

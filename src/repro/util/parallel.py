@@ -61,7 +61,7 @@ class WorkerPool:
                 # isolation must contain that too.
                 inject("worker.task", pool=self._name)
                 return fn(item)
-            except Exception as exc:
+            except Exception as exc:  # eng: allow-ENG006 (wave isolation: siblings complete)
                 return exc
 
         if self.workers == 1 or len(items) <= 1:

@@ -1,15 +1,22 @@
-"""Tests for the whole-program concurrency analyzer
-(``tools/analyzer/``): call-graph construction (method resolution, the
-binding and seam tables), the lock-state transfer function, the
-must-hold fixpoint, mutation regressions over fixture copies, and the
-real-tree contracts the CI gate relies on (clean gated run, acyclic
-acquired-before relation with the documented discipline edges).
+"""Tests for the static analyzer (``tools/analyzer/``): call-graph
+construction (method resolution, the binding and seam tables), the
+lock-state transfer function, the must-hold fixpoint, every rule firing
+on its fixture, mutation regressions over fixture and real-tree copies
+(including stale pragmas), the CLI, and the real-tree contracts the CI
+gate relies on (clean gated run, acyclic acquired-before relation with
+the documented discipline edges). Also hosts the (CI-only, skipped
+when mypy is absent) strict-typing gate over ``repro.plan``,
+``repro.analysis``, ``repro.durability``, and ``repro.server``.
 """
 
+import re
 import shutil
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
@@ -20,7 +27,8 @@ from tools.analyzer.config import REPRO_CONFIG, AnalyzerConfig  # noqa: E402
 from tools.analyzer.effects import (may_take,  # noqa: E402
                                     transitive_effects)
 from tools.analyzer.lockstate import build_lock_graph  # noqa: E402
-from tools.analyzer.races import must_held_at_entry  # noqa: E402
+from tools.analyzer.races import (must_held_at_entry,  # noqa: E402
+                                  race_findings)
 
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 
@@ -164,6 +172,49 @@ def test_method_seam_fans_out_to_subclasses(tmp_path):
     edges = _edges(program)
     assert ("mod.apply", "mod.SumAcc.fold") in edges
     assert ("mod.apply", "mod.CountAcc.fold") in edges
+
+
+def test_unparseable_module_fails_the_run(tmp_path):
+    # Skipping it would hide every site in it from every rule.
+    with pytest.raises(SyntaxError):
+        _program(tmp_path, {"mod.py": "def broken(:\n    pass\n"})
+
+
+def test_thread_confined_subclasses_of_covers_new_accumulator(tmp_path):
+    # A new Accumulator subclass written from two thread roots: racy
+    # under a config confining nothing, confined under the real tree's
+    # thread_confined set, which does not name the new class.
+    sources = {"aggregates.py": """
+        class Accumulator:
+            def insert(self, value):
+                raise NotImplementedError
+
+        class MedianAccumulator(Accumulator):
+            def __init__(self):
+                self.values = []
+
+            def insert(self, value):
+                self.values = self.values + [value]
+    """, "threads.py": """
+        from aggregates import MedianAccumulator
+
+        def worker(acc: MedianAccumulator):
+            acc.insert(1)
+
+        def checkpointer(acc: MedianAccumulator):
+            acc.insert(2)
+    """}
+    entry_points = {"server-worker": ("threads.worker",),
+                    "checkpointer": ("threads.checkpointer",)}
+    shared = _program(tmp_path / "a", sources,
+                      AnalyzerConfig(entry_points=entry_points))
+    assert [f.detail for f in race_findings(shared)] == [
+        "MedianAccumulator.values"]
+    assert "MedianAccumulator" not in REPRO_CONFIG.thread_confined
+    confined = _program(tmp_path / "b", sources, AnalyzerConfig(
+        entry_points=entry_points,
+        thread_confined=REPRO_CONFIG.thread_confined))
+    assert race_findings(confined) == []
 
 
 def test_nested_def_gets_implicit_edge_from_outer(tmp_path):
@@ -388,6 +439,147 @@ def test_eng_pragma_suppresses_finding(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Every rule fires on its fixture; engine-invariant mutations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture, code", sorted(
+    (name, code) for name, (__, codes) in driver.FIXTURES.items()
+    for code in codes))
+def test_each_fixture_fires_its_rule(fixture, code):
+    findings = driver.fixture_findings(fixture)
+    assert any(f.code == code for f in findings)
+    for finding in findings:
+        assert f"[{finding.code}]" in finding.render()
+
+
+def _analyze_file(tmp_path, source_path, rel_name, transform=lambda t: t):
+    """Findings of a tree holding only ``source_path``, transformed and
+    placed at ``rel_name`` (the path decides which scopes apply)."""
+    target = tmp_path / rel_name
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(transform(source_path.read_text()))
+    __, __, findings = driver.analyze(tmp_path, AnalyzerConfig())
+    return findings
+
+
+def _codes(findings) -> list:
+    return [finding.code for finding in findings]
+
+
+def test_unsorting_commit_locks_fires(tmp_path):
+    findings = _analyze_file(
+        tmp_path, SRC_ROOT / "txn" / "manager.py", "txn/manager.py",
+        lambda text: text.replace("written = sorted(name",
+                                  "written = list(name"))
+    assert "ENG002" in _codes(findings)
+
+
+def test_removing_wallclock_pragma_fires(tmp_path):
+    findings = _analyze_file(
+        tmp_path, SRC_ROOT / "txn" / "locks.py", "txn/locks.py",
+        lambda text: re.sub(r"  # eng: allow-ENG001 \([^)]*\)", "", text))
+    assert _codes(findings).count("ENG001") == 2
+
+
+def test_new_materialization_in_hot_path_fires(tmp_path):
+    findings = _analyze_file(
+        tmp_path, driver.FIXTURE_ROOT / "materialize" / "engine"
+        / "executor.py", "engine/executor.py")
+    assert _codes(findings) == ["ENG003", "ENG003"]
+
+
+def test_materialize_pragma_suppresses(tmp_path):
+    findings = _analyze_file(
+        tmp_path, driver.FIXTURE_ROOT / "materialize" / "engine"
+        / "executor.py", "engine/executor.py",
+        lambda text: re.sub(r"(relation\.(rows|pairs\(\)).*)",
+                            r"\1  # eng: allow-ENG003 (test)", text))
+    assert findings == []
+
+
+def test_incomplete_accumulator_fires_anywhere(tmp_path):
+    findings = _analyze_file(
+        tmp_path, driver.FIXTURE_ROOT / "accumulator" / "engine"
+        / "aggregates.py", "engine/aggregates_extra.py")
+    fired = [f for f in findings if f.code == "ENG004"]
+    assert len(fired) == 1
+    assert "HalfSumAccumulator" in fired[0].message
+    assert "retract" in fired[0].message
+
+
+def test_sorted_loop_is_accepted(tmp_path):
+    source = tmp_path / "source.py"
+    source.write_text(
+        "def commit(manager, writes):\n"
+        "    written = sorted(writes)\n"
+        "    for name in written:\n"
+        "        manager.lock(name)\n")
+    assert _analyze_file(tmp_path / "tree", source, "txn/manager.py") == []
+
+
+def test_stale_pragma_fires(tmp_path):
+    findings = _analyze_file(
+        tmp_path, SRC_ROOT / "txn" / "locks.py", "txn/locks.py",
+        lambda text: text.replace("time.monotonic()", "0.0"))
+    assert _codes(findings) == ["ENG008", "ENG008"]
+    assert all("allow-ENG001" in f.message for f in findings)
+
+
+def test_used_pragma_does_not_fire_unused(tmp_path):
+    assert _analyze_file(tmp_path, SRC_ROOT / "txn" / "locks.py",
+                         "txn/locks.py") == []
+
+
+def test_pragma_on_a_line_without_its_finding_fires(tmp_path):
+    # An ENG104 pragma copied onto a line of the durability manager that
+    # has no ENG104 finding justifies nothing: the whole-tree run reports
+    # it, and nothing else beyond the baseline.
+    root = tmp_path / "repro"
+    shutil.copytree(SRC_ROOT, root)
+    manager = root / "durability" / "manager.py"
+    lines = manager.read_text().splitlines(keepends=True)
+    target = next(index for index, line in enumerate(lines)
+                  if "def log_commit(" in line)
+    lines[target] = (lines[target].rstrip("\n")
+                     + "  # eng: allow-ENG104 (copied)\n")
+    manager.write_text("".join(lines))
+    __, __, findings = driver.analyze(root, REPRO_CONFIG)
+    new = [f for f in findings if f.code != "ENG102"]
+    assert [(f.code, f.path, f.line) for f in new] == [
+        ("ENG008", "durability/manager.py", target + 1)]
+
+
+def test_reraising_handler_makes_its_pragma_stale(tmp_path):
+    # The wave-isolation handler, changed to re-raise, is no catch-all
+    # swallow any more: its ENG006 pragma is left justifying nothing.
+    findings = _analyze_file(
+        tmp_path, SRC_ROOT / "util" / "parallel.py", "util/parallel.py",
+        lambda text: text.replace(
+            "# eng: allow-ENG006 (wave isolation: siblings complete)\n"
+            "                return exc\n",
+            "# eng: allow-ENG006 (wave isolation: siblings complete)\n"
+            "                raise\n"))
+    assert _codes(findings) == ["ENG008"]
+    assert "allow-ENG006" in findings[0].message
+
+
+def test_cli_exit_codes():
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "tools.analyzer", *args],
+            cwd=REPO_ROOT, capture_output=True, text=True)
+
+    clean = run()
+    assert clean.returncode == 0, clean.stdout + clean.stderr
+    selftest = run("--self-test")
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    dirty = run("--root", str(driver.FIXTURE_ROOT / "lock_order"))
+    assert dirty.returncode == 1, dirty.stdout + dirty.stderr
+    assert "[ENG002]" in dirty.stdout
+
+
+# ---------------------------------------------------------------------------
 # Real tree: the contracts CI relies on
 # ---------------------------------------------------------------------------
 
@@ -438,3 +630,18 @@ def test_commit_path_blocking_is_fully_baselined():
     assert baseline, "expected the fsync-under-commit-mutex family"
     for fingerprint in baseline:
         assert fingerprint.startswith("ENG102|"), fingerprint
+
+
+# ---------------------------------------------------------------------------
+# mypy strict gate (runs in CI where mypy is installed)
+# ---------------------------------------------------------------------------
+
+
+def test_mypy_clean_on_strict_packages():
+    pytest.importorskip("mypy")
+    result = subprocess.run(
+        [sys.executable, "-m", "mypy", "--config-file", "mypy.ini",
+         "src/repro/plan", "src/repro/analysis",
+         "src/repro/durability", "src/repro/server"],
+        cwd=REPO_ROOT, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr

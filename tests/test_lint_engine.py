@@ -1,178 +1,30 @@
-"""Tests for the engine-invariant linter (``tools/lint_engine.py``):
-the repo itself lints clean, every rule fires on its seeded fixture,
-pragmas suppress, and regressions to the guarded invariants are caught.
-Also hosts the (CI-only, skipped when mypy is absent) strict-typing
-gate over ``repro.plan``, ``repro.analysis``, ``repro.durability``,
-and ``repro.server``."""
+"""The engine invariants (``ENG001``-``ENG008``, ``tools/analyzer/
+invariants.py``) as a lint gate: the real tree carries none of them,
+with no baseline to hide behind, and the analyzer's self-test proves
+each of them live on its seeded fixture."""
 
-import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
+sys.path.insert(0, str(REPO_ROOT))
 
-import lint_engine  # noqa: E402
+from tools.analyzer import driver  # noqa: E402
+from tools.analyzer.config import REPRO_CONFIG  # noqa: E402
 
-
-# ---------------------------------------------------------------------------
-# The repo is clean; the self-test proves the rules are live
-# ---------------------------------------------------------------------------
+INVARIANT_CODES = frozenset(f"ENG00{n}" for n in range(1, 9))
 
 
 def test_repo_lints_clean():
-    violations = lint_engine.lint_tree(lint_engine.SRC_ROOT)
-    assert violations == [], "\n".join(v.render() for v in violations)
+    # A single-site invariant is never grandfathered: the findings are
+    # checked before any baseline applies.
+    __, __, findings = driver.analyze(driver.DEFAULT_ROOT, REPRO_CONFIG)
+    violations = [f for f in findings if f.code in INVARIANT_CODES]
+    assert violations == [], "\n".join(f.render() for f in violations)
 
 
 def test_self_test_passes():
-    assert lint_engine.self_test() == 0
-
-
-def test_cli_exit_codes():
-    clean = subprocess.run(
-        [sys.executable, "tools/lint_engine.py"], cwd=REPO_ROOT,
-        capture_output=True, text=True)
-    assert clean.returncode == 0, clean.stdout + clean.stderr
-    selftest = subprocess.run(
-        [sys.executable, "tools/lint_engine.py", "--self-test"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
-
-
-@pytest.mark.parametrize("fixture, rule",
-                         sorted(lint_engine.FIXTURE_EXPECTATIONS.items()))
-def test_each_fixture_fires_its_rule(fixture, rule):
-    path = lint_engine.FIXTURE_DIR / fixture
-    violations = lint_engine.check_file(path, lint_engine.FIXTURE_DIR,
-                                        force_all=True)
-    assert any(v.rule == rule for v in violations)
-    for violation in violations:
-        assert f"[{violation.rule}]" in violation.render()
-
-
-# ---------------------------------------------------------------------------
-# Regression detection: un-fixing the real code trips the linter
-# ---------------------------------------------------------------------------
-
-
-def _lint_mutated(tmp_path, source_path, transform, rel_name):
-    target = tmp_path / rel_name
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(transform(source_path.read_text()))
-    return lint_engine.lint_tree(tmp_path)
-
-
-def test_unsorting_commit_locks_fires(tmp_path):
-    manager = lint_engine.SRC_ROOT / "txn" / "manager.py"
-    violations = _lint_mutated(
-        tmp_path, manager,
-        lambda text: text.replace("written = sorted(name",
-                                  "written = list(name"),
-        "txn/manager.py")
-    assert any(v.rule == "lock-order" for v in violations)
-
-
-def test_removing_wallclock_pragma_fires(tmp_path):
-    locks = lint_engine.SRC_ROOT / "txn" / "locks.py"
-    violations = _lint_mutated(
-        tmp_path, locks,
-        lambda text: text.replace("  # lint: allow-wall-clock", ""),
-        "txn/locks.py")
-    assert sum(v.rule == "wall-clock" for v in violations) == 2
-
-
-def test_new_materialization_in_hot_path_fires(tmp_path):
-    violations = _lint_mutated(
-        tmp_path, lint_engine.FIXTURE_DIR / "bad_materialize.py",
-        lambda text: text, "engine/executor.py")
-    assert any(v.rule == "materialize" for v in violations)
-
-
-def test_materialize_pragma_suppresses(tmp_path):
-    violations = _lint_mutated(
-        tmp_path, lint_engine.FIXTURE_DIR / "bad_materialize.py",
-        lambda text: text.replace(
-            "relation.rows", "relation.rows  # lint: allow-materialize"
-        ).replace("relation.pairs()",
-                  "relation.pairs()  # lint: allow-materialize"),
-        "engine/executor.py")
-    assert not any(v.rule == "materialize" for v in violations)
-
-
-def test_incomplete_accumulator_fires_anywhere(tmp_path):
-    violations = _lint_mutated(
-        tmp_path, lint_engine.FIXTURE_DIR / "bad_accumulator.py",
-        lambda text: text, "engine/aggregates_extra.py")
-    fired = [v for v in violations if v.rule == "accumulator-protocol"]
-    assert len(fired) == 1
-    assert "HalfSumAccumulator" in fired[0].message
-    assert "retract" in fired[0].message
-
-
-def test_sorted_loop_is_accepted(tmp_path):
-    source = (
-        "def commit(manager, writes):\n"
-        "    written = sorted(writes)\n"
-        "    for name in written:\n"
-        "        manager.lock(name)\n")
-    target = tmp_path / "txn" / "manager.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(source)
-    assert lint_engine.lint_tree(tmp_path) == []
-
-
-def test_allowlist_matches_reality():
-    """The allowlist equals the live set of materialize sites — a stale
-    entry would silently widen the allowed surface, and a missing one
-    would fail the gated run."""
-    live = lint_engine.live_allowlist(lint_engine.SRC_ROOT)
-    assert lint_engine.MATERIALIZE_ALLOWLIST == live, (
-        "regenerate with: python tools/lint_engine.py --dump-allowlist")
-
-
-def test_dump_allowlist_is_pasteable():
-    """--dump-allowlist prints a complete assignment block whose
-    evaluation reproduces the in-file allowlist verbatim."""
-    result = subprocess.run(
-        [sys.executable, "tools/lint_engine.py", "--dump-allowlist"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    assert result.returncode == 0, result.stdout + result.stderr
-    block = result.stdout.split("=", 1)[1]
-    assert result.stdout.startswith(
-        "MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {")
-    assert eval(block) == lint_engine.MATERIALIZE_ALLOWLIST
-
-
-def test_stale_pragma_fires(tmp_path):
-    violations = _lint_mutated(
-        tmp_path, lint_engine.SRC_ROOT / "txn" / "locks.py",
-        lambda text: text.replace("time.monotonic()", "0.0"),
-        "txn/locks.py")
-    fired = [v for v in violations if v.rule == "unused-pragma"]
-    assert len(fired) == 2
-    assert all("allow-wall-clock" in v.message for v in fired)
-
-
-def test_used_pragma_does_not_fire_unused(tmp_path):
-    violations = _lint_mutated(
-        tmp_path, lint_engine.SRC_ROOT / "txn" / "locks.py",
-        lambda text: text, "txn/locks.py")
-    assert violations == []
-
-
-# ---------------------------------------------------------------------------
-# mypy strict gate (runs in CI where mypy is installed)
-# ---------------------------------------------------------------------------
-
-
-def test_mypy_clean_on_strict_packages():
-    pytest.importorskip("mypy")
-    result = subprocess.run(
-        [sys.executable, "-m", "mypy", "--config-file", "mypy.ini",
-         "src/repro/plan", "src/repro/analysis",
-         "src/repro/durability", "src/repro/server"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    assert result.returncode == 0, result.stdout + result.stderr
+    covered = frozenset().union(
+        *(codes for __, codes in driver.FIXTURES.values()))
+    assert INVARIANT_CODES <= covered
+    assert driver.self_test() == 0

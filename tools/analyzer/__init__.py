@@ -1,14 +1,15 @@
-"""Whole-program concurrency analyzer for the engine (``tools/analyzer``).
+"""Static analyzer for the engine's own source (``tools/analyzer``).
 
 Layers (see ``tools/README.md`` for the full picture):
 
-* :mod:`.diagnostics` — findings, pragmas, baselines (shared with the
-  per-module linter, ``tools/lint_engine.py``);
+* :mod:`.diagnostics` — findings, the pragma grammar, baselines;
 * :mod:`.config` — the manual knowledge: binding table, polymorphic
   seams, lock identities, thread entry points;
 * :mod:`.callgraph` — program model: modules, classes, a call graph
   with class-method resolution, and per-function lock/effect facts;
-* :mod:`.effects` — transitive effect inference (ENG103, ENG105);
+* :mod:`.invariants` — engine invariants judged one site at a time
+  (ENG001-ENG008);
+* :mod:`.effects` — transitive effect inference (ENG105);
 * :mod:`.lockstate` — acquired-before graph, cycle detection, blocking
   under the commit mutex (ENG101, ENG102);
 * :mod:`.races` — static race detection from thread entry points

@@ -26,9 +26,12 @@ sites with the set of locks held at each, lock acquisitions (``with``
 blocks exactly scoped; explicit ``LockManager.acquire``-style calls
 held to function end, a documented over-approximation), ``self.attr``
 writes, and direct effects (wall-clock reads, sleeps, file I/O, fsync,
-condition waits, row materialization) with their source lines. Effects
-whose line carries the matching suppression pragma are *not* recorded —
-a justified source does not taint its callers.
+condition waits, row materialization) with their source lines. The same
+pass runs once more per module over the code outside any function
+(module and class bodies, decorators, defaults), so a rule reading the
+facts sees every site of the module. A wall-clock read or a
+materialization whose line carries that rule's pragma is *not*
+recorded — a justified source does not taint its callers.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ GENERIC_METHOD_NAMES = frozenset({
     "commit", "rollback", "begin", "execute", "run", "next", "reset",
 })
 
-#: Wall-clock reads (mirrors the per-module linter's table).
+#: Wall-clock reads: ``<module>.<name>()`` or an imported ``<name>()``.
 CLOCK_CALLS = {
     "time": {"time", "monotonic", "sleep", "perf_counter", "localtime",
              "gmtime", "process_time"},
@@ -79,6 +82,11 @@ MATERIALIZE = "materialize"
 #: effect; counting it would flag every nested critical section.
 BLOCKING_LABELS = frozenset({SLEEP, IO, FSYNC, LOCK_WAIT})
 
+#: Effects a pragma justifies at their source: the pragma of the rule
+#: reporting the site (ENG001 wall-clock, ENG003 materialize) also keeps
+#: the effect from tainting callers.
+JUSTIFYING_CODES = {WALL_CLOCK: "ENG001", MATERIALIZE: "ENG003"}
+
 
 @dataclass
 class FunctionInfo:
@@ -87,7 +95,7 @@ class FunctionInfo:
     rel_path: str               # "txn/manager.py"
     cls: Optional[str]          # bare class name, None for free functions
     name: str                   # "commit"
-    node: ast.AST               # FunctionDef / AsyncFunctionDef
+    node: ast.AST               # (Async)FunctionDef; Module for "<module>"
     lineno: int
     returns: Optional[str] = None   # bare class name of return annotation
 
@@ -158,10 +166,11 @@ class Program:
         self.config = config
         self.modules: dict[str, ast.Module] = {}
         self.module_paths: dict[str, str] = {}      # module -> rel_path
-        self.source_lines: dict[str, list[str]] = {}  # rel_path -> lines
-        self.pragmas: dict[str, PragmaIndex] = {}   # rel_path -> eng index
-        self.lint_pragmas: dict[str, PragmaIndex] = {}  # rel_path -> lint
+        self.pragmas: dict[str, PragmaIndex] = {}   # rel_path -> pragmas
         self.functions: dict[str, FunctionInfo] = {}
+        #: module -> (pseudo-function "<module>", facts of the code
+        #: outside every function)
+        self.module_facts: dict[str, tuple[FunctionInfo, FunctionFacts]] = {}
         self.classes: dict[str, ClassInfo] = {}     # by bare name
         self.imports: dict[str, dict[str, str]] = {}  # mod -> alias -> target
         self.facts: dict[str, FunctionFacts] = {}
@@ -178,17 +187,13 @@ class Program:
             module = rel_path[:-3].replace("/", ".")
             if module.endswith(".__init__"):
                 module = module[:-len(".__init__")]
+            # A module that does not parse fails the run loudly: skipping
+            # it would hide every site in it from every rule.
             source = path.read_text()
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue
-            lines = source.splitlines()
+            tree = ast.parse(source, filename=str(path))
             self.modules[module] = tree
             self.module_paths[module] = rel_path
-            self.source_lines[rel_path] = lines
-            self.pragmas[rel_path] = PragmaIndex(lines, tag="eng")
-            self.lint_pragmas[rel_path] = PragmaIndex(lines, tag="lint")
+            self.pragmas[rel_path] = PragmaIndex(source.splitlines())
             self.imports[module] = self._index_imports(tree)
             self._index_module(module, rel_path, tree)
 
@@ -224,10 +229,8 @@ class Program:
             # Nested defs get their own entry ("outer.<inner>"); the
             # facts pass adds an implicit call edge outer -> inner, so
             # closures handed to pools/schedulers stay reachable.
-            for child in node.body:
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    add_function(child, cls, f"{name}.")
+            for child in _nested_defs(node.body):
+                add_function(child, cls, f"{name}.")
 
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -280,6 +283,8 @@ class Program:
 
     def _parameter_env(self, func: FunctionInfo) -> dict[str, str]:
         env: dict[str, str] = {}
+        if isinstance(func.node, ast.Module):
+            return env
         node = func.node
         args = list(node.args.posonlyargs) + list(node.args.args) \
             + list(node.args.kwonlyargs)
@@ -434,29 +439,31 @@ class Program:
 
     # -- polymorphic seams -------------------------------------------------------
 
+    def expand_classes(self, names) -> set[str]:
+        """Bare class names, with each ``subclasses-of:X`` entry
+        replaced by every known transitive subclass of ``X``."""
+        expanded: set[str] = set()
+        for cls_name in names:
+            root = cls_name.removeprefix("subclasses-of:")
+            if root == cls_name:
+                expanded.add(cls_name)
+            else:
+                expanded.update(name for name in self.classes
+                                if name != root
+                                and self._derives_from(name, root))
+        return expanded
+
     def _resolve_seams(self) -> None:
         """Expand the config's seam table into concrete qualnames."""
         self.seams: dict[str, list[str]] = {}
         for method, classes in self.config.method_seams.items():
-            targets: list[str] = []
-            expanded: list[str] = []
-            for cls_name in classes:
-                if cls_name.startswith("subclasses-of:"):
-                    root = cls_name[len("subclasses-of:"):]
-                    expanded.extend(
-                        name for name, info in self.classes.items()
-                        if name != root and self._derives_from(name, root))
-                else:
-                    expanded.append(cls_name)
-            for cls_name in expanded:
-                info = self.classes.get(cls_name)
-                if info is None:
-                    continue
+            targets = set()
+            for cls_name in self.expand_classes(classes):
                 method_info = self.method_of(cls_name, method)
                 if method_info is not None:
-                    targets.append(method_info.qualname)
+                    targets.add(method_info.qualname)
             if targets:
-                self.seams[method] = sorted(set(targets))
+                self.seams[method] = sorted(targets)
 
     def _derives_from(self, cls_name: str, root: str) -> bool:
         seen: set[str] = set()
@@ -488,31 +495,36 @@ class Program:
     # -- the facts pass -----------------------------------------------------------
 
     def _compute_facts(self) -> None:
+        self._indexed_defs = {info.node for info in self.functions.values()}
         for qualname, info in self.functions.items():
             self.facts[qualname] = self._function_facts(info)
+        for module, tree in self.modules.items():
+            info = FunctionInfo(
+                qualname=f"{module}.<module>", module=module,
+                rel_path=self.module_paths[module], cls=None,
+                name="<module>", node=tree, lineno=1)
+            self.module_facts[module] = (info, self._function_facts(info))
 
     def _function_facts(self, info: FunctionInfo) -> FunctionFacts:
         facts = FunctionFacts()
         env = self._parameter_env(info)
         env["__module__"] = info.module
         cls = self.classes.get(info.cls) if info.cls else None
-        pragmas = self.lint_pragmas[info.rel_path]
+        pragmas = self.pragmas[info.rel_path]
         config = self.config
 
         def effect(label: str, line: int, held: frozenset,
-                   what: str, pragma_rule: Optional[str] = None) -> None:
+                   what: str) -> None:
             # The clock abstraction is where wall time is *supposed* to
             # be read; its reads are not leaks.
-            if label == WALL_CLOCK and config.clock_exempt_paths \
+            if label == WALL_CLOCK \
                     and info.rel_path.startswith(config.clock_exempt_paths):
                 return
             # A pragma at the source line justifies the effect for the
-            # whole program: it neither fires locally (the linter's job)
-            # nor taints callers transitively.
-            if pragma_rule is not None and pragmas.has_pragma(line,
-                                                              pragma_rule):
-                return
-            if self.pragmas[info.rel_path].has_pragma(line, label):
+            # whole program: it neither fires locally nor taints
+            # callers transitively.
+            code = JUSTIFYING_CODES.get(label)
+            if code is not None and pragmas.suppresses(line, code):
                 return
             facts.effects.append(DirectEffect(label, line, held, what))
 
@@ -539,9 +551,8 @@ class Program:
                         and isinstance(child.ctx, ast.Load)
                         and child.attr == "rows"):
                     receiver = self._infer_expr_type(child.value, env, cls)
-                    if receiver in config.materialize_classes:
-                        effect(MATERIALIZE, child.lineno, held,
-                               f"{receiver}.rows", pragma_rule="materialize")
+                    effect(MATERIALIZE, child.lineno, held,
+                           f"{receiver or ''}.rows")
 
         def record_write(target: ast.expr, line: int,
                          held: frozenset) -> None:
@@ -567,15 +578,36 @@ class Program:
 
         def walk(stmts: list[ast.stmt], held: frozenset) -> frozenset:
             for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    # Decorators, defaults and bases run where the
+                    # definition stands, and so does a class body.
+                    for part in _definition_parts(stmt):
+                        visit_expr(part, held)
+                    if isinstance(stmt, ast.ClassDef):
+                        walk(stmt.body, held)
+                        continue
                     # Nested def: implicit call edge (the closure is
-                    # invoked by whoever receives it, charged here).
+                    # invoked by whoever receives it, charged here). A
+                    # def the index skipped (a method of a class nested
+                    # in a function, a def inside a module-level block)
+                    # is charged here outright.
                     nested = f"{info.qualname}.{stmt.name}"
                     if nested in self.functions:
                         facts.calls.append(CallSite(
                             info.qualname, nested, f"<def {stmt.name}>",
                             stmt.lineno, held))
+                    elif stmt not in self._indexed_defs:
+                        walk(stmt.body, held)
                     continue
+                if isinstance(stmt, ast.ImportFrom):
+                    banned = [alias.name for alias in stmt.names
+                              if alias.name in CLOCK_CALLS.get(stmt.module,
+                                                               ())]
+                    if banned:
+                        effect(WALL_CLOCK, stmt.lineno, held,
+                               f"from {stmt.module} import "
+                               f"{', '.join(banned)}")
                 if isinstance(stmt, (ast.With, ast.AsyncWith)):
                     inner = held
                     for item in stmt.items:
@@ -621,40 +653,15 @@ class Program:
         func = call.func
         raw = _call_repr(func)
         line = call.lineno
-        # Direct effects first (they are calls too).
-        if isinstance(func, ast.Attribute) and isinstance(func.value,
-                                                          ast.Name):
-            module, attr = func.value.id, func.attr
-            if module in CLOCK_CALLS and attr in CLOCK_CALLS[module]:
-                effect(WALL_CLOCK, line, held, f"{module}.{attr}()",
-                       pragma_rule="wall-clock")
-                if attr == "sleep":
-                    effect(SLEEP, line, held, "time.sleep()")
-                return
-            if module == "os" and attr in IO_OS_CALLS:
-                label = FSYNC if attr == "fsync" else IO
-                effect(label, line, held, f"os.{attr}()")
-                return
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                effect(IO, line, held, "open()")
-                return
-            module_name = env.get("__module__", "")
-            imported = self.imports.get(module_name, {}).get(func.id, "")
-            root_module = imported.split(".")[0] if imported else ""
-            if root_module == "time" and imported.endswith(
-                    tuple(CLOCK_CALLS["time"])):
-                effect(WALL_CLOCK, line, held, f"{func.id}()",
-                       pragma_rule="wall-clock")
-                return
+        # Direct effects first (they are calls too). A clock read or an
+        # I/O call is a library call, not an edge; ``.pairs()`` is also
+        # a method call on an engine class.
+        direct = _call_effects(call, self.imports[info.module])
+        for label, what in direct:
+            effect(label, line, held, what)
+        if any(label != MATERIALIZE for label, __ in direct):
+            return
         if isinstance(func, ast.Attribute):
-            if func.attr in IO_PATH_METHODS:
-                effect(IO, line, held, f".{func.attr}()")
-                return
-            if func.attr == "pairs":
-                effect(MATERIALIZE, line, held, ".pairs()",
-                       pragma_rule="materialize")
-                # fall through: also record the call edge
             if func.attr == "wait" and isinstance(func.value,
                                                   ast.Attribute):
                 # ``self._condition.wait(...)``: a wait on a known lock
@@ -700,6 +707,40 @@ class Program:
             for site in facts.calls:
                 if site.callee is not None:
                     yield site
+
+    def all_facts(self) -> Iterator[tuple[FunctionInfo, FunctionFacts]]:
+        """Every function's facts, then each module's ``<module>``
+        facts: together they cover every site of every module."""
+        for qualname, info in self.functions.items():
+            yield info, self.facts[qualname]
+        yield from self.module_facts.values()
+
+
+def _call_effects(call: ast.Call,
+                 imports: dict[str, str]) -> list[tuple[str, str]]:
+    """The direct effects a call's syntax shows, as ``(label, what)``
+    pairs; ``imports`` maps the module's import aliases to targets."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module, attr = func.value.id, func.attr
+        if attr in CLOCK_CALLS.get(module, ()):
+            what = f"{module}.{attr}()"
+            return [(WALL_CLOCK, what)] + ([(SLEEP, what)]
+                                           if attr == "sleep" else [])
+        if module == "os" and attr in IO_OS_CALLS:
+            return [(FSYNC if attr == "fsync" else IO, f"os.{attr}()")]
+    if isinstance(func, ast.Name):
+        if func.id == "open":
+            return [(IO, "open()")]
+        module, __, name = imports.get(func.id, "").rpartition(".")
+        if name in CLOCK_CALLS.get(module, ()):
+            return [(WALL_CLOCK, f"{func.id}()")]
+    if isinstance(func, ast.Attribute):
+        if func.attr in IO_PATH_METHODS:
+            return [(IO, f".{func.attr}()")]
+        if func.attr == "pairs":
+            return [(MATERIALIZE, ".pairs()")]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -765,43 +806,41 @@ def _call_repr(func: ast.expr) -> str:
 def _statement_expressions(stmt: ast.stmt) -> list[ast.expr]:
     """The expression parts of a statement (excluding nested statement
     bodies, which the walker handles with their own held sets)."""
-    exprs: list[ast.expr] = []
-    if isinstance(stmt, ast.Expr):
-        exprs.append(stmt.value)
-    elif isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        if stmt.value is not None:
-            exprs.append(stmt.value)
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target])
-        exprs.extend(targets)
-    elif isinstance(stmt, ast.AnnAssign):
-        if stmt.value is not None:
-            exprs.append(stmt.value)
-    elif isinstance(stmt, ast.Return) and stmt.value is not None:
-        exprs.append(stmt.value)
-    elif isinstance(stmt, (ast.If, ast.While)):
-        exprs.append(stmt.test)
-    elif isinstance(stmt, ast.For):
-        exprs.extend([stmt.iter, stmt.target])
-    elif isinstance(stmt, ast.Raise):
-        exprs.extend([e for e in (stmt.exc, stmt.cause) if e is not None])
-    elif isinstance(stmt, ast.Assert):
-        exprs.append(stmt.test)
-    elif isinstance(stmt, ast.Delete):
-        exprs.extend(stmt.targets)
+    exprs = [child for child in ast.iter_child_nodes(stmt)
+             if isinstance(child, ast.expr)]
+    exprs += [handler.type for handler in getattr(stmt, "handlers", ())
+              if handler.type is not None]
+    exprs += [case.guard for case in getattr(stmt, "cases", ())
+              if case.guard is not None]
     return exprs
 
 
 def _statement_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-    bodies: list[list[ast.stmt]] = []
-    for attr in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, attr, None)
-        if block and not isinstance(stmt, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef,
-                                           ast.ClassDef)):
-            if isinstance(block, list) and block \
-                    and isinstance(block[0], ast.stmt):
-                bodies.append(block)
-    for handler in getattr(stmt, "handlers", []) or []:
-        bodies.append(handler.body)
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return []
+    bodies = [getattr(stmt, attr) for attr in ("body", "orelse", "finalbody")
+              if getattr(stmt, attr, None)]
+    bodies += [clause.body for clause in (*getattr(stmt, "handlers", ()),
+                                          *getattr(stmt, "cases", ()))]
     return bodies
+
+
+def _nested_defs(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
+    """The function definitions among ``stmts`` and inside their
+    compound statements (not inside other definitions)."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt
+        for body in _statement_bodies(stmt):
+            yield from _nested_defs(body)
+
+
+def _definition_parts(stmt: ast.stmt) -> list[ast.AST]:
+    """The parts of a def or class statement evaluated where it stands:
+    decorators, then arguments (defaults, annotations) and the return
+    annotation, or bases and keywords."""
+    if isinstance(stmt, ast.ClassDef):
+        return [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+    return [*stmt.decorator_list, stmt.args,
+            *([stmt.returns] if stmt.returns is not None else [])]

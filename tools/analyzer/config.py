@@ -45,26 +45,19 @@ class AnalyzerConfig:
     #: receiver's class is in ``table_lock_classes``. All table locks
     #: collapse into the single abstract id ``table_lock_id`` — the
     #: per-function sorted-acquisition discipline within that family is
-    #: the per-module linter's ``lock-order`` rule, so self-edges on the
-    #: abstract id are not cycles.
+    #: the ENG002 ``lock-order`` rule, so self-edges on the abstract id
+    #: are not cycles.
     table_lock_methods: frozenset = frozenset()
     table_lock_classes: frozenset = frozenset()
     table_lock_id: str = "LockManager.<table>"
-
-    #: Classes whose ``.rows`` attribute is a full materialization.
-    materialize_classes: frozenset = frozenset()
 
     #: The commit-critical-section locks: a blocking effect reachable
     #: while one of these is held is ENG102.
     commit_locks: frozenset = frozenset()
 
     #: rel-path prefixes whose direct wall-clock reads are the clock
-    #: abstraction itself (exempt, mirroring the linter's exemption).
+    #: abstraction itself (exempt from ENG001).
     clock_exempt_paths: tuple = ()
-
-    #: rel-path prefixes defining the scheduler scope: wall-clock
-    #: reachable from any function defined here is ENG103.
-    scheduler_paths: tuple = ()
 
     #: Function qualnames rooting the streaming hot path: row
     #: materialization reachable from these is ENG105.
@@ -75,7 +68,8 @@ class AnalyzerConfig:
 
     #: Classes whose instances are confined to one thread at a time by
     #: construction (per-transaction, per-session, per-statement
-    #: objects), so their unguarded writes are not races.
+    #: objects), so their unguarded writes are not races;
+    #: "subclasses-of:X" expands as in ``method_seams``.
     thread_confined: frozenset = frozenset()
 
     #: Methods that run before (or after) an object is shared:
@@ -119,10 +113,8 @@ REPRO_CONFIG = AnalyzerConfig(
     table_lock_methods=frozenset({"acquire"}),
     table_lock_classes=frozenset({"LockManager"}),
     table_lock_id="LockManager.<table>",
-    materialize_classes=frozenset({"Relation", "Partition"}),
     commit_locks=frozenset({"TransactionManager.commit_mutex"}),
     clock_exempt_paths=("scheduler/clock.py",),
-    scheduler_paths=("scheduler/",),
     hot_path_roots=(
         "txn.manager.Transaction.scan_partitions",
         "txn.manager.VersionReader.scan_partitions",
@@ -185,10 +177,7 @@ REPRO_CONFIG = AnalyzerConfig(
         "AggregateNodeState", "DistinctNodeState",
         # A fold's groups and their accumulators belong to one node state
         # or one evaluation.
-        "Group", "CountStarAccumulator", "CountAccumulator",
-        "CountIfAccumulator", "SumAccumulator", "AvgAccumulator",
-        "ExtremeAccumulator", "DistinctAccumulator",
-        "CollectingAccumulator",
+        "Group", "subclasses-of:Accumulator",
     }),
     race_allow=frozenset(),
 )

@@ -1,25 +1,17 @@
-"""Shared diagnostic plumbing for the static-analysis tool layer.
+"""Findings, pragmas and the baseline of the static analyzer.
 
-Two tools build on this module:
+Every rule reports a :class:`Finding` under one code: ``ENG0xx`` rules
+check one site at a time, ``ENG1xx`` rules follow the call graph. A
+finding is suppressed in the code by one pragma grammar::
 
-* ``tools/lint_engine.py`` — the per-module engine-invariant linter
-  (rule names like ``wall-clock``, pragma tag ``lint``);
-* ``tools/analyzer`` — the whole-program concurrency analyzer
-  (``ENG1xx`` codes, pragma tag ``eng``).
-
-Both share the same violation shape, the same inline-pragma suppression
-grammar, and (for the analyzer) a fingerprint-based baseline that
-grandfathers pre-existing findings so CI only blocks regressions.
-
-Pragma grammar::
-
-    some_call()  # lint: allow-wall-clock (reason why this is fine)
     self.x = n   # eng: allow-ENG104 (single-threaded setup phase)
 
-A pragma suppresses exactly one rule on exactly its own line. The
+A pragma suppresses exactly one code on exactly its own line. The
 :class:`PragmaIndex` records which pragmas actually suppressed
-something, so the linter can report *stale* pragmas — a justification
-comment left behind after the violating code was fixed.
+something, so stale ones — a justification left behind after the
+violating code was fixed — are findings themselves (ENG008). Findings
+that predate a rule are grandfathered by fingerprint in a baseline
+file, so CI blocks only regressions.
 """
 
 from __future__ import annotations
@@ -27,29 +19,31 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-#: ``# <tag>: allow-<rule> (optional reason)``
-PRAGMA_PATTERN = re.compile(
-    r"#\s*(?P<tag>lint|eng):\s*allow-(?P<rule>[A-Za-z0-9_-]+)")
+#: ``# eng: allow-<CODE> (optional reason)``
+PRAGMA_PATTERN = re.compile(r"#\s*eng:\s*allow-(?P<code>[A-Za-z0-9_-]+)")
 
-
-@dataclass(frozen=True)
-class Violation:
-    """One per-module lint finding (``path:line: [rule] message``)."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+#: Every rule, code -> name.
+RULES = {
+    "ENG001": "wall-clock",
+    "ENG002": "lock-order",
+    "ENG003": "materialize",
+    "ENG004": "accumulator-protocol",
+    "ENG005": "durability-io",
+    "ENG006": "bare-except",
+    "ENG007": "wal-commit-mutex",
+    "ENG008": "unused-pragma",
+    "ENG101": "lock-order-inversion",
+    "ENG102": "blocking-under-commit-mutex",
+    "ENG104": "unsynchronized-shared-write",
+    "ENG105": "hot-path-materialize",
+}
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One whole-program analyzer finding (a typed ``ENG1xx`` diagnostic).
+    """One analyzer finding.
 
     ``detail`` is a short, line-number-free key describing the finding's
     subject (a lock cycle, a written attribute, a call edge); together
@@ -57,7 +51,7 @@ class Finding:
     used by the baseline, so findings survive unrelated line drift.
     """
 
-    code: str           # "ENG101" ... "ENG105"
+    code: str           # a key of RULES
     path: str           # repo-relative source path of the primary span
     line: int
     function: str       # qualified name of the enclosing function
@@ -85,32 +79,25 @@ class Finding:
 class PragmaIndex:
     """Inline suppression pragmas of one source file, usage-tracked.
 
-    ``suppresses(line, rule)`` is the only query: it returns whether the
-    line carries an ``allow-<rule>`` pragma of this index's tag, and
-    marks that pragma as *used*. After all rules ran, :meth:`unused`
-    lists the pragmas that never suppressed anything — stale
-    justifications that should be deleted with the next edit.
+    ``suppresses(line, code)`` is the only query: it returns whether the
+    line carries an ``allow-<code>`` pragma, and marks that pragma as
+    *used*. After all rules ran, :meth:`unused` lists the pragmas that
+    never suppressed anything.
     """
 
-    def __init__(self, source_lines: Sequence[str], tag: str = "lint"):
-        self.tag = tag
-        #: (line, rule) -> used?
+    def __init__(self, source_lines: Sequence[str]):
+        #: (line, code) -> used?
         self._pragmas: dict[tuple[int, str], bool] = {}
         for lineno, text in enumerate(source_lines, start=1):
             for match in PRAGMA_PATTERN.finditer(text):
-                if match.group("tag") == tag:
-                    self._pragmas[(lineno, match.group("rule"))] = False
+                self._pragmas[(lineno, match.group("code"))] = False
 
-    def suppresses(self, line: int, rule: str) -> bool:
-        key = (line, rule)
+    def suppresses(self, line: int, code: str) -> bool:
+        key = (line, code)
         if key in self._pragmas:
             self._pragmas[key] = True
             return True
         return False
-
-    def has_pragma(self, line: int, rule: str) -> bool:
-        """Peek without marking the pragma used."""
-        return (line, rule) in self._pragmas
 
     def unused(self) -> list[tuple[int, str]]:
         return sorted(key for key, used in self._pragmas.items()
@@ -168,19 +155,7 @@ def split_by_baseline(findings: Sequence[Finding], baseline: set[str],
     return new, old
 
 
-def has_pragma(source_lines: Sequence[str], line: int, rule: str,
-               tag: str = "lint") -> bool:
-    """One-shot pragma check (no usage tracking) — kept for callers that
-    do not need stale-pragma reporting."""
-    if 1 <= line <= len(source_lines):
-        for match in PRAGMA_PATTERN.finditer(source_lines[line - 1]):
-            if match.group("tag") == tag and match.group("rule") == rule:
-                return True
-    return False
-
-
 __all__ = [
-    "Finding", "PragmaIndex", "Violation", "has_pragma", "load_baseline",
-    "save_baseline", "split_by_baseline", "PRAGMA_PATTERN",
-    "BASELINE_HEADER",
+    "BASELINE_HEADER", "Finding", "PRAGMA_PATTERN", "PragmaIndex", "RULES",
+    "load_baseline", "save_baseline", "split_by_baseline",
 ]

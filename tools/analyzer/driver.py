@@ -9,12 +9,13 @@ Usage::
     python -m tools.analyzer --dump-graph     # print acquired-before edges
     python -m tools.analyzer --github         # CI annotation format
 
-The gated run builds the program model over ``src/repro``, runs the five
-rules (ENG101 lock-order inversion, ENG102 blocking under the commit
-mutex, ENG103 wall-clock in the scheduler closure, ENG104 unsynchronized
-shared write, ENG105 materialization on the streaming hot path), drops
-findings justified by an ``# eng: allow-ENG1xx (reason)`` pragma on
-their line, splits the rest against the baseline file, and exits
+The gated run builds the program model over ``src/repro`` and runs every
+rule: the engine invariants ENG001-ENG007 (:mod:`.invariants`), ENG101
+lock-order inversion, ENG102 blocking under the commit mutex, ENG104
+unsynchronized shared write and ENG105 materialization on the streaming
+hot path. It drops findings justified by an ``# eng: allow-<CODE>
+(reason)`` pragma on their line, reports every pragma that justified
+nothing (ENG008), splits the rest against the baseline file, and exits
 non-zero iff any *new* finding remains.
 
 The self-test runs the same code over the seeded mini-trees in
@@ -32,9 +33,10 @@ from typing import Optional, Sequence
 
 from .callgraph import Program
 from .config import AnalyzerConfig, REPRO_CONFIG
-from .diagnostics import (Finding, load_baseline, save_baseline,
+from .diagnostics import (RULES, Finding, load_baseline, save_baseline,
                           split_by_baseline)
-from .effects import materialize_findings, wallclock_findings
+from .effects import materialize_findings
+from .invariants import invariant_findings, unused_pragma_findings
 from .lockstate import (LockGraph, blocking_findings, build_lock_graph,
                         lock_order_findings)
 from .races import race_findings
@@ -44,25 +46,23 @@ DEFAULT_ROOT = REPO_ROOT / "src" / "repro"
 DEFAULT_BASELINE = REPO_ROOT / "tools" / "analyzer_baseline.txt"
 FIXTURE_ROOT = REPO_ROOT / "tools" / "analyzer_fixtures"
 
-#: All rule codes, in reporting order.
-CODES = ("ENG101", "ENG102", "ENG103", "ENG104", "ENG105")
-
 
 def analyze(root: Path, config: AnalyzerConfig,
             ) -> tuple[Program, LockGraph, list[Finding]]:
     """Build the program model and run every rule. Findings justified by
-    an ``# eng: allow-<code>`` pragma on their own line are dropped."""
+    an ``# eng: allow-<code>`` pragma on their own line are dropped; the
+    pragmas that justified nothing are findings."""
     program = Program(root, config)
     graph = build_lock_graph(program)
-    findings: list[Finding] = []
+    findings = invariant_findings(program)
     findings += lock_order_findings(program, graph)
     findings += blocking_findings(program)
-    findings += wallclock_findings(program)
     findings += race_findings(program)
     findings += materialize_findings(program)
     kept = [finding for finding in findings
             if not program.pragmas[finding.path].suppresses(finding.line,
                                                             finding.code)]
+    kept += unused_pragma_findings(program)
     kept.sort(key=lambda f: (f.code, f.path, f.line, f.detail))
     return program, graph, kept
 
@@ -79,6 +79,18 @@ _SHARED_WRITE_CONFIG = AnalyzerConfig(
 )
 
 FIXTURES: dict[str, tuple[AnalyzerConfig, frozenset]] = {
+    "sched_clock": (AnalyzerConfig(), frozenset({"ENG001"})),
+    "lock_order": (AnalyzerConfig(), frozenset({"ENG002"})),
+    "materialize": (AnalyzerConfig(), frozenset({"ENG003"})),
+    "accumulator": (AnalyzerConfig(), frozenset({"ENG004"})),
+    "durability_io": (AnalyzerConfig(), frozenset({"ENG005"})),
+    "bare_except": (AnalyzerConfig(), frozenset({"ENG006"})),
+    "wal_mutex": (
+        AnalyzerConfig(
+            global_lock_attrs={"commit_mutex": "Manager.commit_mutex"},
+            commit_locks=frozenset({"Manager.commit_mutex"})),
+        frozenset({"ENG007"})),
+    "unused_pragma": (AnalyzerConfig(), frozenset({"ENG008"})),
     "lock_cycle": (AnalyzerConfig(), frozenset({"ENG101"})),
     # A partition (table) lock taken inside a worker task submitted
     # under the coordinator's own mutex — the parallel-refresh deadlock
@@ -90,17 +102,12 @@ FIXTURES: dict[str, tuple[AnalyzerConfig, frozenset]] = {
     "blocking_commit": (
         AnalyzerConfig(commit_locks=frozenset({"Manager.commit_mutex"})),
         frozenset({"ENG102"})),
-    "sched_clock": (AnalyzerConfig(scheduler_paths=("scheduler/",)),
-                    frozenset({"ENG103"})),
     "shared_write": (_SHARED_WRITE_CONFIG, frozenset({"ENG104"})),
     "hot_materialize": (
-        AnalyzerConfig(hot_path_roots=("stream.stream_rows",),
-                       materialize_classes=frozenset({"Relation"})),
+        AnalyzerConfig(hot_path_roots=("stream.stream_rows",)),
         frozenset({"ENG105"})),
-    "clean": (AnalyzerConfig(scheduler_paths=("scheduler/",),
-                             commit_locks=frozenset(
-                                 {"Manager.commit_mutex"})),
-              frozenset()),
+    "clean": (AnalyzerConfig(commit_locks=frozenset(
+        {"Manager.commit_mutex"})), frozenset()),
 }
 
 
@@ -134,7 +141,7 @@ def self_test() -> int:
                   f"got {sorted(fired)}")
             for finding in findings:
                 print(f"     {finding.render()}")
-    missing = set(CODES) - {code for __, expected in FIXTURES.values()
+    missing = set(RULES) - {code for __, expected in FIXTURES.values()
                             for code in expected}
     if missing:
         failures += 1
@@ -152,7 +159,7 @@ def self_test() -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analyzer",
-        description="Whole-program concurrency analyzer for src/repro.")
+        description="Static analyzer of the engine source, src/repro.")
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                         help="analysis root (default: src/repro)")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,

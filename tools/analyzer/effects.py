@@ -101,43 +101,6 @@ def exit_holds(program: Program) -> dict[str, set]:
     return holds
 
 
-def wallclock_findings(program: Program) -> list:
-    """ENG103: wall-clock reads reachable from the scheduler scope.
-
-    The scheduler is a discrete-event loop over simulated time; a real
-    clock read anywhere in its call closure silently couples refresh
-    decisions to wall time. The clock abstraction itself
-    (``clock_exempt_paths``) never records the effect, and justified
-    reads carry a source pragma, so anything arriving here is a leak.
-    """
-    from .callgraph import WALL_CLOCK
-    from .diagnostics import Finding
-
-    paths = program.config.scheduler_paths
-    if not paths:
-        return []
-    effects = transitive_effects(program)
-    findings = []
-    for qualname, info in sorted(program.functions.items()):
-        if not info.rel_path.startswith(paths):
-            continue
-        origin = effects[qualname].get(WALL_CLOCK)
-        if origin is None:
-            continue
-        findings.append(Finding(
-            code="ENG103",
-            path=info.rel_path,
-            line=info.lineno,
-            function=qualname,
-            message=(f"wall-clock read ({origin.describe()}) reachable "
-                     f"from scheduler function {qualname}"),
-            hint=("route time through the injected clock, or add "
-                  "'# lint: allow-wall-clock (reason)' at the read"),
-            detail=f"{origin.qualname}|{origin.what}",
-        ))
-    return findings
-
-
 def materialize_findings(program: Program) -> list:
     """ENG105: row materialization reachable from a streaming hot-path
     root — the point of partition-granular cursors is *not* to build the

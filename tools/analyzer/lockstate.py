@@ -17,8 +17,8 @@ Two diagnostics come out of the lock facts:
 A cycle in that relation is two code paths that can each hold one lock
 of the cycle while waiting for the next — a deadlock recipe. Self-edges
 on the abstract table-lock id are excluded: all table locks share one
-node, and ordering *within* the family is the per-module linter's
-sorted-acquisition rule.
+node, and ordering *within* the family is the sorted-acquisition rule
+(ENG002).
 
 **ENG102 — blocking under the commit mutex.** A blocking effect (sleep,
 file I/O, fsync, condition wait) performed or reachable while a

@@ -84,12 +84,13 @@ def race_findings(program: Program) -> list[Finding]:
         classes_by_thread[thread] = {
             program.functions[q].cls for q in closure
             if program.functions[q].cls is not None}
+    confined = program.expand_classes(config.thread_confined)
     shared: set = set()
     for cls_name in set().union(*classes_by_thread.values()) \
             if classes_by_thread else set():
         threads = [thread for thread, classes in classes_by_thread.items()
                    if cls_name in classes]
-        if len(threads) >= 2 and cls_name not in config.thread_confined:
+        if len(threads) >= 2 and cls_name not in confined:
             shared.add(cls_name)
 
     held_at_entry = must_held_at_entry(program, all_entries)

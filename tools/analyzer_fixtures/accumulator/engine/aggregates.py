@@ -1,4 +1,4 @@
-"""Seeded violation: an accumulator missing part of the protocol."""
+"""Seeded ENG004 fixture: an accumulator missing part of the protocol."""
 
 
 class Accumulator:

@@ -1,5 +1,5 @@
-"""Fixture: catch-alls that swallow the exception must trip
-[bare-except]; the variants that re-raise must not."""
+"""Seeded ENG006 fixture: catch-alls that swallow the exception must
+fire; the variant that re-raises must not."""
 
 
 def swallows_exception(compute):

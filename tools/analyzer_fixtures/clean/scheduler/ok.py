@@ -1,8 +1,9 @@
 """Clean fixture: scheduler code with a *justified* wall-clock read.
 
-The pragma on the read suppresses the effect at its source, so nothing
-propagates to ``tick`` — the analyzer must stay silent here, proving
-both the clean-exit path and pragma suppression.
+The pragma on the read suppresses the finding and the effect at its
+source, so nothing propagates to ``tick`` — the analyzer must stay
+silent here, proving the clean-exit path, pragma suppression, and that
+a used pragma is not reported as stale.
 """
 
 import threading
@@ -20,7 +21,7 @@ class State:
 
 
 def stamp() -> float:
-    return time.time()  # lint: allow-wall-clock (fixture: justified read)
+    return time.time()  # eng: allow-ENG001 (fixture: justified read)
 
 
 def tick(state: State) -> None:

@@ -1,4 +1,4 @@
-"""Seeded violation: direct file I/O outside ``repro/durability/``."""
+"""Seeded ENG005 fixture: direct file I/O outside ``durability/``."""
 
 import os
 

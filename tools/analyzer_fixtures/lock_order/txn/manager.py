@@ -1,4 +1,4 @@
-"""Seeded violation: lock acquisition in arbitrary (unsorted) order."""
+"""Seeded ENG002 fixture: lock acquisition in arbitrary (unsorted) order."""
 
 
 def commit_writes(manager, writes: dict) -> None:

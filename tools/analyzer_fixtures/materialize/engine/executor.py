@@ -1,4 +1,4 @@
-"""Seeded violation: row materialization in a hot-path module."""
+"""Seeded ENG003 fixture: row materialization in a hot-path module."""
 
 
 def slow_filter(relation, predicate):

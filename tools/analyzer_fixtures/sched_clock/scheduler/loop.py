@@ -1,6 +1,6 @@
-"""Seeded ENG103 fixture: the scheduler side.
+"""Seeded ENG001 fixture: the scheduler side.
 
-``tick`` never reads a clock itself — the leak is two modules away.
+``tick`` never reads a clock itself — the reads are two modules away.
 """
 
 from util.timers import elapsed

@@ -1,4 +1,5 @@
-"""Seeded violation: WAL commit record logged outside the commit mutex."""
+"""Seeded ENG007 fixture: WAL commit records logged outside the commit
+mutex."""
 
 
 def commit_unlocked(manager, ts, writes) -> None:
