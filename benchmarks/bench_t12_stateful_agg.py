@@ -73,9 +73,10 @@ def _grp(index: int) -> str:
 
 def _make_table() -> VersionedTable:
     table = VersionedTable("items", ITEMS, 1)
+    indexes = range(TABLE_ROWS)
     table.apply(StagedWrite(
-        inserts=[(index, _grp(index), index % 10_000)
-                 for index in range(TABLE_ROWS)]),
+        inserts=[list(indexes), [_grp(index) for index in indexes],
+                 [index % 10_000 for index in indexes]]),
         HlcTimestamp(10))
     return table
 
@@ -115,8 +116,10 @@ def _refresh_cycle(stateful: bool) -> tuple[float, list]:
         base = (round_index + 1) * DELTA_INSERTS
         # Deletes land inside the huge groups; inserts extend them.
         deletes = {f"b1:{base + offset}" for offset in range(DELTA_DELETES)}
-        inserts = [(TABLE_ROWS + base + j, HUGE_GROUPS[j % len(HUGE_GROUPS)],
-                    j % 10_000) for j in range(DELTA_INSERTS)]
+        new = range(DELTA_INSERTS)
+        inserts = [[TABLE_ROWS + base + j for j in new],
+                   [HUGE_GROUPS[j % len(HUGE_GROUPS)] for j in new],
+                   [j % 10_000 for j in new]]
         table.apply(StagedWrite(inserts=inserts, deletes=deletes),
                     HlcTimestamp(ts))
         ts += 10

@@ -41,7 +41,8 @@ def _build():
     # Bulk-load through the transaction API (a 60k-value SQL literal would
     # spend the benchmark's time in the lexer).
     txn = db.txns.begin()
-    txn.insert_rows("big", [(i, i % 100) for i in range(BIG_ROWS)])
+    ids = range(BIG_ROWS)
+    txn.insert_rows("big", [list(ids), [i % 100 for i in ids]])
     txn.commit()
     db.execute("INSERT INTO tiny VALUES (1), (2)")
     db.create_dynamic_table("plain", MIXED_SQL, "1 minute", "wh")

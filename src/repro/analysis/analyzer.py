@@ -545,11 +545,20 @@ def _analyze_dml(statement: Union[n.Insert, n.Delete, n.Update],
 def _insert_shape(statement: n.Insert, schema: Schema, provider: object,
                   registry: object, parameters: object,
                   ) -> Iterator[Diagnostic]:
+    targets: set[int] = set()
     for column in statement.columns:
         try:
-            schema.resolve(column)
+            target = schema.resolve(column)
         except UserError as exc:
             yield diagnostic_from_error(exc)
+            continue
+        if target in targets:
+            yield make_diagnostic(
+                "RPR005",
+                f"column {column!r} is listed more than once in INSERT",
+                span=n.span_of(statement),
+                hint="name each target column once")
+        targets.add(target)
     width = len(statement.columns) if statement.columns else len(schema)
     for row in statement.rows:
         if len(row) != width:

@@ -15,6 +15,8 @@ the refresh/IVM machinery:
 * :class:`PreparedStatement` (``prepared.py``) parses once and executes
   many times with ``?`` positional / ``:name`` named binds, skipping all
   parse and optimize work on re-execution via the plan cache;
+* ``insert.py`` builds every INSERT's new rows column at a time, from the
+  bind sets (or a SELECT's columns) to the staged column block;
 * :class:`Cursor` (``cursor.py``) is the DB-API-flavored reader that
   streams SELECT results lazily, one micro-partition per pull;
 * :class:`QueryResult` (``results.py``) is the materialized result the

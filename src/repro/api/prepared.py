@@ -15,6 +15,16 @@ Bind values travel to execution inside the
 each :class:`~repro.engine.expressions.BoundParameter` slot reads — and
 the vectorized compiler folds to a constant — the value for that one
 execution.
+
+An INSERT ... VALUES is bound once too, at prepare time: its target
+column list is resolved and its value expressions bound
+(:func:`~repro.api.insert.bind_values`), cached on the statement per
+catalog epoch and function-registry version, so DDL such as ``CREATE OR
+REPLACE TABLE`` re-binds it. ``executemany`` hands the batch to
+:meth:`ParameterSpec.bind_columns`, which transposes the bind sets —
+positional or named — into one array per slot and type-checks each slot
+with one dispatch; the rest of the insert is column at a time
+(:mod:`repro.api.insert`).
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from repro.api.insert import BoundValues, bind_values
 from repro.engine import expressions as e
 from repro.engine import types as t
 from repro.engine.types import Value
@@ -162,6 +173,80 @@ class ParameterSpec:
                                        self._name_slots[name])
                      for name in self.names)
 
+    def bind_columns(self, bind_sets: Iterable[object],
+                     ) -> tuple[int, list[Sequence[Value]]]:
+        """Validate a batch of bind sets into ``(count, slot columns)``:
+        the bind sets transposed once into one array per slot, in slot
+        order, each checked with one type dispatch. Every error is the one
+        :meth:`bind` raises for the offending bind set, prefixed with the
+        set's index in the batch."""
+        sets = bind_sets if isinstance(bind_sets, list) else list(bind_sets)
+        if not sets:
+            return 0, [[] for __ in range(self.slot_count)]
+        if self.is_empty:
+            for index, binds in enumerate(sets):
+                self._bind_one(index, binds)
+            return len(sets), []
+        if self.names:
+            columns = self._named_columns(sets)
+        else:
+            columns = self._positional_columns(sets)
+        labels = ([f":{name}" for name in self.names] if self.names
+                  else [f"?{slot + 1}" for slot in range(self.slot_count)])
+        for slot, (column, label) in enumerate(zip(columns, labels)):
+            self._check_column(column, label, slot)
+        return len(sets), columns
+
+    def _bind_one(self, index: int, binds: object) -> tuple[Value, ...]:
+        try:
+            return self.bind(binds)
+        except BindParameterError as exc:
+            raise BindParameterError(f"bind set {index}: {exc}") from None
+
+    def _positional_columns(self, sets: list) -> list[Sequence[Value]]:
+        if (set(map(type, sets)) <= {tuple, list}
+                and set(map(len, sets)) == {self.positional_count}):
+            return list(zip(*sets))
+        # Something off in the batch: validate set by set, so the error
+        # names the first bad one.
+        return list(zip(*(self._bind_one(index, binds)
+                          for index, binds in enumerate(sets))))
+
+    def _named_columns(self, sets: list) -> list[Sequence[Value]]:
+        names = set(self.names)
+        if not (set(map(type, sets)) <= {dict}
+                and all(binds.keys() == names for binds in sets)):
+            sets = [dict(zip(self.names, self._bind_one(index, binds)))
+                    for index, binds in enumerate(sets)]
+        return [[binds[name] for binds in sets] for name in self.names]
+
+    #: Python type -> SQL type of every bind value type that is checked
+    #: with one dispatch per column; any other type is checked per value.
+    _PLAIN_TYPES = {type(None): t.SqlType.NULL, bool: t.SqlType.BOOL,
+                    int: t.SqlType.INT, float: t.SqlType.FLOAT,
+                    str: t.SqlType.TEXT, dict: t.SqlType.VARIANT,
+                    list: t.SqlType.VARIANT}
+
+    def _check_column(self, column: Sequence[object], label: str,
+                      slot: int) -> None:
+        """:meth:`_check_value` over one slot's column: the set of its
+        values' types is checked once, and a column holding anything
+        unusual is checked value by value, so the error is exact."""
+        expected = self._inferred.get(slot)
+        kinds = set(map(type, column))
+        plain = self._PLAIN_TYPES
+        if kinds <= plain.keys() and (
+                expected is None
+                or all(self._value_matches(expected, plain[kind])
+                       for kind in kinds if kind is not type(None))):
+            return
+        for index, value in enumerate(column):
+            try:
+                self._check_value(value, label, slot)
+            except BindParameterError as exc:
+                raise BindParameterError(
+                    f"bind set {index}: {exc}") from None
+
     def _check_value(self, value: object, label: str, slot: int) -> Value:
         try:
             actual = t.type_of_value(value)
@@ -219,6 +304,8 @@ class PreparedStatement:
         #: The plan whose typed parameter slots the spec was last seeded
         #: from — the type walk runs once per (re-)plan, not per execution.
         self._typed_from_plan: Optional[lp.PlanNode] = None
+        #: An INSERT ... VALUES list as last bound (see :meth:`values`).
+        self._values: Optional[BoundValues] = None
 
     @property
     def is_query(self) -> bool:
@@ -227,6 +314,25 @@ class PreparedStatement:
     @property
     def parameter_count(self) -> int:
         return self.spec.slot_count
+
+    @property
+    def is_values_insert(self) -> bool:
+        return (isinstance(self.statement, n.Insert)
+                and bool(self.statement.rows))
+
+    def values(self) -> BoundValues:
+        """An INSERT ... VALUES list bound against its table, cached per
+        catalog DDL epoch and function-registry version: re-executions
+        bind nothing, and any DDL (say ``CREATE OR REPLACE TABLE``)
+        re-binds the stored AST."""
+        db = self._session.database
+        bound = self._values
+        if bound is None or bound.key != (db.catalog.epoch,
+                                          db.registry.version):
+            assert isinstance(self.statement, n.Insert)
+            bound = self._values = bind_values(
+                self.statement, db.catalog, db.registry, self.spec)
+        return bound
 
     def plan(self) -> lp.PlanNode:
         """The optimized plan of a SELECT, via the shared plan cache.
@@ -271,9 +377,13 @@ class PreparedStatement:
     def executemany(self, bind_sets: Iterable[object]) -> int:
         """Execute once per bind set; returns total rows affected.
 
-        INSERT ... VALUES is batched: every bind set's rows are staged and
-        committed in a **single transaction** (one new table version), so
-        bulk loads do not pay a commit per row.
+        INSERT ... VALUES runs column at a time: the bind sets are
+        transposed once into one array per slot, each slot checked and
+        each table column cast with one type dispatch, and the resulting
+        column block staged by reference and committed in a **single
+        transaction** (one new table version) — a bad value anywhere
+        rolls the whole batch back, and its error names the bind set.
+        Other statements run once per bind set, in one transaction too.
         """
         return self._session._executemany_prepared(self, bind_sets)
 

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.analysis.analyzer import analyze_bound_query, analyze_statement
 from repro.analysis.diagnostics import AnalysisReport
+from repro.api.insert import bind_values, cast_block, target_positions
 from repro.api.prepared import ParameterSpec, PreparedStatement
 from repro.api.results import QueryResult
 from repro.engine import types as t
@@ -406,6 +407,8 @@ class Session:
             prepared = PreparedStatement(self, sql, statement, spec)
             if prepared.is_query:
                 prepared.plan()  # plan eagerly (and warm the shared cache)
+            elif prepared.is_values_insert:
+                prepared.values()  # bind the VALUES list once, here
             return prepared
 
     def execute(self, sql: str, binds: object = None,
@@ -696,7 +699,8 @@ class Session:
                 with self._execution_guard():
                     result = self._evaluate_select(prepared.plan(), values)
                 return result, len(result.rows)
-            return self._dispatch(prepared.statement, prepared.spec, values)
+            return self._dispatch(prepared.statement, prepared.spec, values,
+                                  prepared)
 
     def _executemany_prepared(self, prepared: PreparedStatement,
                               bind_sets: Iterable[object]) -> int:
@@ -708,9 +712,8 @@ class Session:
             # transaction leaves earlier bind sets staged there, so the
             # transaction must poison until the user rolls back.
             with self._execution_guard():
-                if isinstance(statement, n.Insert) and statement.rows:
-                    return self._insert_many(statement, prepared.spec,
-                                             bind_sets)
+                if prepared.is_values_insert:
+                    return self._insert_many(prepared, bind_sets)
                 total = 0
                 with self._batch_transaction():
                     for binds in bind_sets:
@@ -779,11 +782,14 @@ class Session:
 
     def _dispatch(self, statement: n.Statement, spec: ParameterSpec,
                   values: tuple[Value, ...],
+                  prepared: Optional[PreparedStatement] = None,
                   ) -> tuple[Optional[QueryResult], int]:
         """Execute one parsed statement; returns (rows-or-None, rowcount).
 
         ``rowcount`` follows DB-API: rows affected for DML, row count for
-        SELECTs, -1 for DDL and control statements.
+        SELECTs, -1 for DDL and control statements. ``prepared`` is the
+        statement's prepared form, when it has one (its bound VALUES list
+        is reused).
         """
         # Transaction control first: ROLLBACK must work on a poisoned
         # transaction, and COMMIT of one wants its specific error.
@@ -805,10 +811,11 @@ class Session:
             return None, -1
         self._enforce_strict(statement, spec)
         with self._execution_guard():
-            return self._dispatch_inner(statement, spec, values)
+            return self._dispatch_inner(statement, spec, values, prepared)
 
     def _dispatch_inner(self, statement: n.Statement, spec: ParameterSpec,
                         values: tuple[Value, ...],
+                        prepared: Optional[PreparedStatement] = None,
                         ) -> tuple[Optional[QueryResult], int]:
         db = self.database
         if isinstance(statement, n.Query):
@@ -841,7 +848,7 @@ class Session:
                 or_replace=statement.or_replace)
             return None, -1
         if isinstance(statement, n.Insert):
-            return None, self._run_insert(statement, spec, values)
+            return None, self._run_insert(statement, spec, values, prepared)
         if isinstance(statement, n.Delete):
             return None, self._run_delete(statement, spec, values)
         if isinstance(statement, n.Update):
@@ -891,72 +898,46 @@ class Session:
         return EvalContext(timestamp=self.database.clock.now(),
                            role=self._role, params=values)
 
-    def _eval_literal_row(self, exprs, spec: ParameterSpec,
-                          ctx: EvalContext) -> tuple:
-        registry = self.database.registry
-        return tuple(
-            bind_expression(expr, Schema(()), registry,
-                            parameters=spec).eval((), ctx)
-            for expr in exprs)
-
-    def _coerce_row(self, schema: Schema, columns, values: tuple) -> tuple:
-        if columns:
-            index_of = {name: position
-                        for position, name in enumerate(columns)}
-            if len(values) != len(columns):
-                raise UserError("INSERT arity mismatch")
-            row = []
-            for column in schema:
-                position = index_of.get(column.name)
-                row.append(t.cast_value(values[position], column.type)
-                           if position is not None else None)
-            return tuple(row)
-        if len(values) != len(schema):
-            raise UserError(
-                f"INSERT arity mismatch: expected {len(schema)} values, "
-                f"got {len(values)}")
-        return tuple(t.cast_value(value, column.type)
-                     for value, column in zip(values, schema))
-
-    def _insert_rows_of(self, statement: n.Insert, spec: ParameterSpec,
-                        values: tuple[Value, ...]) -> list[tuple]:
-        table = self.database.catalog.versioned_table(statement.table)
-        if statement.query is not None:
-            plan = self._plan_select(statement.query, spec)
-            result = self._evaluate_select(plan, values)
-            return [self._coerce_row(table.schema, statement.columns, row)
-                    for row in result.rows]
-        ctx = self._write_ctx(values)
-        return [self._coerce_row(table.schema, statement.columns,
-                                 self._eval_literal_row(row_exprs, spec, ctx))
-                for row_exprs in statement.rows]
-
     def _run_insert(self, statement: n.Insert, spec: ParameterSpec,
-                    values: tuple[Value, ...]) -> int:
-        # Rows are computed up front (reading through the open
+                    values: tuple[Value, ...],
+                    prepared: Optional[PreparedStatement] = None) -> int:
+        # The block is computed up front (reading through the open
         # transaction when there is one), so a retried stage re-inserts
         # identical rows.
-        rows = self._insert_rows_of(statement, spec, values)
+        if statement.query is not None:
+            schema = self.database.catalog.versioned_table(
+                statement.table).schema
+            plan = self._plan_select(statement.query, spec)
+            positions = target_positions(schema, statement.columns,
+                                         len(plan.schema))
+            result = evaluate(plan, *self._read_state(values))
+            block = cast_block(result.columns, positions, schema,
+                               len(result))
+        else:
+            bound = (prepared.values() if prepared is not None
+                     else bind_values(statement, self.database.catalog,
+                                      self.database.registry, spec))
+            block = bound.block([[value] for value in values], 1,
+                                self._write_ctx(()))
+        return self._stage_insert(statement.table, block)
 
-        def stage(txn: Transaction) -> int:
-            txn.insert_rows(statement.table, rows)
-            return len(rows)
-
-        return self._stage_autocommit(stage)
-
-    def _insert_many(self, statement: n.Insert, spec: ParameterSpec,
+    def _insert_many(self, prepared: PreparedStatement,
                      bind_sets: Iterable[object]) -> int:
-        """``executemany`` over INSERT ... VALUES: every bind set's rows
-        are staged into one transaction and committed once; a mid-batch
-        bind (or cast) error rolls the whole batch back."""
-        rows: list[tuple] = []
-        for binds in bind_sets:
-            rows.extend(self._insert_rows_of(statement, spec,
-                                             spec.bind(binds)))
+        """``executemany`` over INSERT ... VALUES, column at a time (see
+        :mod:`repro.api.insert`): one block for the whole batch, staged
+        into one transaction and committed once; a bad value anywhere
+        rolls the whole batch back."""
+        count, slot_columns = prepared.spec.bind_columns(bind_sets)
+        block = prepared.values().block(slot_columns, count,
+                                        self._write_ctx(()), batch=True)
+        return self._stage_insert(prepared.statement.table, block)
+
+    def _stage_insert(self, table: str, block: list) -> int:
+        count = len(block[0]) if block else 0
 
         def stage(txn: Transaction) -> int:
-            txn.insert_rows(statement.table, rows)
-            return len(rows)
+            txn.insert_rows(table, block)
+            return count
 
         return self._stage_autocommit(stage)
 

@@ -1,9 +1,9 @@
 """The write-ahead log: an append-only file of framed JSON records.
 
-On-disk layout (format version 2)::
+On-disk layout (format version 3)::
 
     +--------------------------+
-    | magic  "RPRWAL" 0x00 0x02|   8 bytes; last byte = format version
+    | magic  "RPRWAL" 0x00 0x03|   8 bytes; last byte = format version
     +--------------------------+
     | len (u32 BE) | crc (u32) |   per record: payload length + CRC32
     | payload (UTF-8 JSON)     |
@@ -12,9 +12,13 @@ On-disk layout (format version 2)::
 
 Every record carries a monotonically increasing ``seq`` (which survives
 WAL truncation at checkpoints, so replay can skip records a checkpoint
-already covers) and a ``kind`` dispatched by recovery. Records are
-appended under the transaction manager's commit mutex (commit records)
-or the catalog mutex (DDL records), so file order equals commit order.
+already covers) and a ``kind`` dispatched by recovery. A commit record
+holds each written table's :class:`~repro.storage.table.StagedWrite`
+through the codec; its inserts are a column block, so they are encoded
+as one array per column (format 3; format 2 held one array per row).
+Records are appended under the transaction manager's commit mutex
+(commit records) or the catalog mutex (DDL records), so file order
+equals commit order.
 
 **Fsync semantics**: with ``fsync=True`` (the default) every append is
 flushed and fsynced before the commit returns — one fsync per committed
@@ -48,8 +52,8 @@ from repro.errors import DurabilityError
 from repro.faults import inject
 
 #: File magic; the final byte is the on-disk format version.
-WAL_MAGIC = b"RPRWAL\x00\x02"
-FORMAT_VERSION = 2
+WAL_MAGIC = b"RPRWAL\x00\x03"
+FORMAT_VERSION = 3
 
 _FRAME = struct.Struct(">II")  # (payload length, CRC32 of payload)
 

@@ -31,7 +31,7 @@ import math
 import operator as _operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from repro.engine import types as t
@@ -715,6 +715,33 @@ def conjoin(parts: Sequence[Expression]) -> Expression:
     if len(parts) == 1:
         return parts[0]
     return BooleanOp("and", tuple(parts))
+
+
+def parameters_as_columns(expr: Expression) -> Expression:
+    """``expr`` with every bind-parameter slot ``i`` read as input column
+    ``i`` (a :class:`ColumnRef` of the parameter's type), so the
+    vectorized compiler evaluates it once over a block of bind columns —
+    one array per slot — rather than once per bind set."""
+    if isinstance(expr, BoundParameter):
+        return ColumnRef(expr.slot, expr.type, expr.label)
+    changes = {}
+    for spec in fields(expr):
+        if spec.init:
+            value = getattr(expr, spec.name)
+            substituted = _parameters_as_columns(value)
+            if substituted is not value:
+                changes[spec.name] = substituted
+    return replace(expr, **changes) if changes else expr
+
+
+def _parameters_as_columns(value):
+    if isinstance(value, Expression):
+        return parameters_as_columns(value)
+    if isinstance(value, tuple):
+        items = tuple(map(_parameters_as_columns, value))
+        if any(new is not old for new, old in zip(items, value)):
+            return items
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,31 @@ def cast_value(value: Value, target: SqlType) -> Value:
     raise EvaluationError(f"cannot cast {value!r} to {target}")
 
 
+_NONE = type(None)
+
+#: The Python types ``cast_value`` returns unchanged, per target type.
+#: VARIANT's ``str`` parses JSON and so is absent from its set.
+_CAST_IDENTITY: dict[SqlType, frozenset[type]] = {
+    SqlType.INT: frozenset({int, _NONE}),
+    SqlType.FLOAT: frozenset({float, _NONE}),
+    SqlType.TEXT: frozenset({str, _NONE}),
+    SqlType.BOOL: frozenset({bool, _NONE}),
+    SqlType.TIMESTAMP: frozenset({int, _NONE}),
+    SqlType.VARIANT: frozenset({bool, int, float, dict, list, _NONE}),
+    SqlType.NULL: frozenset({_NONE}),
+}
+
+
+def cast_column(values: Sequence[Value], target: SqlType) -> Sequence[Value]:
+    """:func:`cast_value` over a whole column with one type dispatch: the
+    column itself when every value already has a Python type the cast
+    returns unchanged, else a new list cast value by value — so every
+    result and every error is ``cast_value``'s own."""
+    if set(map(type, values)) <= _CAST_IDENTITY[target]:
+        return values
+    return [cast_value(value, target) for value in values]
+
+
 def parse_timestamp_text(text: str) -> Timestamp:
     """Parse ``'HH:MM'``, ``'HH:MM:SS'``, or a bare integer (nanoseconds).
 

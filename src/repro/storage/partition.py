@@ -51,9 +51,9 @@ partition does.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import (Container, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import Container, Mapping, NamedTuple, Optional, Sequence
 
 from repro.engine.types import group_key_columns
 
@@ -77,45 +77,34 @@ class ColumnStats:
     has_null: bool = False
 
 
-def _column_stats(values: Iterable[object]) -> ColumnStats:
-    kind: Optional[str] = None
-    low = high = None
-    has_null = False
-    other = False
-    for value in values:
-        # has_null must stay accurate even for "other"-kind columns: the
-        # IS NULL pruning rule relies on it, so the scan never stops early.
-        if value is None:
-            has_null = True
-            continue
-        if other:
-            continue
-        if isinstance(value, bool):
-            other = True
-            continue
-        if isinstance(value, (int, float)):
-            if isinstance(value, float) and value != value:  # NaN
-                other = True
-                continue
-            value_kind = "num"
-        elif isinstance(value, str):
-            value_kind = "str"
-        else:
-            other = True
-            continue
-        if kind is None:
-            kind = value_kind
-            low = high = value
-        elif kind != value_kind:
-            other = True
-        else:
-            if value < low:
-                low = value
-            if value > high:
-                high = value
-    if other:
+_NONE = type(None)
+#: The Python types a zone map can order, by value kind. ``bool`` is not
+#: among them (a subclass of ``int`` that must never be pruned as a
+#: number), so a column holding one is ``"other"``, as is any column
+#: holding a type outside this table.
+_ORDERABLE = {frozenset({int}): "num", frozenset({float}): "num",
+              frozenset({int, float}): "num", frozenset({str}): "str"}
+
+
+def _column_stats(values: Sequence[object]) -> ColumnStats:
+    """The zone map of one column array, with one type dispatch: the set
+    of its values' types picks the kind, and ``min`` / ``max`` run at C
+    level over the non-NULL values. A float column pays a NaN check
+    (NaN is unordered, so its column is ``"other"``). ``has_null`` stays
+    exact for every kind: the IS NULL pruning rule relies on it."""
+    kinds = set(map(type, values))
+    has_null = _NONE in kinds
+    kinds.discard(_NONE)
+    if not kinds:
+        return ColumnStats(None, has_null=has_null)
+    kind = _ORDERABLE.get(frozenset(kinds))
+    if kind is None:
         return ColumnStats("other", has_null=has_null)
-    return ColumnStats(kind, low, high, has_null)
+    present = ([value for value in values if value is not None]
+               if has_null else values)
+    if float in kinds and not all(map(operator.eq, present, present)):
+        return ColumnStats("other", has_null=has_null)  # a NaN
+    return ColumnStats(kind, min(present), max(present), has_null)
 
 
 def zone_maps_of_columns(columns: Sequence[Sequence],

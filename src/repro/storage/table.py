@@ -94,15 +94,20 @@ class TableVersion:
 class StagedWrite:
     """Uncommitted DML staged by a transaction against one table.
 
-    ``inserts`` are bind rows (ids assigned at apply time); ``deletes``
-    are existing row ids; ``updates`` map an existing row id to its new
-    contents (same identity) — row-shaped because that is how statements
-    bind them; ``apply`` transposes them exactly once. ``changeset`` is
-    the refresh-merge path: a consolidated :class:`ChangeSet` carrying
-    explicit row ids and column arrays.
+    ``inserts`` is a column block — one array per table column, parallel
+    to each other, ids assigned at apply time — that ``apply`` hands to
+    :func:`~repro.storage.partition.build_partitions` as it is; ``[]``
+    when nothing is inserted. The transaction stages it by reference and
+    edits in place only arrays it copied itself (see
+    :meth:`~repro.txn.manager.Transaction.insert_rows`).
+    ``deletes`` are existing row ids; ``updates`` map an existing row id
+    to its new contents (same identity), row-shaped because that is how
+    an UPDATE produces them. ``changeset`` is the refresh-merge path: a
+    consolidated :class:`ChangeSet` carrying explicit row ids and column
+    arrays.
     """
 
-    inserts: list[tuple] = field(default_factory=list)
+    inserts: list[Sequence] = field(default_factory=list)
     deletes: set[str] = field(default_factory=set)
     updates: dict[str, tuple] = field(default_factory=dict)
     changeset: Optional[ChangeSet] = None
@@ -370,20 +375,20 @@ class VersionedTable:
         return [rowid.base_id(self.table_seq, start + offset)
                 for offset in range(count)]
 
-    def _bind_columns(self, rows: Sequence[tuple]) -> list[tuple]:
-        """Bind rows -> column arrays: the one place the write path flips
-        layout. A row narrower or wider than the schema raises here,
-        before anything is installed — a bare ``zip`` would silently
-        truncate every row to the shortest."""
-        try:
-            columns = list(zip(*rows, strict=True))
-        except ValueError:  # rows of unequal width
-            columns = None
-        if columns is None or (rows and len(columns) != len(self.schema)):
+    def _checked_block(self, columns: Sequence[Sequence]) -> int:
+        """The row count of an insert block, after checking that it holds
+        one array per column of the schema, all of one length. A block
+        off either way raises here, before anything is installed —
+        slicing it into partitions would silently drop values."""
+        if not columns:
+            return 0
+        if (len(columns) != len(self.schema)
+                or len(set(map(len, columns))) != 1):
             raise InternalError(
-                f"write to {self.name!r} carries a row that is not "
-                f"{len(self.schema)} columns wide")
-        return columns
+                f"write to {self.name!r} carries an insert block that is "
+                f"not {len(self.schema)} columns wide, every column as "
+                f"long as the others")
+        return len(columns[0])
 
     def _rewritten(self, edits: Mapping[int, list[str]], deletes,
                    updates) -> list[Partition]:
@@ -431,21 +436,20 @@ class VersionedTable:
                     f"{len(self.schema)} columns wide")
             if row_id not in write.deletes:  # a deleted id is listed once
                 edits[partition_id].append(row_id)
-        insert_columns = self._bind_columns(write.inserts)
+        count = self._checked_block(write.inserts)
 
         added = self._rewritten(edits, write.deletes, write.updates)
         added.extend(build_partitions(
-            self._allocate_ids(len(write.inserts)), insert_columns,
-            self.partition_rows))
+            self._allocate_ids(count), write.inserts, self.partition_rows))
         footprint = frozenset(write.deletes) | frozenset(write.updates)
         return self._install(edits.keys(), added, commit_ts,
                              written_ids=footprint)
 
-    def _apply_overwrite(self, rows: list[tuple],
+    def _apply_overwrite(self, columns: list[Sequence],
                          commit_ts: HlcTimestamp) -> TableVersion:
-        columns = self._bind_columns(rows)
+        count = self._checked_block(columns)
         removed = set(self.current_version.partition_ids)
-        added = build_partitions(self._allocate_ids(len(rows)), columns,
+        added = build_partitions(self._allocate_ids(count), columns,
                                  self.partition_rows)
         return self._install(removed, added, commit_ts, overwrote=True)
 

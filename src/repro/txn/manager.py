@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Collection, Optional, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from repro.engine.relation import Relation
 from repro.errors import LockConflict, NotInitializedError, TransactionError
@@ -88,20 +88,20 @@ class _OverlayPartition:
 
 class _StagedPartition:
     """A transaction's staged inserts as one synthetic columnar
-    partition (the bind rows transposed once, here)."""
+    partition: the staged column block, adopted as it is."""
 
     __slots__ = ("row_ids", "columns")
 
-    def __init__(self, row_ids: list, rows: list):
+    def __init__(self, row_ids: list, columns: list):
         self.row_ids = row_ids
-        self.columns = list(zip(*rows))
+        self.columns = columns
 
     def might_match(self, bounds) -> bool:
         return True  # no zone maps for uncommitted rows
 
 
 def _overlay_partition_stream(partitions, deletes, updates, staged_ids,
-                              staged_rows):
+                              staged_columns):
     for partition in partitions:
         if (deletes.isdisjoint(partition.row_ids)
                 and updates.keys().isdisjoint(partition.row_ids)):
@@ -111,8 +111,8 @@ def _overlay_partition_stream(partitions, deletes, updates, staged_ids,
         if row_ids:
             yield _OverlayPartition(row_ids, columns, partition,
                                     updated=kept_zone_maps is None)
-    if staged_rows:
-        yield _StagedPartition(staged_ids, staged_rows)
+    if staged_columns:
+        yield _StagedPartition(staged_ids, staged_columns)
 
 
 class Transaction:
@@ -131,11 +131,16 @@ class Transaction:
         self.id = txn_id
         self.snapshot = snapshot
         self._writes: dict[str, StagedWrite] = {}
-        #: Provisional row ids of staged inserts, parallel to each
-        #: StagedWrite's ``inserts`` list. Real ids are allocated at
-        #: apply time; these exist only so reads inside the transaction
+        #: Provisional row ids of staged inserts, parallel to the arrays
+        #: of each StagedWrite's ``inserts`` block. Real ids are allocated
+        #: at apply time; these exist only so reads inside the transaction
         #: (and DML matching against them) have a stable identity.
         self._insert_ids: dict[str, list[str]] = {}
+        #: Tables whose staged insert arrays are lists this transaction
+        #: built and nobody else holds, so it may edit them in place. A
+        #: block adopted from the caller, or handed to a read or a
+        #: savepoint, is copied before its next edit (copy-on-write).
+        self._owned_inserts: set[str] = set()
         self._provisional_seq = 0
         self._locked: list[str] = []
         #: (name, captured-state) pairs, oldest first.
@@ -206,6 +211,7 @@ class Transaction:
         versioned, version = self._reader.pin(table)
         partitions = ([] if write.overwrite
                       else versioned.partitions_of(version))
+        self._owned_inserts.discard(table)  # the stream holds the arrays
         return versioned.schema, _overlay_partition_stream(
             partitions, frozenset(write.deletes), dict(write.updates),
             list(self._insert_ids.get(table, ())), list(write.inserts))
@@ -239,13 +245,38 @@ class Transaction:
         committed, so invisible to everyone else)."""
         return row_id in self._insert_ids.get(table, ())
 
-    def insert_rows(self, table: str, rows: list[tuple]) -> None:
+    def _provisional_ids(self, count: int) -> list[str]:
+        start = self._provisional_seq
+        self._provisional_seq += count
+        return [f"txn:{self.id}:{seq}" for seq in range(start, start + count)]
+
+    def _owned_block(self, table: str) -> list[list]:
+        """``table``'s staged insert arrays as lists this transaction may
+        edit in place — copied here first unless it already owns them."""
+        staged = self._writes[table]
+        if table not in self._owned_inserts:
+            staged.inserts = [list(column) for column in staged.inserts]
+            self._owned_inserts.add(table)
+        return staged.inserts
+
+    def insert_rows(self, table: str, columns: list[Sequence]) -> None:
+        """Stage a column block of new rows — one array per table column.
+        The first block a table gets is staged by reference and never
+        edited in place; a later one is appended to the transaction's
+        own copy of it."""
         staged = self._staged(table)
-        ids = self._insert_ids.setdefault(table, [])
-        for row in rows:
-            staged.inserts.append(row)
-            ids.append(f"txn:{self.id}:{self._provisional_seq}")
-            self._provisional_seq += 1
+        count = len(columns[0]) if columns else 0
+        if not count:
+            return
+        if staged.inserts:
+            for column, new in zip(self._owned_block(table), columns,
+                                   strict=True):
+                column.extend(new)
+        else:
+            staged.inserts = list(columns)
+            self._owned_inserts.discard(table)
+        self._insert_ids.setdefault(table, []).extend(
+            self._provisional_ids(count))
 
     def delete_rows(self, table: str, row_ids: list[str]) -> None:
         staged = self._staged(table)
@@ -261,11 +292,12 @@ class Transaction:
             # A delete supersedes any earlier staged update of the row.
             staged.updates.pop(row_id, None)
         if doomed:
-            kept = [(row_id, row)
-                    for row_id, row in zip(provisional, staged.inserts)
-                    if row_id not in doomed]
-            provisional[:] = [row_id for row_id, __ in kept]
-            staged.inserts[:] = [row for __, row in kept]
+            keep = [row_id not in doomed for row_id in provisional]
+            provisional[:] = itertools.compress(provisional, keep)
+            staged.inserts = ([list(itertools.compress(column, keep))
+                               for column in staged.inserts]
+                              if provisional else [])
+            self._owned_inserts.add(table)
 
     def update_rows(self, table: str, updates: dict[str, tuple]) -> None:
         staged = self._staged(table)
@@ -275,19 +307,23 @@ class Transaction:
                     if provisional else {})
         for row_id, new_row in updates.items():
             index = position.get(row_id)
-            if index is not None:
-                staged.inserts[index] = new_row
-            else:
+            if index is None:
                 staged.updates[row_id] = new_row
+                continue
+            for column, value in zip(self._owned_block(table), new_row,
+                                     strict=True):
+                column[index] = value
 
-    def overwrite(self, table: str, rows: list[tuple]) -> None:
+    def overwrite(self, table: str, columns: list[Sequence]) -> None:
+        """Stage a replacement of the table's whole contents by the column
+        block ``columns`` (adopted by reference, as in
+        :meth:`insert_rows`)."""
         staged = self._staged(table)
         staged.overwrite = True
-        staged.inserts = list(rows)
-        ids = self._insert_ids[table] = []
-        for __ in rows:
-            ids.append(f"txn:{self.id}:{self._provisional_seq}")
-            self._provisional_seq += 1
+        count = len(columns[0]) if columns else 0
+        staged.inserts = list(columns) if count else []
+        self._owned_inserts.discard(table)
+        self._insert_ids[table] = self._provisional_ids(count)
 
     def stage_changeset(self, table: str, changes: ChangeSet,
                         overwrite: bool = False) -> None:
@@ -323,6 +359,9 @@ class Transaction:
         raise TransactionError(f"no such savepoint: {name!r}")
 
     def _capture(self) -> dict:
+        # The captured state shares the staged insert arrays: disown
+        # them, so the next edit copies instead of editing the capture.
+        self._owned_inserts.clear()
         writes = {}
         for table, write in self._writes.items():
             writes[table] = StagedWrite(
@@ -344,6 +383,7 @@ class Transaction:
             for table, write in state["writes"].items()}
         self._insert_ids = {table: list(ids)
                             for table, ids in state["insert_ids"].items()}
+        self._owned_inserts.clear()  # the arrays are the savepoint's
         self._provisional_seq = state["provisional_seq"]
 
     # -- locks ---------------------------------------------------------------------

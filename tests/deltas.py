@@ -1,11 +1,19 @@
-"""Row-shaped helpers for the deltas tests build and inspect by hand.
+"""Row-shaped helpers for the deltas and writes tests build and inspect
+by hand.
 
 A :class:`~repro.ivm.changes.ChangeSet` is columnar; its one row-shaped
-edge is construction from / iteration as ``Change`` triples. These
-helpers are that edge spelled the way tests want it.
+edge is construction from / iteration as ``Change`` triples. Staged
+inserts are columnar too (``Transaction.insert_rows`` and
+``StagedWrite(inserts=...)`` take a column block). These helpers are
+those edges spelled the way tests want them.
 """
 
 from repro.ivm.changes import Action, Change, ChangeSet
+
+
+def columns_of(rows) -> list[list]:
+    """The column block of some row tuples: one array per column."""
+    return [list(column) for column in zip(*rows)]
 
 
 def changeset(*ops) -> ChangeSet:

@@ -26,7 +26,7 @@ from repro.storage.table import (RELATION_CACHE_VERSIONS, StagedWrite,
                                  VersionedTable)
 from repro.streams.changes import changes_between
 
-from deltas import deletes, inserts
+from deltas import columns_of, deletes, inserts
 from repro.txn.hlc import HlcTimestamp
 
 ITEMS = schema_of(("id", SqlType.INT), ("grp", SqlType.TEXT),
@@ -39,7 +39,8 @@ def make_table(partition_rows=4):
 
 
 def insert(table, rows, wall):
-    return table.apply(StagedWrite(inserts=list(rows)), HlcTimestamp(wall))
+    return table.apply(StagedWrite(inserts=columns_of(rows)),
+                       HlcTimestamp(wall))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,8 @@ class TestZoneMapPruning:
         # kind degrades to "other" (NULL next to a VARIANT/bool value), or
         # IS NULL filters silently lose their NULL rows to pruning.
         table = make_table(partition_rows=4)
-        table.apply(StagedWrite(inserts=[(None, "a", None),
-                                         (1, "b", {"k": 1})]),
+        table.apply(StagedWrite(inserts=columns_of([(None, "a", None),
+                                                    (1, "b", {"k": 1})])),
                     HlcTimestamp(10))
         kept = table.relation_pruned(None, [("null", 0, False)])
         assert (None, "a", None) in kept.rows
@@ -299,9 +300,9 @@ class TestStorageFixes:
         table = make_table()
         first = insert(table, [(1, "x", 2)], wall=10)
         # Two commits sharing wall=20, ordered by the logical component.
-        second = table.apply(StagedWrite(inserts=[(2, "y", 3)]),
+        second = table.apply(StagedWrite(inserts=columns_of([(2, "y", 3)])),
                              HlcTimestamp(20, 0))
-        third = table.apply(StagedWrite(inserts=[(3, "z", 4)]),
+        third = table.apply(StagedWrite(inserts=columns_of([(3, "z", 4)])),
                             HlcTimestamp(20, 1))
         # A bare wall timestamp sees every commit at that wall.
         assert table.version_at(20) is third

@@ -83,19 +83,23 @@ class TestWal:
         with pytest.raises(DurabilityError):
             scan_wal(path)
 
-    def test_format_version_is_two_and_version_one_is_refused(self, tmp_path):
-        # Format 2: a change set is logged columnar. A version-1 log is
-        # refused outright — there is no cross-version migration.
+    def test_format_version_is_three_and_older_versions_are_refused(
+            self, tmp_path):
+        # Format 2: a change set is logged columnar; format 3: staged
+        # inserts too. An older log is refused outright — there is no
+        # cross-version migration.
         path = wal_path(tmp_path)
         WriteAheadLog(path).close()
         with open(path, "rb") as handle:
-            assert handle.read(len(WAL_MAGIC)) == b"RPRWAL\x00\x02"
-        with open(path, "wb") as handle:
-            handle.write(b"RPRWAL\x00\x01")
-        for refused in (scan_wal, WriteAheadLog):
-            with pytest.raises(DurabilityError,
-                               match="not a WAL file of format version 2"):
-                refused(path)
+            assert handle.read(len(WAL_MAGIC)) == b"RPRWAL\x00\x03"
+        for older in (b"\x01", b"\x02"):
+            with open(path, "wb") as handle:
+                handle.write(b"RPRWAL\x00" + older)
+            for refused in (scan_wal, WriteAheadLog):
+                with pytest.raises(DurabilityError,
+                                   match="not a WAL file of format "
+                                         "version 3"):
+                    refused(path)
 
     def test_seq_survives_reset(self, tmp_path):
         wal = WriteAheadLog(wal_path(tmp_path))

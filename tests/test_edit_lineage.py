@@ -27,6 +27,8 @@ from repro.streams.changes import (changes_between, edited_ids,
                                    is_data_equivalent_interval)
 from repro.txn.hlc import HlcTimestamp
 
+from deltas import columns_of
+
 SCHEMA = schema_of(("k", SqlType.INT), ("x", SqlType.FLOAT),
                    ("s", SqlType.TEXT))
 NAN = float("nan")
@@ -119,8 +121,8 @@ def _run(table: VersionedTable, op: str, rng: random.Random, clock: _Clock,
     some = (lambda most: rng.sample(ids, min(len(ids),
                                              rng.randint(1, most))))
     if op == "insert" or not ids:
-        table.apply(StagedWrite(inserts=[_row(rng) for __ in
-                                         range(rng.randint(1, 12))]),
+        table.apply(StagedWrite(inserts=columns_of(
+                        [_row(rng) for __ in range(rng.randint(1, 12))])),
                     clock())
     elif op == "update":
         table.apply(StagedWrite(updates={row_id: _edit(rng, rows[row_id])
@@ -131,7 +133,7 @@ def _run(table: VersionedTable, op: str, rng: random.Random, clock: _Clock,
         table.apply(StagedWrite(
             deletes=set(some(2)),
             updates={row_id: _edit(rng, rows[row_id]) for row_id in some(3)},
-            inserts=[_row(rng)]), clock())
+            inserts=columns_of([_row(rng)])), clock())
     elif op == "merge":
         # A refresh merge: delete some rows, re-insert some of them under
         # the same id (same or new values), insert fresh ids.
@@ -156,8 +158,8 @@ def _run(table: VersionedTable, op: str, rng: random.Random, clock: _Clock,
     elif op == "recluster":
         table.recluster(clock())
     elif op == "overwrite":
-        table.apply(StagedWrite(inserts=[_row(rng) for __ in
-                                         range(rng.randint(0, 6))],
+        table.apply(StagedWrite(inserts=columns_of(
+                        [_row(rng) for __ in range(rng.randint(0, 6))]),
                                 overwrite=True), clock())
     elif op == "clone":
         return table.clone(f"c{clock.wall}", 2 + clock.wall, clock())
@@ -185,8 +187,9 @@ def test_lineage_diff_equals_whole_partition_diff(partition_rows, ops):
 
 def _table(rows: int, partition_rows: int = 4096) -> VersionedTable:
     table = VersionedTable("t", SCHEMA, 1, partition_rows=partition_rows)
-    table.apply(StagedWrite(inserts=[(i, float(i), "v") for i in
-                                     range(rows)]), HlcTimestamp(10))
+    table.apply(StagedWrite(inserts=columns_of(
+                    [(i, float(i), "v") for i in range(rows)])),
+                HlcTimestamp(10))
     return table
 
 
@@ -247,7 +250,8 @@ class TestLineageRecorded:
     def test_inserts_recluster_and_overwrite_record_none(self):
         table = _table(6, partition_rows=4)
         table.recluster(HlcTimestamp(20))
-        table.apply(StagedWrite(inserts=[(1, 1.0, "o")], overwrite=True),
+        table.apply(StagedWrite(inserts=columns_of([(1, 1.0, "o")]),
+                                overwrite=True),
                     HlcTimestamp(30))
         assert all(partition.lineage is None
                    for partition in table._partitions.values())
@@ -267,7 +271,8 @@ class TestFallbacks:
         clone = source.clone("c", 2, HlcTimestamp(30))
         clone.apply(StagedWrite(updates={"b1:2": (0, 0.0, "u")},
                                 deletes={"b1:9"}), HlcTimestamp(40))
-        clone.apply(StagedWrite(inserts=[(5, 5.0, "n")]), HlcTimestamp(50))
+        clone.apply(StagedWrite(inserts=columns_of([(5, 5.0, "n")])),
+                    HlcTimestamp(50))
         # The shared partitions' lineage points into the source table.
         assert any(partition.lineage is not None
                    and partition.lineage.parent not in clone._partitions
@@ -358,7 +363,7 @@ class TestConsolidateInput:
     def test_insert_only_interval_feeds_what_it_did(self, fed):
         table = _table(10, partition_rows=4)
         old = table.current_version
-        table.apply(StagedWrite(inserts=[(1, 1.0, "n")] * 7),
+        table.apply(StagedWrite(inserts=columns_of([(1, 1.0, "n")] * 7)),
                     HlcTimestamp(20))
         changes_between(table, old, table.current_version)
         assert fed == [7]

@@ -23,6 +23,8 @@ from repro.scheduler.clock import SimClock
 from repro.storage.catalog import Catalog
 from repro.txn.manager import TransactionManager
 
+from deltas import columns_of
+
 SCHEMA = schema_of(("id", SqlType.INT), ("v", SqlType.INT), table="t")
 
 #: Base values stay in [0, 40]; staged ones reach far outside, so an
@@ -49,8 +51,8 @@ def _manager(base_values):
     manager = TransactionManager(catalog, clock.now)
     catalog.create_table("t", SCHEMA).partition_rows = 4
     txn = manager.begin()
-    txn.insert_rows("t", [(index, value)
-                          for index, value in enumerate(base_values)])
+    txn.insert_rows("t", columns_of(
+        [(index, value) for index, value in enumerate(base_values)]))
     txn.commit()
     return manager
 
@@ -72,9 +74,9 @@ def _apply(txn, op, next_id):
                 for offset, value in enumerate(op[1])]
         next_id += len(rows)
         if kind == "insert":
-            txn.insert_rows("t", rows)
+            txn.insert_rows("t", columns_of(rows))
         else:
-            txn.overwrite("t", rows)
+            txn.overwrite("t", columns_of(rows))
     elif kind == "savepoint":
         txn.savepoint("s")
     else:

@@ -21,6 +21,8 @@ from repro.txn.manager import TransactionManager
 from repro.util.parallel import WorkerPool
 from repro.util.timeutil import MINUTE, SECOND
 
+from deltas import columns_of
+
 
 class TestWorkerPool:
     def test_results_in_input_order(self):
@@ -254,7 +256,7 @@ class TestRowLevelConflicts:
 
     def _seed(self, clock, manager, rows):
         txn = manager.begin()
-        txn.insert_rows("t", rows)
+        txn.insert_rows("t", columns_of(rows))
         txn.commit()
         clock.advance(SECOND)
         table = manager.catalog.versioned_table("t")
@@ -294,7 +296,7 @@ class TestRowLevelConflicts:
         # but an overwrite rewrites the whole table, so it conflicts with
         # every non-blind write regardless of footprint.
         victim.update_rows("t", {ids[1]: (20,)})
-        winner.overwrite("t", [(9,)])
+        winner.overwrite("t", columns_of([(9,)]))
         winner.commit()
         with pytest.raises(LockConflict):
             victim.commit()
@@ -304,7 +306,7 @@ class TestRowLevelConflicts:
         ids = self._seed(clock, manager, [(1,), (2,)])
         victim = manager.begin(snapshot_wall=0)
         winner = manager.begin()
-        victim.overwrite("t", [(9,)])
+        victim.overwrite("t", columns_of([(9,)]))
         winner.update_rows("t", {ids[0]: (10,)})
         winner.commit()
         with pytest.raises(LockConflict):
@@ -315,8 +317,8 @@ class TestRowLevelConflicts:
         self._seed(clock, manager, [(1,)])
         one = manager.begin()
         two = manager.begin()
-        one.insert_rows("t", [(2,)])
-        two.insert_rows("t", [(3,)])
+        one.insert_rows("t", columns_of([(2,)]))
+        two.insert_rows("t", columns_of([(3,)]))
         one.commit()
         clock.advance(SECOND)
         two.commit()

@@ -8,7 +8,7 @@ from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
 from repro.storage.table import StagedWrite, VersionedTable
 from repro.txn.hlc import HlcTimestamp
 
-from deltas import changeset
+from deltas import changeset, columns_of
 
 
 def make_table(partition_rows=4):
@@ -18,7 +18,8 @@ def make_table(partition_rows=4):
 
 
 def insert(table, rows, wall):
-    return table.apply(StagedWrite(inserts=list(rows)), HlcTimestamp(wall))
+    return table.apply(StagedWrite(inserts=columns_of(rows)),
+                       HlcTimestamp(wall))
 
 
 class TestInserts:
@@ -83,21 +84,24 @@ class TestDeletesAndUpdates:
     def test_overwrite_replaces_everything(self):
         table = make_table()
         insert(table, [(1, "x"), (2, "y")], wall=10)
-        table.apply(StagedWrite(inserts=[(9, "z")], overwrite=True),
+        table.apply(StagedWrite(inserts=columns_of([(9, "z")]),
+                                overwrite=True),
                     HlcTimestamp(20))
         assert table.relation().rows == [(9, "z")]
 
 
 class TestBindRowWidth:
-    """Bind rows are transposed once, with a width check: a ragged row
-    (reachable only through the internal write API) raises before
-    anything is installed instead of being NULL-padded or truncated."""
+    """An insert block is checked before it is sliced into partitions: a
+    block of the wrong width or with a short column (reachable only
+    through the internal write API) raises before anything is installed
+    instead of being NULL-padded or truncated."""
 
     def test_ragged_insert_raises_and_installs_nothing(self):
         table = make_table()
         insert(table, [(0, "z")], wall=5)
         with pytest.raises(InternalError, match="2 columns wide"):
-            insert(table, [(1, "a"), (2,)], wall=10)
+            table.apply(StagedWrite(inserts=[[1, 2], ["a"]]),
+                        HlcTimestamp(10))
         assert table.version_count == 2
         assert table.relation().rows == [(0, "z")]
         # Nothing was consumed either: the next insert gets the next id.
@@ -109,7 +113,7 @@ class TestBindRowWidth:
         with pytest.raises(InternalError, match="2 columns wide"):
             insert(table, [(1,), (2,)], wall=10)
         with pytest.raises(InternalError, match="2 columns wide"):
-            table.apply(StagedWrite(inserts=[(1, "a", "extra")],
+            table.apply(StagedWrite(inserts=columns_of([(1, "a", "extra")]),
                                     overwrite=True), HlcTimestamp(10))
         assert table.version_count == 1
 

@@ -11,6 +11,8 @@ from repro.txn.locks import LockManager
 from repro.txn.manager import TransactionManager
 from repro.util.timeutil import SECOND
 
+from deltas import columns_of
+
 
 @pytest.fixture
 def setup():
@@ -52,7 +54,7 @@ class TestTransactions:
     def test_insert_commit_read(self, setup):
         clock, catalog, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,), (2,)])
+        txn.insert_rows("t", columns_of([(1,), (2,)]))
         txn.commit()
         reader = manager.begin()
         assert sorted(reader.scan("t").rows) == [(1,), (2,)]
@@ -60,7 +62,7 @@ class TestTransactions:
     def test_uncommitted_writes_invisible(self, setup):
         clock, catalog, manager = setup
         writer = manager.begin()
-        writer.insert_rows("t", [(1,)])
+        writer.insert_rows("t", columns_of([(1,)]))
         reader = manager.begin()
         assert reader.scan("t").rows == []
         writer.commit()
@@ -68,20 +70,20 @@ class TestTransactions:
     def test_snapshot_reads_are_stable(self, setup):
         clock, catalog, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
+        txn.insert_rows("t", columns_of([(1,)]))
         txn.commit()
         clock.advance(SECOND)
         reader = manager.begin()  # snapshot at t=1s
         clock.advance(SECOND)
         writer = manager.begin()
-        writer.insert_rows("t", [(2,)])
+        writer.insert_rows("t", columns_of([(2,)]))
         writer.commit()
         assert reader.scan("t").rows == [(1,)]
 
     def test_write_write_conflict(self, setup):
         clock, catalog, manager = setup
         first = manager.begin()
-        first.insert_rows("t", [(1,)])
+        first.insert_rows("t", columns_of([(1,)]))
         first.commit()
         clock.advance(SECOND)
         # First-committer-wins is row-level: writes conflict when a
@@ -100,7 +102,7 @@ class TestTransactions:
     def test_disjoint_row_writers_both_commit(self, setup):
         clock, catalog, manager = setup
         first = manager.begin()
-        first.insert_rows("t", [(1,), (2,)])
+        first.insert_rows("t", columns_of([(1,), (2,)]))
         first.commit()
         clock.advance(SECOND)
         table = catalog.versioned_table("t")
@@ -120,9 +122,9 @@ class TestTransactions:
     def test_blind_append_exempt_from_conflict(self, setup):
         clock, catalog, manager = setup
         stale = manager.begin(snapshot_wall=0)
-        stale.insert_rows("t", [(1,)])
+        stale.insert_rows("t", columns_of([(1,)]))
         other = manager.begin()
-        other.insert_rows("t", [(2,)])
+        other.insert_rows("t", columns_of([(2,)]))
         other.commit()
         clock.advance(SECOND)
         stale.commit()  # insert-only: cannot lose an update, no conflict
@@ -132,7 +134,7 @@ class TestTransactions:
     def test_commit_twice_rejected(self, setup):
         __, __, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
+        txn.insert_rows("t", columns_of([(1,)]))
         txn.commit()
         with pytest.raises(TransactionError):
             txn.commit()
@@ -140,7 +142,7 @@ class TestTransactions:
     def test_abort_discards(self, setup):
         __, __, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
+        txn.insert_rows("t", columns_of([(1,)]))
         txn.abort()
         assert manager.begin().scan("t").rows == []
         with pytest.raises(TransactionError):
@@ -150,7 +152,7 @@ class TestTransactions:
         __, __, manager = setup
         first = manager.begin()
         first.lock("t")
-        first.insert_rows("t", [(1,)])
+        first.insert_rows("t", columns_of([(1,)]))
         first.commit()
         second = manager.begin()
         second.lock("t")  # no conflict: released at commit
@@ -173,13 +175,13 @@ class TestTransactions:
     def test_pinned_version_read(self, setup):
         clock, catalog, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
+        txn.insert_rows("t", columns_of([(1,)]))
         txn.commit()
         table = catalog.versioned_table("t")
         old = table.current_version
         clock.advance(SECOND)
         txn2 = manager.begin()
-        txn2.insert_rows("t", [(2,)])
+        txn2.insert_rows("t", columns_of([(2,)]))
         txn2.commit()
         clock.advance(SECOND)
         reader = manager.begin()
@@ -189,7 +191,7 @@ class TestTransactions:
     def test_reader_sees_commits_at_wall(self, setup):
         clock, catalog, manager = setup
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
+        txn.insert_rows("t", columns_of([(1,)]))
         txn.commit()
         reader = manager.reader()
         assert reader.scan("t").rows == [(1,)]
@@ -198,8 +200,8 @@ class TestTransactions:
         clock, catalog, manager = setup
         catalog.create_table("u", schema_of(("b", SqlType.INT)))
         txn = manager.begin()
-        txn.insert_rows("t", [(1,)])
-        txn.insert_rows("u", [(2,)])
+        txn.insert_rows("t", columns_of([(1,)]))
+        txn.insert_rows("u", columns_of([(2,)]))
         commit_ts = txn.commit()
         t_version = catalog.versioned_table("t").current_version
         u_version = catalog.versioned_table("u").current_version

@@ -1,4 +1,8 @@
-"""Zone maps kept across delete-only partition rewrites.
+"""Zone maps: the one-dispatch kernel, and bounds kept across rewrites.
+
+A column's zone map is computed with one type dispatch (the set of its
+values' types) and C-level ``min`` / ``max``; a property pins it to the
+per-value loop it replaced, kept here as the oracle.
 
 A rewrite that only drops rows keeps its parent partition's zone maps
 instead of recomputing them: the parent's kind, min/max and NULL flag
@@ -13,6 +17,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Database
 from repro.engine.executor import evaluate, extract_scan_bounds
@@ -23,11 +28,87 @@ from repro.engine.types import type_of_value
 from repro.plan.builder import build_plan
 from repro.plan.rewrite import optimize
 from repro.sql.parser import parse_query
-from repro.storage.partition import (Partition, build_partitions,
-                                     zone_maps_of_columns)
+from repro.storage.partition import (ColumnStats, Partition,
+                                     build_partitions, zone_maps_of_columns)
 from repro.txn.manager import VersionReader
 
 _OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
+
+
+def _per_value_stats(values) -> ColumnStats:
+    """The zone-map loop the one-dispatch kernel replaced: the oracle."""
+    kind = None
+    low = high = None
+    has_null = False
+    other = False
+    for value in values:
+        if value is None:
+            has_null = True
+            continue
+        if other:
+            continue
+        if isinstance(value, bool):
+            other = True
+            continue
+        if isinstance(value, (int, float)):
+            if isinstance(value, float) and value != value:  # NaN
+                other = True
+                continue
+            value_kind = "num"
+        elif isinstance(value, str):
+            value_kind = "str"
+        else:
+            other = True
+            continue
+        if kind is None:
+            kind = value_kind
+            low = high = value
+        elif kind != value_kind:
+            other = True
+        else:
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+    if other:
+        return ColumnStats("other", has_null=has_null)
+    return ColumnStats(kind, low, high, has_null)
+
+
+_CELLS = {
+    "int": st.one_of(st.integers(-10, 10),
+                     st.sampled_from([2 ** 53, 2 ** 53 + 1, -2 ** 63])),
+    "float": st.one_of(st.floats(allow_nan=False),
+                       st.sampled_from([-0.0, 0.0, 1.0])),
+    "nan": st.just(math.nan),
+    "bool": st.booleans(),
+    "text": st.text(max_size=3),
+    "variant": st.one_of(st.dictionaries(st.just("k"), st.integers()),
+                         st.lists(st.integers(), max_size=2)),
+}
+
+
+@st.composite
+def _columns(draw):
+    """A column of one, two or three value kinds, with or without NULLs."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=3, unique=True))
+    cells = st.one_of(*(_CELLS[kind] for kind in kinds))
+    if draw(st.booleans()):
+        cells = st.one_of(st.none(), cells)
+    return draw(st.lists(cells, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_columns())
+def test_kernel_matches_the_per_value_loop(column):
+    stats = zone_maps_of_columns([column])[0]
+    expected = _per_value_stats(column)
+    assert stats == expected
+    # Equal is not enough for the bounds: 0 == 0.0 == -0.0, and the
+    # kernel must pick the same value object's type and sign.
+    assert repr(stats.low) == repr(expected.low)
+    assert repr(stats.high) == repr(expected.high)
 
 
 def _value(rng: random.Random, kind: str):

@@ -178,6 +178,12 @@ class Program:
         self._infer_class_attributes()
         self._resolve_seams()
         self._compute_facts()
+        #: caller -> callee of every resolved call site, in site order:
+        #: built once here, walked by every fixpoint over the call graph.
+        self.call_edges: dict[str, list[str]] = {
+            qualname: [] for qualname in self.functions}
+        for site in self.resolved_edges():
+            self.call_edges[site.caller].append(site.callee)
 
     # -- loading and indexing ------------------------------------------------
 

@@ -35,7 +35,7 @@ from .callgraph import Program
 from .config import AnalyzerConfig, REPRO_CONFIG
 from .diagnostics import (RULES, Finding, load_baseline, save_baseline,
                           split_by_baseline)
-from .effects import materialize_findings
+from .effects import materialize_findings, transitive_effects
 from .invariants import invariant_findings, unused_pragma_findings
 from .lockstate import (LockGraph, blocking_findings, build_lock_graph,
                         lock_order_findings)
@@ -54,11 +54,12 @@ def analyze(root: Path, config: AnalyzerConfig,
     pragmas that justified nothing are findings."""
     program = Program(root, config)
     graph = build_lock_graph(program)
+    effects = transitive_effects(program)
     findings = invariant_findings(program)
     findings += lock_order_findings(program, graph)
-    findings += blocking_findings(program)
+    findings += blocking_findings(program, effects)
     findings += race_findings(program)
-    findings += materialize_findings(program)
+    findings += materialize_findings(program, effects)
     kept = [finding for finding in findings
             if not program.pragmas[finding.path].suppresses(finding.line,
                                                             finding.code)]

@@ -44,7 +44,7 @@ def transitive_effects(program: Program) -> dict[str, dict[str, Origin]]:
                 qualname, info.rel_path, eff.line, eff.what))
         effects[qualname] = direct
 
-    edges = _call_edges(program)
+    edges = program.call_edges
     changed = True
     while changed:
         changed = False
@@ -64,7 +64,7 @@ def may_take(program: Program) -> dict[str, set]:
     for qualname in program.functions:
         taken[qualname] = {acq.lock
                            for acq in program.facts[qualname].acquisitions}
-    edges = _call_edges(program)
+    edges = program.call_edges
     changed = True
     while changed:
         changed = False
@@ -87,7 +87,7 @@ def exit_holds(program: Program) -> dict[str, set]:
         holds[qualname] = {acq.lock
                            for acq in program.facts[qualname].acquisitions
                            if not acq.via_with}
-    edges = _call_edges(program)
+    edges = program.call_edges
     changed = True
     while changed:
         changed = False
@@ -101,15 +101,15 @@ def exit_holds(program: Program) -> dict[str, set]:
     return holds
 
 
-def materialize_findings(program: Program) -> list:
+def materialize_findings(program: Program,
+                         effects: dict[str, dict[str, Origin]]) -> list:
     """ENG105: row materialization reachable from a streaming hot-path
     root — the point of partition-granular cursors is *not* to build the
     full row list, so a ``.pairs()``/``.rows`` in their closure defeats
-    them."""
+    them. ``effects`` is :func:`transitive_effects` of ``program``."""
     from .callgraph import MATERIALIZE
     from .diagnostics import Finding
 
-    effects = transitive_effects(program)
     findings = []
     for root in program.config.hot_path_roots:
         info = program.functions.get(root)
@@ -135,7 +135,7 @@ def materialize_findings(program: Program) -> list:
 
 def reachable_from(program: Program, roots: tuple) -> set:
     """Function qualnames reachable from ``roots`` via resolved edges."""
-    edges = _call_edges(program)
+    edges = program.call_edges
     seen: set = set()
     stack = [root for root in roots if root in program.functions]
     while stack:
@@ -145,10 +145,3 @@ def reachable_from(program: Program, roots: tuple) -> set:
         seen.add(current)
         stack.extend(edges.get(current, ()))
     return seen
-
-
-def _call_edges(program: Program) -> dict[str, list]:
-    edges: dict[str, list] = {qualname: [] for qualname in program.functions}
-    for site in program.resolved_edges():
-        edges[site.caller].append(site.callee)
-    return edges

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .callgraph import BLOCKING_LABELS, Program
 from .diagnostics import Finding
-from .effects import Origin, exit_holds, may_take, transitive_effects
+from .effects import Origin, exit_holds, may_take
 
 
 @dataclass
@@ -129,13 +129,15 @@ def lock_order_findings(program: Program,
     return findings
 
 
-def blocking_findings(program: Program) -> list[Finding]:
+def blocking_findings(program: Program,
+                      effects: dict[str, dict[str, Origin]],
+                      ) -> list[Finding]:
     """ENG102: blocking effects performed or reachable while a commit
-    lock is held."""
+    lock is held. ``effects`` is :func:`transitive_effects` of
+    ``program``."""
     commit_locks = program.config.commit_locks
     if not commit_locks:
         return []
-    effects = transitive_effects(program)
     findings: list[Finding] = []
     seen: set = set()
 
