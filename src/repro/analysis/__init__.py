@@ -9,12 +9,14 @@ engine's own source, lives in ``tools/analyzer``). See
 from repro.analysis.diagnostics import (AnalysisReport, CodeInfo, CODES,
                                         Diagnostic, Severity,
                                         make_diagnostic)
-from repro.analysis.analyzer import (analyze_bound_query, analyze_sql,
+from repro.analysis.analyzer import (analyze_bound_query,
+                                     analyze_bound_write, analyze_sql,
                                      analyze_statement,
                                      diagnostic_from_error)
 
 __all__ = [
     "AnalysisReport", "CodeInfo", "CODES", "Diagnostic", "Severity",
-    "make_diagnostic", "analyze_bound_query", "analyze_sql",
+    "make_diagnostic", "analyze_bound_query", "analyze_bound_write",
+    "analyze_sql",
     "analyze_statement", "diagnostic_from_error",
 ]

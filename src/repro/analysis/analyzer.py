@@ -16,9 +16,17 @@ Entry points:
 * :func:`analyze_statement` — any parsed statement (what
   ``Session.analyze`` calls after parsing);
 * :func:`analyze_bound_query` — predicate + incrementality passes over a
-  query whose plan is already bound (used by ``EXPLAIN`` and by
-  ``Database.create_dynamic_table``, which have a plan in hand and must
-  not pay a second bind).
+  query whose plan is already bound (used by ``EXPLAIN``, by
+  ``Database.create_dynamic_table`` and by strict mode on a prepared
+  SELECT, which have a plan in hand and must not pay a second bind);
+* :func:`analyze_bound_write` — the predicate lints of a DML statement
+  whose :class:`~repro.plan.logical.Write` is already bound (strict mode
+  on a prepared INSERT, UPDATE or DELETE).
+
+A DML statement is bound by the one DML binder,
+:func:`~repro.plan.builder.build_write`, exactly as execution binds it,
+so analysis reports an error on a statement if and only if
+``Session.prepare`` refuses it.
 
 Analysis never executes anything and never raises for problems *in the
 analyzed statement* — those become diagnostics; only misuse of the
@@ -36,7 +44,7 @@ from repro.errors import (BindError, CatalogError, EntityNotFound,
 from repro.analysis.diagnostics import (AnalysisReport, Diagnostic,
                                         Severity, make_diagnostic)
 from repro.plan import logical as lp
-from repro.plan.builder import bind_expression, build_plan
+from repro.plan.builder import build_plan, build_write
 from repro.plan.properties import incrementalizability
 from repro.sql import nodes as n
 
@@ -72,69 +80,13 @@ def _hint_for_reason(reason: str) -> Optional[str]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# AST walking helpers
-# ---------------------------------------------------------------------------
-
-
-def _children(expr: n.Expr) -> Iterator[n.Expr]:
-    if isinstance(expr, n.BinOp):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, n.UnOp):
-        yield expr.operand
-    elif isinstance(expr, (n.IsNullExpr, n.CastExpr, n.PathExpr)):
-        yield expr.operand
-    elif isinstance(expr, n.InListExpr):
-        yield expr.operand
-        yield from expr.items
-    elif isinstance(expr, n.BetweenExpr):
-        yield expr.operand
-        yield expr.low
-        yield expr.high
-    elif isinstance(expr, n.LikeExpr):
-        yield expr.operand
-        yield expr.pattern
-    elif isinstance(expr, n.CaseExpr):
-        if expr.operand is not None:
-            yield expr.operand
-        for when, then in expr.whens:
-            yield when
-            yield then
-        if expr.otherwise is not None:
-            yield expr.otherwise
-    elif isinstance(expr, n.FnCall):
-        yield from expr.args
-        if expr.window is not None:
-            yield from expr.window.partition_by
-            for order_expr, __ in expr.window.order_by:
-                yield order_expr
-
-
-def _walk_expr(expr: n.Expr) -> Iterator[n.Expr]:
-    yield expr
-    for child in _children(expr):
-        yield from _walk_expr(child)
-
-
-def _table_refs(ref: Optional[n.TableRef]) -> Iterator[n.TableRef]:
-    if ref is None:
-        return
-    yield ref
-    if isinstance(ref, n.JoinRef):
-        yield from _table_refs(ref.left)
-        yield from _table_refs(ref.right)
-    elif isinstance(ref, n.FlattenRef):
-        yield from _table_refs(ref.source)
-
-
 def _selects_of(select: n.Select) -> Iterator[n.Select]:
     """The select itself, its UNION ALL branches, and every FROM-clause
     subquery, recursively."""
     yield select
     for branch in select.union_all:
         yield from _selects_of(branch)
-    for ref in _table_refs(select.from_):
+    for ref in n.table_refs(select.from_):
         if isinstance(ref, n.SubqueryRef):
             yield from _selects_of(ref.query)
 
@@ -146,7 +98,7 @@ def _is_constant(expr: n.Expr) -> bool:
         return True
     if isinstance(expr, (n.Name, n.Star, n.Parameter, n.FnCall)):
         return False
-    children = list(_children(expr))
+    children = list(n.children(expr))
     return bool(children) and all(_is_constant(c) for c in children)
 
 
@@ -271,7 +223,7 @@ def _clause_diagnostics(clause: str, expr: n.Expr) -> Iterator[Diagnostic]:
             "drops every row",
             span=n.span_of(expr),
             hint="remove the constant predicate or reference a column")
-    for node in _walk_expr(expr):
+    for node in n.walk(expr):
         if (isinstance(node, n.BinOp) and node.op in _COMPARISONS
                 and (isinstance(node.left, n.Lit)
                      and node.left.value is None
@@ -489,97 +441,30 @@ def _analyze_select_statement(select: n.Select, provider: object,
                           schema=plan.schema if plan is not None else None)
 
 
-def _table_schema(provider: object, table: str,
-                  ) -> tuple[Optional[Schema], Optional[Diagnostic]]:
-    try:
-        return provider.table_schema(table), None  # type: ignore[attr-defined]
-    except UserError as exc:
-        return None, diagnostic_from_error(exc, provider)
-
-
-def _bind_against(expr: n.Expr, schema: Schema, registry: object,
-                  parameters: object) -> Optional[Diagnostic]:
-    try:
-        if registry is None:
-            bind_expression(expr, schema, parameters=parameters)
-        else:
-            bind_expression(expr, schema, registry, parameters=parameters)
-        return None
-    except UserError as exc:
-        return diagnostic_from_error(exc)
-
-
 def _analyze_dml(statement: Union[n.Insert, n.Delete, n.Update],
                  provider: object, registry: object, parameters: object,
                  sql: str) -> AnalysisReport:
     diagnostics: list[Diagnostic] = []
-    schema, table_diag = _table_schema(provider, statement.table)
-    if table_diag is not None:
-        diagnostics.append(table_diag)
-    where = getattr(statement, "where", None)
-    if schema is not None:
-        bound_schema = schema.requalified(statement.table)
-        if where is not None:
-            diag = _bind_against(where, bound_schema, registry, parameters)
-            if diag is not None:
-                diagnostics.append(diag)
-        if isinstance(statement, n.Update):
-            for column, expr in statement.assignments:
-                try:
-                    schema.resolve(column)
-                except UserError as exc:
-                    diagnostics.append(diagnostic_from_error(exc))
-                diag = _bind_against(expr, bound_schema, registry,
-                                     parameters)
-                if diag is not None:
-                    diagnostics.append(diag)
-        if isinstance(statement, n.Insert):
-            diagnostics.extend(
-                _insert_shape(statement, schema, provider, registry,
-                              parameters))
-    if where is not None:
-        diagnostics.extend(_clause_diagnostics("WHERE", where))
+    try:
+        if registry is None:
+            build_write(statement, provider, parameters=parameters)
+        else:
+            build_write(statement, provider, registry, parameters)
+    except UserError as exc:
+        diagnostics.append(diagnostic_from_error(exc, provider))
+    diagnostics.extend(analyze_bound_write(statement).diagnostics)
     return AnalysisReport(sql, diagnostics)
 
 
-def _insert_shape(statement: n.Insert, schema: Schema, provider: object,
-                  registry: object, parameters: object,
-                  ) -> Iterator[Diagnostic]:
-    targets: set[int] = set()
-    for column in statement.columns:
-        try:
-            target = schema.resolve(column)
-        except UserError as exc:
-            yield diagnostic_from_error(exc)
-            continue
-        if target in targets:
-            yield make_diagnostic(
-                "RPR005",
-                f"column {column!r} is listed more than once in INSERT",
-                span=n.span_of(statement),
-                hint="name each target column once")
-        targets.add(target)
-    width = len(statement.columns) if statement.columns else len(schema)
-    for row in statement.rows:
-        if len(row) != width:
-            yield make_diagnostic(
-                "RPR005",
-                f"INSERT arity mismatch: expected {width} values, "
-                f"got {len(row)}",
-                span=n.span_of(statement),
-                hint="match the VALUES row width to the target columns")
-            break
-    if statement.query is not None:
-        plan, bind_diag = _bind_select(statement.query, provider, registry,
-                                       parameters)
-        if bind_diag is not None:
-            yield bind_diag
-        elif plan is not None and len(plan.schema) != width:
-            yield make_diagnostic(
-                "RPR005",
-                f"INSERT arity mismatch: target expects {width} "
-                f"columns, SELECT produces {len(plan.schema)}",
-                span=n.span_of(statement))
+def analyze_bound_write(statement: Union[n.Insert, n.Delete, n.Update],
+                        ) -> AnalysisReport:
+    """The predicate lints of a DML statement whose
+    :class:`~repro.plan.logical.Write` is already bound (no second
+    bind): its WHERE clause's ``RPR01x``."""
+    where = getattr(statement, "where", None)
+    diagnostics = (list(_clause_diagnostics("WHERE", where))
+                   if where is not None else [])
+    return AnalysisReport("", diagnostics)
 
 
 def analyze_statement(statement: n.Statement, provider: object,

@@ -3,24 +3,25 @@
 A :class:`PreparedStatement` is created by ``Session.prepare(sql)``. The
 SQL is parsed exactly once; its bind parameters (``?`` positional or
 ``:name`` named) are collected into a :class:`ParameterSpec` that assigns
-each a slot. For SELECTs, the bound and optimized plan is obtained through
-the database-wide :class:`~repro.plan.cache.PlanCache` under a
-parameter-aware key — the query *text* with markers left in place, plus
-the catalog epoch and function-registry version — so re-executing with new
-binds performs **zero parse or optimize work**, and even re-preparing the
-same text in another session reuses the plan.
+each a slot. A SELECT binds to its optimized plan and an INSERT, UPDATE or
+DELETE to one :class:`~repro.plan.logical.Write`
+(:func:`~repro.plan.builder.build_write`), both at prepare time and both
+through the database-wide :class:`~repro.plan.cache.PlanCache` under a
+parameter-aware key — the statement *text* with markers left in place,
+plus the catalog epoch and function-registry version. Re-executing with
+new binds performs **zero parse, bind or optimize work**, re-preparing the
+same text in another session reuses the binding, and any DDL or UDF
+change re-binds the stored AST on the next use.
+
+Binding is also when each parameter's type is inferred from its
+comparison or arithmetic context, so a bind value of the wrong type is
+refused before the statement runs — on the first execution too.
 
 Bind values travel to execution inside the
 :class:`~repro.engine.expressions.EvalContext` (``ctx.params``), where
 each :class:`~repro.engine.expressions.BoundParameter` slot reads — and
 the vectorized compiler folds to a constant — the value for that one
-execution.
-
-An INSERT ... VALUES is bound once too, at prepare time: its target
-column list is resolved and its value expressions bound
-(:func:`~repro.api.insert.bind_values`), cached on the statement per
-catalog epoch and function-registry version, so DDL such as ``CREATE OR
-REPLACE TABLE`` re-binds it. ``executemany`` hands the batch to
+execution. ``executemany`` of an INSERT ... VALUES hands the batch to
 :meth:`ParameterSpec.bind_columns`, which transposes the bind sets —
 positional or named — into one array per slot and type-checks each slot
 with one dispatch; the rest of the insert is column at a time
@@ -32,13 +33,12 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from repro.api.insert import BoundValues, bind_values
 from repro.engine import expressions as e
 from repro.engine import types as t
 from repro.engine.types import Value
 from repro.errors import BindParameterError, TypeError_, UserError
 from repro.plan import logical as lp
-from repro.plan.builder import build_plan
+from repro.plan.builder import build_plan, build_write
 from repro.plan.rewrite import optimize
 from repro.sql import nodes as n
 
@@ -292,8 +292,8 @@ def _collect_parameters(value: object,
 
 
 class PreparedStatement:
-    """A statement parsed (and, for SELECTs, planned) once for repeated
-    execution with varying binds."""
+    """A statement parsed (and, for SELECT and DML, bound) once for
+    repeated execution with varying binds."""
 
     def __init__(self, session: "Session", sql: str,
                  statement: n.Statement, spec: ParameterSpec):
@@ -304,12 +304,14 @@ class PreparedStatement:
         #: The plan whose typed parameter slots the spec was last seeded
         #: from — the type walk runs once per (re-)plan, not per execution.
         self._typed_from_plan: Optional[lp.PlanNode] = None
-        #: An INSERT ... VALUES list as last bound (see :meth:`values`).
-        self._values: Optional[BoundValues] = None
 
     @property
     def is_query(self) -> bool:
         return isinstance(self.statement, n.Query)
+
+    @property
+    def is_write(self) -> bool:
+        return isinstance(self.statement, (n.Insert, n.Update, n.Delete))
 
     @property
     def parameter_count(self) -> int:
@@ -320,37 +322,31 @@ class PreparedStatement:
         return (isinstance(self.statement, n.Insert)
                 and bool(self.statement.rows))
 
-    def values(self) -> BoundValues:
-        """An INSERT ... VALUES list bound against its table, cached per
-        catalog DDL epoch and function-registry version: re-executions
-        bind nothing, and any DDL (say ``CREATE OR REPLACE TABLE``)
-        re-binds the stored AST."""
-        db = self._session.database
-        bound = self._values
-        if bound is None or bound.key != (db.catalog.epoch,
-                                          db.registry.version):
-            assert isinstance(self.statement, n.Insert)
-            bound = self._values = bind_values(
-                self.statement, db.catalog, db.registry, self.spec)
-        return bound
-
     def plan(self) -> lp.PlanNode:
-        """The optimized plan of a SELECT, via the shared plan cache.
+        """The bound plan, via the shared plan cache: a SELECT's optimized
+        plan, or the :class:`~repro.plan.logical.Write` of an INSERT,
+        UPDATE or DELETE.
 
         The key carries the statement text (bind markers included), the
         catalog DDL epoch, and the function-registry version: repeated
-        executions hit; any DDL or UDF change transparently re-plans the
+        executions hit; any DDL or UDF change transparently re-binds the
         stored AST (no re-parse, ever).
         """
-        if not self.is_query:
-            raise UserError("only SELECT statements have a plan")
+        statement = self.statement
+        if not (self.is_query or self.is_write):
+            raise UserError(
+                "only SELECT, INSERT, UPDATE and DELETE statements have a "
+                "plan")
         db = self._session.database
         key = ("prepared", self.sql, db.catalog.epoch, db.registry.version)
         plan = db.plan_cache.get(key)
         if plan is None:
-            assert isinstance(self.statement, n.Query)
-            plan = optimize(build_plan(self.statement.select, db.catalog,
-                                       db.registry, parameters=self.spec))
+            if isinstance(statement, n.Query):
+                plan = optimize(build_plan(statement.select, db.catalog,
+                                           db.registry, parameters=self.spec))
+            else:
+                plan = build_write(statement, db.catalog, db.registry,
+                                   self.spec)
             db.plan_cache.put(key, plan)
         # Seed (or re-derive, on a cache hit) the spec's inferred bind
         # types from the plan's typed parameter slots — once per plan, so

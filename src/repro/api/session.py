@@ -56,15 +56,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.analysis.analyzer import analyze_bound_query, analyze_statement
+from repro.analysis.analyzer import (analyze_bound_query,
+                                     analyze_bound_write, analyze_statement)
 from repro.analysis.diagnostics import AnalysisReport
-from repro.api.insert import bind_values, cast_block, target_positions
+from repro.api.insert import cast_block, values_block
 from repro.api.prepared import ParameterSpec, PreparedStatement
 from repro.api.results import QueryResult
 from repro.engine import types as t
 from repro.engine.executor import evaluate, stream_evaluate
-from repro.engine.expressions import (Cast, ColumnRef, EvalContext,
-                                      Expression)
+from repro.engine.expressions import EvalContext
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import Value
@@ -74,7 +74,7 @@ from repro.errors import (AnalysisError, CatalogError, LockConflict,
                           ParseError, ReproError, StatementError,
                           TransactionError, UserError)
 from repro.plan import logical as lp
-from repro.plan.builder import bind_expression, build_plan
+from repro.plan.builder import build_plan, build_write
 from repro.plan.rewrite import optimize
 from repro.sql import nodes as n
 from repro.sql.parser import parse_prepared, parse_statements
@@ -395,27 +395,29 @@ class Session:
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse ``sql`` once into a reusable :class:`PreparedStatement`.
 
-        SELECTs are planned eagerly (warming the shared plan cache),
-        which is also when bind-parameter types are inferred from their
-        comparison/arithmetic contexts — a parameter used in conflicting
-        type contexts raises a typed ``UserError`` here, at prepare time,
-        rather than failing mid-execution.
+        A SELECT, INSERT, UPDATE or DELETE is bound eagerly (warming the
+        shared plan cache), so a statement that does not bind — an
+        unknown table or column, a type error, an INSERT arity mismatch,
+        a column assigned twice — raises here, not at execute. Binding is
+        also when bind-parameter types are inferred from their
+        comparison/arithmetic contexts: a parameter used in conflicting
+        type contexts raises a typed ``UserError`` here, and a bind value
+        of the wrong type is refused before the statement runs.
         """
         with statement_boundary(sql):
             statement, parameters = parse_prepared(sql)
             spec = ParameterSpec(parameters)
             prepared = PreparedStatement(self, sql, statement, spec)
-            if prepared.is_query:
-                prepared.plan()  # plan eagerly (and warm the shared cache)
-            elif prepared.is_values_insert:
-                prepared.values()  # bind the VALUES list once, here
+            if prepared.is_query or prepared.is_write:
+                prepared.plan()  # bind eagerly (and warm the shared cache)
             return prepared
 
     def execute(self, sql: str, binds: object = None,
                 ) -> Optional[QueryResult]:
         """Execute a single statement; returns rows for SELECTs.
 
-        One-shot statements are parsed and planned per call; use
+        One-shot statements are parsed and bound per call, by the same
+        binder a prepared statement uses (nothing is cached); use
         :meth:`prepare` when the same statement runs repeatedly.
         """
         with statement_boundary(sql):
@@ -522,15 +524,23 @@ class Session:
                     hint="run Database.checkpoint() to capture it"))
         return tuple(diagnostics)
 
-    def _enforce_strict(self, statement: n.Statement,
-                        spec: ParameterSpec) -> None:
+    def _enforce_strict(self, statement: n.Statement, spec: ParameterSpec,
+                        prepared: Optional[PreparedStatement] = None,
+                        ) -> None:
         """Strict mode (``analyze_level="error"``): refuse to execute a
-        statement whose analysis reports warnings or errors."""
+        statement whose analysis reports warnings or errors. A prepared
+        SELECT or DML statement is analyzed over its cached plan, so
+        strict mode binds nothing again."""
         if self._analyze_level != "error":
             return
-        report = analyze_statement(
-            statement, self.database.catalog, self.database.registry,
-            parameters=spec)
+        if prepared is not None and isinstance(statement, n.Query):
+            report = analyze_bound_query(statement.select, prepared.plan())
+        elif prepared is not None and prepared.is_write:
+            report = analyze_bound_write(statement)
+        else:
+            report = analyze_statement(
+                statement, self.database.catalog, self.database.registry,
+                parameters=spec)
         violations = report.strict_violations
         if violations:
             raise AnalysisError(
@@ -695,7 +705,8 @@ class Session:
             values = prepared.spec.bind(binds)
             if prepared.is_query:
                 self._pre_statement(prepared.statement)
-                self._enforce_strict(prepared.statement, prepared.spec)
+                self._enforce_strict(prepared.statement, prepared.spec,
+                                     prepared)
                 with self._execution_guard():
                     result = self._evaluate_select(prepared.plan(), values)
                 return result, len(result.rows)
@@ -719,7 +730,7 @@ class Session:
                     for binds in bind_sets:
                         values = prepared.spec.bind(binds)
                         __, rowcount = self._dispatch_inner(
-                            statement, prepared.spec, values)
+                            statement, prepared.spec, values, prepared)
                         total += max(rowcount, 0)
                 return total
 
@@ -788,8 +799,8 @@ class Session:
 
         ``rowcount`` follows DB-API: rows affected for DML, row count for
         SELECTs, -1 for DDL and control statements. ``prepared`` is the
-        statement's prepared form, when it has one (its bound VALUES list
-        is reused).
+        statement's prepared form, when it has one (its cached plan is
+        reused).
         """
         # Transaction control first: ROLLBACK must work on a poisoned
         # transaction, and COMMIT of one wants its specific error.
@@ -809,7 +820,7 @@ class Session:
         if isinstance(statement, n.Savepoint):
             self.savepoint(statement.name)
             return None, -1
-        self._enforce_strict(statement, spec)
+        self._enforce_strict(statement, spec, prepared)
         with self._execution_guard():
             return self._dispatch_inner(statement, spec, values, prepared)
 
@@ -819,9 +830,16 @@ class Session:
                         ) -> tuple[Optional[QueryResult], int]:
         db = self.database
         if isinstance(statement, n.Query):
-            plan = self._plan_select(statement.select, spec)
+            plan = (prepared.plan() if prepared is not None
+                    else self._plan_select(statement.select, spec))
             result = self._evaluate_select(plan, values)
             return result, len(result.rows)
+        if isinstance(statement, (n.Insert, n.Update, n.Delete)):
+            write = (prepared.plan() if prepared is not None
+                     else build_write(statement, db.catalog, db.registry,
+                                      spec))
+            assert isinstance(write, lp.Write)
+            return None, self._run_write(write, values)
         if isinstance(statement, n.CreateTable):
             schema = Schema(Column(col.name, t.type_from_name(col.type_name))
                             for col in statement.columns)
@@ -847,12 +865,6 @@ class Session:
                 initialize=statement.initialize,
                 or_replace=statement.or_replace)
             return None, -1
-        if isinstance(statement, n.Insert):
-            return None, self._run_insert(statement, spec, values, prepared)
-        if isinstance(statement, n.Delete):
-            return None, self._run_delete(statement, spec, values)
-        if isinstance(statement, n.Update):
-            return None, self._run_update(statement, spec, values)
         if isinstance(statement, n.Drop):
             db.catalog.drop(statement.name, statement.kind,
                             statement.if_exists)
@@ -898,28 +910,37 @@ class Session:
         return EvalContext(timestamp=self.database.clock.now(),
                            role=self._role, params=values)
 
-    def _run_insert(self, statement: n.Insert, spec: ParameterSpec,
-                    values: tuple[Value, ...],
-                    prepared: Optional[PreparedStatement] = None) -> int:
-        # The block is computed up front (reading through the open
-        # transaction when there is one), so a retried stage re-inserts
-        # identical rows.
-        if statement.query is not None:
-            schema = self.database.catalog.versioned_table(
-                statement.table).schema
-            plan = self._plan_select(statement.query, spec)
-            positions = target_positions(schema, statement.columns,
-                                         len(plan.schema))
-            result = evaluate(plan, *self._read_state(values))
-            block = cast_block(result.columns, positions, schema,
-                               len(result))
-        else:
-            bound = (prepared.values() if prepared is not None
-                     else bind_values(statement, self.database.catalog,
-                                      self.database.registry, spec))
-            block = bound.block([[value] for value in values], 1,
-                                self._write_ctx(()))
-        return self._stage_insert(statement.table, block)
+    def _run_write(self, write: lp.Write, values: tuple[Value, ...]) -> int:
+        """Run one bound INSERT, UPDATE or DELETE with ``values`` bound;
+        returns the rows affected."""
+        if write.kind == "insert":
+            # The block is computed up front (reading through the open
+            # transaction when there is one), so a retried stage
+            # re-inserts identical rows.
+            if write.source is None:
+                block = values_block(write, [[value] for value in values], 1,
+                                     self._write_ctx(()))
+            else:
+                result = evaluate(write.source, *self._read_state(values))
+                block = cast_block(result.columns, write.positions,
+                                   write.schema, len(result))
+            return self._stage_insert(write.table, block)
+        source = write.source
+        assert source is not None
+        ctx = self._write_ctx(values)
+
+        def stage(txn: Transaction) -> int:
+            # Evaluated against the transaction: its snapshot plus its
+            # own staged writes.
+            rows = evaluate(source, txn, ctx)
+            if write.kind == "delete":
+                txn.delete_rows(write.table, rows.row_ids)
+            else:
+                txn.update_rows(write.table,
+                                dict(zip(rows.row_ids, rows.rows)))
+            return len(rows)
+
+        return self._stage_autocommit(stage)
 
     def _insert_many(self, prepared: PreparedStatement,
                      bind_sets: Iterable[object]) -> int:
@@ -927,10 +948,12 @@ class Session:
         :mod:`repro.api.insert`): one block for the whole batch, staged
         into one transaction and committed once; a bad value anywhere
         rolls the whole batch back."""
+        write = prepared.plan()
+        assert isinstance(write, lp.Write)
         count, slot_columns = prepared.spec.bind_columns(bind_sets)
-        block = prepared.values().block(slot_columns, count,
-                                        self._write_ctx(()), batch=True)
-        return self._stage_insert(prepared.statement.table, block)
+        block = values_block(write, slot_columns, count, self._write_ctx(()),
+                             batch=True)
+        return self._stage_insert(write.table, block)
 
     def _stage_insert(self, table: str, block: list) -> int:
         count = len(block[0]) if block else 0
@@ -938,67 +961,6 @@ class Session:
         def stage(txn: Transaction) -> int:
             txn.insert_rows(table, block)
             return count
-
-        return self._stage_autocommit(stage)
-
-    def _affected_rows_plan(self, table_name: str, where: Optional[n.Expr],
-                            spec: ParameterSpec) -> lp.PlanNode:
-        """``Filter(Scan)``: the rows of ``table_name`` a DML statement's
-        WHERE selects — the plan a ``SELECT * ... WHERE`` would run, so
-        UPDATE / DELETE match rows through the executor's one Filter
-        kernel (zone-map pruned, row ids carried)."""
-        table = self.database.catalog.versioned_table(table_name)
-        schema = table.schema.requalified(table_name)
-        plan: lp.PlanNode = lp.Scan(table_name, schema)
-        if where is not None:
-            plan = lp.Filter(plan, bind_expression(
-                where, schema, self.database.registry, parameters=spec))
-        return plan
-
-    def _run_delete(self, statement: n.Delete, spec: ParameterSpec,
-                    values: tuple[Value, ...]) -> int:
-        plan = optimize(self._affected_rows_plan(statement.table,
-                                                 statement.where, spec))
-        ctx = self._write_ctx(values)
-
-        def stage(txn: Transaction) -> int:
-            # Evaluated against the transaction: its snapshot plus its
-            # own staged writes.
-            doomed = evaluate(plan, txn, ctx)
-            txn.delete_rows(statement.table, doomed.row_ids)
-            return len(doomed)
-
-        return self._stage_autocommit(stage)
-
-    def _run_update(self, statement: n.Update, spec: ParameterSpec,
-                    values: tuple[Value, ...]) -> int:
-        matched = self._affected_rows_plan(statement.table, statement.where,
-                                           spec)
-        schema = matched.schema
-        # The new row, as a projection over the old one: an assigned
-        # column is its expression cast to the column type, every other
-        # column passes through.
-        exprs: list[Expression] = [
-            ColumnRef(index, column.type, column.name)
-            for index, column in enumerate(schema)]
-        assigned: set[int] = set()
-        for column, expr in statement.assignments:
-            index = schema.resolve(column)
-            if index in assigned:
-                raise UserError(
-                    f"column {column!r} is assigned more than once in UPDATE")
-            assigned.add(index)
-            exprs[index] = Cast(
-                bind_expression(expr, schema, self.database.registry,
-                                parameters=spec), schema[index].type)
-        plan = optimize(lp.Project(matched, tuple(exprs), schema))
-        ctx = self._write_ctx(values)
-
-        def stage(txn: Transaction) -> int:
-            updated = evaluate(plan, txn, ctx)
-            txn.update_rows(statement.table,
-                            dict(zip(updated.row_ids, updated.rows)))
-            return len(updated)
 
         return self._stage_autocommit(stage)
 

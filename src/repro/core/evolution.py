@@ -53,26 +53,18 @@ def collect_source_names(query: n.Select, catalog: Catalog,
     seen = _seen if _seen is not None else set()
     names: set[str] = set()
 
-    def from_ref(ref: n.TableRef | None) -> None:
-        if ref is None:
-            return
-        if isinstance(ref, n.NamedTable):
-            names.add(ref.name)
-            if ref.name not in seen:
-                seen.add(ref.name)
-                view_query = catalog.view_definition(ref.name)
-                if view_query is not None:
-                    names.update(collect_source_names(view_query, catalog, seen))
-        elif isinstance(ref, n.SubqueryRef):
-            names.update(collect_source_names(ref.query, catalog, seen))
-        elif isinstance(ref, n.JoinRef):
-            from_ref(ref.left)
-            from_ref(ref.right)
-        elif isinstance(ref, n.FlattenRef):
-            from_ref(ref.source)
-
     def from_select(select: n.Select) -> None:
-        from_ref(select.from_)
+        for ref in n.table_refs(select.from_):
+            if isinstance(ref, n.NamedTable):
+                names.add(ref.name)
+                if ref.name not in seen:
+                    seen.add(ref.name)
+                    view_query = catalog.view_definition(ref.name)
+                    if view_query is not None:
+                        names.update(
+                            collect_source_names(view_query, catalog, seen))
+            elif isinstance(ref, n.SubqueryRef):
+                names.update(collect_source_names(ref.query, catalog, seen))
         for core in select.union_all:
             from_select(core)
 

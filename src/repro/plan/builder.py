@@ -23,6 +23,7 @@ from repro.engine.schema import Column, Schema
 from repro.engine.types import SqlType, type_from_name, unify_types
 from repro.errors import BindError, SqlError, TypeError_, UserError
 from repro.plan import logical as lp
+from repro.plan.rewrite import optimize, substitute
 from repro.sql import nodes as n
 
 
@@ -132,8 +133,92 @@ def bind_expression(ast: n.Expr, schema: Schema,
                     parameters: Optional[ParameterSlots] = None,
                     ) -> e.Expression:
     """Bind a standalone AST expression against a schema (the DML paths:
-    INSERT literal rows, UPDATE assignments, WHERE predicates)."""
+    VALUES rows, UPDATE assignments, WHERE predicates)."""
     return _ExprBinder(registry, parameters).bind(ast, _Scope(schema))
+
+
+def build_write(statement: n.Insert | n.Update | n.Delete,
+                provider: SchemaProvider,
+                registry: FunctionRegistry = DEFAULT_REGISTRY,
+                parameters: Optional[ParameterSlots] = None) -> lp.Write:
+    """Bind an INSERT, UPDATE or DELETE into one :class:`~repro.plan.
+    logical.Write` — the one binding every consumer of a DML statement
+    (execution, ``prepare()``, the plan cache, the analyzer) reads.
+
+    An UPDATE's source is ``Project(Filter(Scan))``: each assigned column
+    is its expression cast to the column type, every other column passes
+    through. A DELETE's is ``Filter(Scan)``. Both go through the
+    executor's one Filter kernel (zone-map pruned, row ids carried).
+    """
+    schema = provider.table_schema(statement.table)
+    source: lp.PlanNode
+    if isinstance(statement, n.Insert):
+        if statement.query is None:
+            positions: tuple[Optional[int], ...] = ()
+            for row in statement.rows:
+                positions = target_positions(schema, statement.columns,
+                                             len(row))
+            no_columns = Schema(())
+            values = tuple(
+                tuple(bind_expression(expr, no_columns, registry, parameters)
+                      for expr in row)
+                for row in statement.rows)
+            return lp.Write("insert", statement.table, schema, None,
+                            positions, values)
+        source = build_plan(statement.query, provider, registry, parameters)
+        positions = target_positions(schema, statement.columns,
+                                     len(source.schema))
+        return lp.Write("insert", statement.table, schema, optimize(source),
+                        positions)
+    scan_schema = schema.requalified(statement.table)
+    source = lp.Scan(statement.table, scan_schema)
+    if statement.where is not None:
+        source = lp.Filter(source, bind_expression(
+            statement.where, scan_schema, registry, parameters))
+    if isinstance(statement, n.Update):
+        exprs: list[e.Expression] = [
+            e.ColumnRef(index, column.type, column.name)
+            for index, column in enumerate(scan_schema)]
+        assigned: set[int] = set()
+        for column_name, expr in statement.assignments:
+            index = scan_schema.resolve(column_name)
+            if index in assigned:
+                raise UserError(f"column {column_name!r} is assigned more "
+                                f"than once in UPDATE")
+            assigned.add(index)
+            exprs[index] = e.Cast(
+                bind_expression(expr, scan_schema, registry, parameters),
+                scan_schema[index].type)
+        source = lp.Project(source, tuple(exprs), scan_schema)
+    kind = "update" if isinstance(statement, n.Update) else "delete"
+    return lp.Write(kind, statement.table, schema, optimize(source))
+
+
+def target_positions(schema: Schema, names: Sequence[str],
+                     width: int) -> tuple[Optional[int], ...]:
+    """For each column of ``schema``, the position of the value that fills
+    it in an INSERT row of ``width`` values, or None where it takes NULL.
+    ``names`` is the INSERT's column list (empty: every column, in order),
+    each resolved through :meth:`Schema.resolve` — an unknown name raises
+    ``BindError`` and a repeated one ``UserError``."""
+    if not names:
+        if width != len(schema):
+            raise UserError(
+                f"INSERT arity mismatch: expected {len(schema)} values, "
+                f"got {width}")
+        return tuple(range(width))
+    targets = [schema.resolve(name) for name in names]
+    for position, target in enumerate(targets):
+        if target in targets[:position]:
+            raise UserError(
+                f"column {names[position]!r} is listed more than once in "
+                f"INSERT")
+    if width != len(names):
+        raise UserError(
+            f"INSERT arity mismatch: expected {len(names)} values, "
+            f"got {width}")
+    source = {target: position for position, target in enumerate(targets)}
+    return tuple(source.get(index) for index in range(len(schema)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,56 +438,16 @@ class _ExprBinder:
 # Aggregate / window analysis over the AST
 # ---------------------------------------------------------------------------
 
-def _walk_ast(ast: n.Expr) -> "Iterator[n.Expr]":
-    yield ast
-    if isinstance(ast, n.BinOp):
-        yield from _walk_ast(ast.left)
-        yield from _walk_ast(ast.right)
-    elif isinstance(ast, n.UnOp):
-        yield from _walk_ast(ast.operand)
-    elif isinstance(ast, (n.IsNullExpr, n.PathExpr)):
-        yield from _walk_ast(ast.operand)
-    elif isinstance(ast, n.CastExpr):
-        yield from _walk_ast(ast.operand)
-    elif isinstance(ast, n.InListExpr):
-        yield from _walk_ast(ast.operand)
-        for item in ast.items:
-            yield from _walk_ast(item)
-    elif isinstance(ast, n.LikeExpr):
-        yield from _walk_ast(ast.operand)
-        yield from _walk_ast(ast.pattern)
-    elif isinstance(ast, n.BetweenExpr):
-        yield from _walk_ast(ast.operand)
-        yield from _walk_ast(ast.low)
-        yield from _walk_ast(ast.high)
-    elif isinstance(ast, n.CaseExpr):
-        if ast.operand is not None:
-            yield from _walk_ast(ast.operand)
-        for condition, value in ast.whens:
-            yield from _walk_ast(condition)
-            yield from _walk_ast(value)
-        if ast.otherwise is not None:
-            yield from _walk_ast(ast.otherwise)
-    elif isinstance(ast, n.FnCall):
-        for arg in ast.args:
-            yield from _walk_ast(arg)
-        if ast.window is not None:
-            for expr in ast.window.partition_by:
-                yield from _walk_ast(expr)
-            for expr, __ in ast.window.order_by:
-                yield from _walk_ast(expr)
-
-
 def _aggregate_calls(ast: n.Expr) -> list[n.FnCall]:
     """All aggregate FnCalls (without OVER) in an AST expression."""
-    return [node for node in _walk_ast(ast)
+    return [node for node in n.walk(ast)
             if isinstance(node, n.FnCall)
             and node.window is None
             and node.name in AGGREGATE_FUNCTIONS]
 
 
 def _window_calls(ast: n.Expr) -> list[n.FnCall]:
-    return [node for node in _walk_ast(ast)
+    return [node for node in n.walk(ast)
             if isinstance(node, n.FnCall) and node.window is not None]
 
 
@@ -471,8 +516,6 @@ class _Builder:
         against the *input* columns, so ``SELECT id ... ORDER BY amt``
         works even though ``amt`` is not projected."""
         if isinstance(plan, lp.Project) and not select.union_all:
-            from repro.plan.rewrite import substitute
-
             child = plan.child
             bindings = dict(enumerate(plan.exprs))
             keys: list[tuple[e.Expression, bool]] = []

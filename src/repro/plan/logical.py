@@ -14,6 +14,9 @@ incrementally supported classes):
 * :class:`Flatten` (LATERAL FLATTEN)
 * :class:`Sort`, :class:`Limit` — full-refresh-only operators.
 
+A DML statement binds to one :class:`Write` over such a plan (see
+:func:`repro.plan.builder.build_write`).
+
 Each node carries its output :class:`~repro.engine.schema.Schema`. Join
 conditions are bound over the concatenation of the input schemas (left
 columns first).
@@ -366,6 +369,31 @@ class Limit(PlanNode):
     def with_children(self, children: Sequence[PlanNode]) -> PlanNode:
         (child,) = children
         return Limit(child, self.count)
+
+
+@dataclass(frozen=True)
+class Write(PlanNode):
+    """A bound INSERT, UPDATE or DELETE of ``table``, whose schema is
+    ``schema``.
+
+    ``source`` is the optimized plan yielding the rows written: an
+    INSERT ... SELECT's query, an UPDATE's new rows
+    (``Project(Filter(Scan))``) or a DELETE's doomed ones
+    (``Filter(Scan)``), both carrying row ids. An INSERT ... VALUES has
+    no source: ``values`` holds each VALUES row's expressions, bind
+    parameters kept as slots. For an INSERT, ``positions`` maps each
+    table column to the value position that fills it, None for NULL.
+    """
+
+    kind: str
+    table: str
+    schema: Schema
+    source: Optional[PlanNode]
+    positions: tuple[Optional[int], ...] = ()
+    values: tuple[tuple[Expression, ...], ...] = ()
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return () if self.source is None else (self.source,)
 
 
 # ---------------------------------------------------------------------------

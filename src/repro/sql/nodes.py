@@ -19,7 +19,7 @@ The node set covers everything needed for the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Source spans
@@ -281,6 +281,65 @@ class Select:
     union_all: tuple["Select", ...] = ()
     order_by: tuple[tuple[Expr, bool], ...] = ()
     limit: Optional[int] = None
+
+
+# ---------------------------------------------------------------------------
+# Walking
+# ---------------------------------------------------------------------------
+
+
+def children(expr: Expr) -> Iterator[Expr]:
+    """The direct sub-expressions of ``expr``, in source order (an OVER
+    clause's PARTITION BY and ORDER BY keys included)."""
+    if isinstance(expr, BinOp):
+        yield expr.left
+        yield expr.right
+    elif isinstance(expr, (UnOp, IsNullExpr, CastExpr, PathExpr)):
+        yield expr.operand
+    elif isinstance(expr, InListExpr):
+        yield expr.operand
+        yield from expr.items
+    elif isinstance(expr, BetweenExpr):
+        yield expr.operand
+        yield expr.low
+        yield expr.high
+    elif isinstance(expr, LikeExpr):
+        yield expr.operand
+        yield expr.pattern
+    elif isinstance(expr, CaseExpr):
+        if expr.operand is not None:
+            yield expr.operand
+        for when, then in expr.whens:
+            yield when
+            yield then
+        if expr.otherwise is not None:
+            yield expr.otherwise
+    elif isinstance(expr, FnCall):
+        yield from expr.args
+        if expr.window is not None:
+            yield from expr.window.partition_by
+            for order_expr, __ in expr.window.order_by:
+                yield order_expr
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every sub-expression of it, pre-order."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
+
+
+def table_refs(ref: Optional[TableRef]) -> Iterator[TableRef]:
+    """``ref`` and every FROM item nested in it (join sides, a FLATTEN's
+    source), pre-order; a subquery is yielded but not entered."""
+    if ref is None:
+        return
+    yield ref
+    if isinstance(ref, JoinRef):
+        yield from table_refs(ref.left)
+        yield from table_refs(ref.right)
+    elif isinstance(ref, FlattenRef):
+        yield from table_refs(ref.source)
 
 
 # ---------------------------------------------------------------------------

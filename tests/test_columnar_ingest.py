@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database
-from repro.api import insert as insert_mod
+from repro.plan import builder as builder_mod
 from repro.engine.types import SqlType, cast_value
 from repro.errors import (BindError, BindParameterError, EvaluationError,
                           UserError)
@@ -348,7 +348,7 @@ def test_prepared_insert_rebinds_after_create_or_replace(two):
 @pytest.mark.perf
 def test_prepared_insert_binds_once_and_stages_once_per_batch(monkeypatch):
     calls = {"bind": 0, "stage": 0}
-    bind_expression = insert_mod.bind_expression
+    bind_expression = builder_mod.bind_expression
     insert_rows = Transaction.insert_rows
 
     def counted_bind(*args, **kwargs):
@@ -359,7 +359,7 @@ def test_prepared_insert_binds_once_and_stages_once_per_batch(monkeypatch):
         calls["stage"] += 1
         return insert_rows(txn, table, columns)
 
-    monkeypatch.setattr(insert_mod, "bind_expression", counted_bind)
+    monkeypatch.setattr(builder_mod, "bind_expression", counted_bind)
     monkeypatch.setattr(Transaction, "insert_rows", counted_stage)
     db = Database()
     db.execute("CREATE TABLE t (a int, b text)")
