@@ -17,11 +17,15 @@ Entry points:
   ``Session.analyze`` calls after parsing);
 * :func:`analyze_bound_query` — predicate + incrementality passes over a
   query whose plan is already bound (used by ``EXPLAIN``, by
-  ``Database.create_dynamic_table`` and by strict mode on a prepared
-  SELECT, which have a plan in hand and must not pay a second bind);
+  ``Database.create_dynamic_table`` and by strict mode on a SELECT, which
+  have a plan in hand and must not pay a second bind);
 * :func:`analyze_bound_write` — the predicate lints of a DML statement
   whose :class:`~repro.plan.logical.Write` is already bound (strict mode
-  on a prepared INSERT, UPDATE or DELETE).
+  on an INSERT, UPDATE or DELETE).
+
+Strict mode analyzes the plan or ``Write`` a statement then runs, on
+every entry point, one-shot or prepared; a statement that does not bind
+is rejected with :func:`diagnostic_from_error`'s diagnostic.
 
 A DML statement is bound by the one DML binder,
 :func:`~repro.plan.builder.build_write`, exactly as execution binds it,
@@ -38,6 +42,7 @@ from __future__ import annotations
 import difflib
 from typing import Iterable, Iterator, Optional, Union
 
+from repro.engine.expressions import DEFAULT_REGISTRY
 from repro.engine.schema import Schema
 from repro.errors import (BindError, CatalogError, EntityNotFound,
                           ParseError, SqlError, TypeError_, UserError)
@@ -341,12 +346,8 @@ def _bind_select(select: n.Select, provider: object, registry: object,
                  parameters: object,
                  ) -> tuple[Optional[lp.PlanNode], Optional[Diagnostic]]:
     try:
-        if registry is None:
-            plan = build_plan(select, provider, parameters=parameters)
-        else:
-            plan = build_plan(select, provider, registry,
-                              parameters=parameters)
-        return plan, None
+        return build_plan(select, provider, registry or DEFAULT_REGISTRY,
+                          parameters=parameters), None
     except UserError as exc:
         return None, diagnostic_from_error(exc, provider)
 
@@ -446,10 +447,8 @@ def _analyze_dml(statement: Union[n.Insert, n.Delete, n.Update],
                  sql: str) -> AnalysisReport:
     diagnostics: list[Diagnostic] = []
     try:
-        if registry is None:
-            build_write(statement, provider, parameters=parameters)
-        else:
-            build_write(statement, provider, registry, parameters)
+        build_write(statement, provider, registry or DEFAULT_REGISTRY,
+                    parameters)
     except UserError as exc:
         diagnostics.append(diagnostic_from_error(exc, provider))
     diagnostics.extend(analyze_bound_write(statement).diagnostics)

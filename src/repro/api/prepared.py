@@ -11,11 +11,17 @@ parameter-aware key — the statement *text* with markers left in place,
 plus the catalog epoch and function-registry version. Re-executing with
 new binds performs **zero parse, bind or optimize work**, re-preparing the
 same text in another session reuses the binding, and any DDL or UDF
-change re-binds the stored AST on the next use.
+change re-binds the stored AST on the next use. A one-shot statement
+(``Session.execute``) is the same object, bound fresh on its one
+execution instead of through the cache.
 
-Binding is also when each parameter's type is inferred from its
-comparison or arithmetic context, so a bind value of the wrong type is
-refused before the statement runs — on the first execution too.
+Each bind slot's type is a pure function of the bound plan: the type
+its comparison or arithmetic context gave the slot's
+:class:`~repro.engine.expressions.BoundParameter`, derived once per plan
+object (:func:`_parameter_types`) and replaced, never merged, when a DDL
+change re-binds. Bind values are checked against the slot types of the
+plan that then runs, so a value of the wrong type is refused before the
+statement runs — on the first execution too.
 
 Bind values travel to execution inside the
 :class:`~repro.engine.expressions.EvalContext` (``ctx.params``), where
@@ -48,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
 
 
+#: Bind slot -> the type its contexts in the bound plan give it; a slot
+#: they say nothing about (a bare projection, a VARIANT path) is absent.
+SlotTypes = Mapping[int, t.SqlType]
+
+
 class ParameterSpec:
     """The bind parameters of one statement, with their slot assignment.
 
@@ -70,10 +81,6 @@ class ParameterSpec:
         self.positional_count = len(positional)
         self.names: tuple[str, ...] = tuple(names)
         self._name_slots = {name: slot for slot, name in enumerate(names)}
-        #: Types inferred per slot from comparison/arithmetic contexts by
-        #: the binder (see ``observe_type``); used to type-check bind
-        #: values up front instead of failing mid-execution.
-        self._inferred: dict[int, t.SqlType] = {}
 
     @property
     def slot_count(self) -> int:
@@ -90,33 +97,6 @@ class ParameterSpec:
         assert parameter.index is not None
         return parameter.index
 
-    # -- type inference ------------------------------------------------------
-
-    def observe_type(self, slot: int, sql_type: t.SqlType,
-                     label: str) -> None:
-        """Record a type inferred for ``slot`` from its expression context
-        (the binder's hook). A parameter observed in *conflicting*
-        contexts — say compared against both an INT and a TEXT column —
-        raises a typed ``UserError`` right here, which for SELECTs means
-        at ``prepare()`` time, long before any value is bound."""
-        if sql_type in (t.SqlType.NULL, t.SqlType.VARIANT):
-            return  # nothing usable to pin
-        existing = self._inferred.get(slot)
-        if existing is None:
-            self._inferred[slot] = sql_type
-            return
-        try:
-            self._inferred[slot] = t.unify_types(existing, sql_type)
-        except TypeError_:
-            raise TypeError_(
-                f"bind parameter {label} is used in conflicting type "
-                f"contexts: {existing} vs {sql_type}") from None
-
-    def inferred_type(self, slot: int) -> Optional[t.SqlType]:
-        """The type inferred for ``slot``, or None when its contexts said
-        nothing (a bare projection, a VARIANT path, ...)."""
-        return self._inferred.get(slot)
-
     _NUMERIC = frozenset({t.SqlType.INT, t.SqlType.FLOAT})
 
     @classmethod
@@ -129,18 +109,20 @@ class ParameterSpec:
             return True  # timestamps are nanosecond ints
         return False
 
-    def bind(self, binds: object = None) -> tuple[Value, ...]:
-        """Validate user-supplied binds into a slot-ordered value tuple."""
+    def bind(self, binds: object, types: SlotTypes) -> tuple[Value, ...]:
+        """Validate user-supplied binds into a slot-ordered value tuple,
+        each value checked against its slot's type in ``types``."""
         if self.is_empty:
             if binds:
                 raise BindParameterError(
                     "statement takes no bind parameters")
             return ()
         if self.names:
-            return self._bind_named(binds)
-        return self._bind_positional(binds)
+            return self._bind_named(binds, types)
+        return self._bind_positional(binds, types)
 
-    def _bind_positional(self, binds: object) -> tuple[Value, ...]:
+    def _bind_positional(self, binds: object,
+                         types: SlotTypes) -> tuple[Value, ...]:
         if binds is None or isinstance(binds, (str, bytes, Mapping)):
             raise BindParameterError(
                 f"expected a sequence of {self.positional_count} "
@@ -150,10 +132,11 @@ class ParameterSpec:
             raise BindParameterError(
                 f"statement takes {self.positional_count} positional "
                 f"parameters, got {len(values)} values")
-        return tuple(self._check_value(value, f"?{slot + 1}", slot)
+        return tuple(self._check_value(value, f"?{slot + 1}", types.get(slot))
                      for slot, value in enumerate(values))
 
-    def _bind_named(self, binds: object) -> tuple[Value, ...]:
+    def _bind_named(self, binds: object,
+                    types: SlotTypes) -> tuple[Value, ...]:
         if not isinstance(binds, Mapping):
             raise BindParameterError(
                 f"expected a mapping of named bind values for "
@@ -170,53 +153,56 @@ class ParameterSpec:
                 "unknown bind names: "
                 + ", ".join(f":{key}" for key in extra))
         return tuple(self._check_value(binds[name], f":{name}",
-                                       self._name_slots[name])
+                                       types.get(self._name_slots[name]))
                      for name in self.names)
 
-    def bind_columns(self, bind_sets: Iterable[object],
+    def bind_columns(self, bind_sets: Iterable[object], types: SlotTypes,
                      ) -> tuple[int, list[Sequence[Value]]]:
         """Validate a batch of bind sets into ``(count, slot columns)``:
         the bind sets transposed once into one array per slot, in slot
-        order, each checked with one type dispatch. Every error is the one
-        :meth:`bind` raises for the offending bind set, prefixed with the
-        set's index in the batch."""
+        order, each checked against its type in ``types`` with one type
+        dispatch. Every error is the one :meth:`bind` raises for the
+        offending bind set, prefixed with the set's index in the batch."""
         sets = bind_sets if isinstance(bind_sets, list) else list(bind_sets)
         if not sets:
             return 0, [[] for __ in range(self.slot_count)]
         if self.is_empty:
             for index, binds in enumerate(sets):
-                self._bind_one(index, binds)
+                self._bind_one(index, binds, types)
             return len(sets), []
         if self.names:
-            columns = self._named_columns(sets)
+            columns = self._named_columns(sets, types)
         else:
-            columns = self._positional_columns(sets)
+            columns = self._positional_columns(sets, types)
         labels = ([f":{name}" for name in self.names] if self.names
                   else [f"?{slot + 1}" for slot in range(self.slot_count)])
         for slot, (column, label) in enumerate(zip(columns, labels)):
-            self._check_column(column, label, slot)
+            self._check_column(column, label, types.get(slot))
         return len(sets), columns
 
-    def _bind_one(self, index: int, binds: object) -> tuple[Value, ...]:
+    def _bind_one(self, index: int, binds: object,
+                  types: SlotTypes) -> tuple[Value, ...]:
         try:
-            return self.bind(binds)
+            return self.bind(binds, types)
         except BindParameterError as exc:
             raise BindParameterError(f"bind set {index}: {exc}") from None
 
-    def _positional_columns(self, sets: list) -> list[Sequence[Value]]:
+    def _positional_columns(self, sets: list,
+                            types: SlotTypes) -> list[Sequence[Value]]:
         if (set(map(type, sets)) <= {tuple, list}
                 and set(map(len, sets)) == {self.positional_count}):
             return list(zip(*sets))
         # Something off in the batch: validate set by set, so the error
         # names the first bad one.
-        return list(zip(*(self._bind_one(index, binds)
+        return list(zip(*(self._bind_one(index, binds, types)
                           for index, binds in enumerate(sets))))
 
-    def _named_columns(self, sets: list) -> list[Sequence[Value]]:
+    def _named_columns(self, sets: list,
+                       types: SlotTypes) -> list[Sequence[Value]]:
         names = set(self.names)
         if not (set(map(type, sets)) <= {dict}
                 and all(binds.keys() == names for binds in sets)):
-            sets = [dict(zip(self.names, self._bind_one(index, binds)))
+            sets = [dict(zip(self.names, self._bind_one(index, binds, types)))
                     for index, binds in enumerate(sets)]
         return [[binds[name] for binds in sets] for name in self.names]
 
@@ -228,11 +214,10 @@ class ParameterSpec:
                     list: t.SqlType.VARIANT}
 
     def _check_column(self, column: Sequence[object], label: str,
-                      slot: int) -> None:
+                      expected: Optional[t.SqlType]) -> None:
         """:meth:`_check_value` over one slot's column: the set of its
         values' types is checked once, and a column holding anything
         unusual is checked value by value, so the error is exact."""
-        expected = self._inferred.get(slot)
         kinds = set(map(type, column))
         plain = self._PLAIN_TYPES
         if kinds <= plain.keys() and (
@@ -242,18 +227,18 @@ class ParameterSpec:
             return
         for index, value in enumerate(column):
             try:
-                self._check_value(value, label, slot)
+                self._check_value(value, label, expected)
             except BindParameterError as exc:
                 raise BindParameterError(
                     f"bind set {index}: {exc}") from None
 
-    def _check_value(self, value: object, label: str, slot: int) -> Value:
+    def _check_value(self, value: object, label: str,
+                     expected: Optional[t.SqlType]) -> Value:
         try:
             actual = t.type_of_value(value)
         except TypeError_ as exc:
             raise BindParameterError(
                 f"bind value for {label} has no SQL type: {exc}") from None
-        expected = self._inferred.get(slot)
         if (expected is not None and value is not None
                 and not self._value_matches(expected, actual)):
             raise BindParameterError(
@@ -262,23 +247,29 @@ class ParameterSpec:
         return value
 
 
-def _parameter_types(plan: lp.PlanNode) -> list[tuple[int, t.SqlType, str]]:
-    """``(slot, type, label)`` of every context-typed bound parameter in a
-    plan. Re-deriving inference from the plan itself is what keeps typed
-    binds working on plan-cache *hits*, where the binder never runs."""
-    found: list[tuple[int, t.SqlType, str]] = []
+def _parameter_types(plan: lp.PlanNode) -> dict[int, t.SqlType]:
+    """The slot types of a bound plan: for each slot, the type of its
+    context-typed :class:`~repro.engine.expressions.BoundParameter`
+    nodes. The binder refused conflicting contexts, so each slot's types
+    unify."""
+    found: list[tuple[int, t.SqlType]] = []
     for node in plan.walk():
         for value in vars(node).values():
             _collect_parameters(value, found)
-    return found
+    types: dict[int, t.SqlType] = {}
+    for slot, sql_type in found:
+        existing = types.get(slot)
+        types[slot] = (sql_type if existing is None
+                       else t.unify_types(existing, sql_type))
+    return types
 
 
 def _collect_parameters(value: object,
-                        found: list[tuple[int, t.SqlType, str]]) -> None:
+                        found: list[tuple[int, t.SqlType]]) -> None:
     if isinstance(value, e.Expression):
         if (isinstance(value, e.BoundParameter)
                 and value.type != t.SqlType.NULL):
-            found.append((value.slot, value.type, value.label))
+            found.append((value.slot, value.type))
         for child in value.children():
             _collect_parameters(child, found)
     elif isinstance(value, (tuple, list)):
@@ -293,53 +284,47 @@ def _collect_parameters(value: object,
 
 class PreparedStatement:
     """A statement parsed (and, for SELECT and DML, bound) once for
-    repeated execution with varying binds."""
+    repeated execution with varying binds. ``cached=False`` makes the
+    one-shot form: bound fresh, its plan never entering the plan cache."""
 
     def __init__(self, session: "Session", sql: str,
-                 statement: n.Statement, spec: ParameterSpec):
+                 statement: n.Statement, spec: ParameterSpec,
+                 cached: bool = True):
         self._session = session
         self.sql = sql
         self.statement = statement
         self.spec = spec
-        #: The plan whose typed parameter slots the spec was last seeded
-        #: from — the type walk runs once per (re-)plan, not per execution.
-        self._typed_from_plan: Optional[lp.PlanNode] = None
+        self._cached = cached
+        #: The plan last bound and the slot types derived from it.
+        self._plan: Optional[lp.PlanNode] = None
+        self._slot_types: SlotTypes = {}
 
     @property
     def is_query(self) -> bool:
         return isinstance(self.statement, n.Query)
 
     @property
-    def is_write(self) -> bool:
-        return isinstance(self.statement, (n.Insert, n.Update, n.Delete))
-
-    @property
     def parameter_count(self) -> int:
         return self.spec.slot_count
 
-    @property
-    def is_values_insert(self) -> bool:
-        return (isinstance(self.statement, n.Insert)
-                and bool(self.statement.rows))
+    def bound(self) -> tuple[Optional[lp.PlanNode], SlotTypes]:
+        """The bound plan — a SELECT's optimized plan or the
+        :class:`~repro.plan.logical.Write` of an INSERT, UPDATE or DELETE,
+        None for other statements — and the slot types derived from it.
 
-    def plan(self) -> lp.PlanNode:
-        """The bound plan, via the shared plan cache: a SELECT's optimized
-        plan, or the :class:`~repro.plan.logical.Write` of an INSERT,
-        UPDATE or DELETE.
-
-        The key carries the statement text (bind markers included), the
-        catalog DDL epoch, and the function-registry version: repeated
-        executions hit; any DDL or UDF change transparently re-binds the
-        stored AST (no re-parse, ever).
+        The plan cache key carries the statement text (bind markers
+        included), the catalog DDL epoch and the function-registry
+        version: repeated executions hit, and any DDL or UDF change
+        re-binds the stored AST (no re-parse, ever). The slot types are
+        derived once per plan object, so a cache hit walks nothing.
         """
         statement = self.statement
-        if not (self.is_query or self.is_write):
-            raise UserError(
-                "only SELECT, INSERT, UPDATE and DELETE statements have a "
-                "plan")
+        if not isinstance(statement, (n.Query, n.Insert, n.Update,
+                                      n.Delete)):
+            return None, {}
         db = self._session.database
         key = ("prepared", self.sql, db.catalog.epoch, db.registry.version)
-        plan = db.plan_cache.get(key)
+        plan = db.plan_cache.get(key) if self._cached else None
         if plan is None:
             if isinstance(statement, n.Query):
                 plan = optimize(build_plan(statement.select, db.catalog,
@@ -347,14 +332,22 @@ class PreparedStatement:
             else:
                 plan = build_write(statement, db.catalog, db.registry,
                                    self.spec)
-            db.plan_cache.put(key, plan)
-        # Seed (or re-derive, on a cache hit) the spec's inferred bind
-        # types from the plan's typed parameter slots — once per plan, so
-        # re-executions stay on the zero-work fast path.
-        if self._typed_from_plan is not plan:
-            for slot, sql_type, label in _parameter_types(plan):
-                self.spec.observe_type(slot, sql_type, label)
-            self._typed_from_plan = plan
+            if self._cached:
+                db.plan_cache.put(key, plan)
+        if plan is not self._plan:
+            self._plan = plan
+            self._slot_types = ({} if self.spec.is_empty
+                                else _parameter_types(plan))
+        return plan, self._slot_types
+
+    def plan(self) -> lp.PlanNode:
+        """The bound plan of a SELECT, INSERT, UPDATE or DELETE (see
+        :meth:`bound`)."""
+        plan, __ = self.bound()
+        if plan is None:
+            raise UserError(
+                "only SELECT, INSERT, UPDATE and DELETE statements have a "
+                "plan")
         return plan
 
     # -- execution -----------------------------------------------------------

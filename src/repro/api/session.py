@@ -57,10 +57,11 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.analysis.analyzer import (analyze_bound_query,
-                                     analyze_bound_write, analyze_statement)
-from repro.analysis.diagnostics import AnalysisReport
+                                     analyze_bound_write, analyze_statement,
+                                     diagnostic_from_error)
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.api.insert import cast_block, values_block
-from repro.api.prepared import ParameterSpec, PreparedStatement
+from repro.api.prepared import ParameterSpec, PreparedStatement, SlotTypes
 from repro.api.results import QueryResult
 from repro.engine import types as t
 from repro.engine.executor import evaluate, stream_evaluate
@@ -74,7 +75,7 @@ from repro.errors import (AnalysisError, CatalogError, LockConflict,
                           ParseError, ReproError, StatementError,
                           TransactionError, UserError)
 from repro.plan import logical as lp
-from repro.plan.builder import build_plan, build_write
+from repro.plan.builder import build_plan
 from repro.plan.rewrite import optimize
 from repro.sql import nodes as n
 from repro.sql.parser import parse_prepared, parse_statements
@@ -114,6 +115,14 @@ def statement_boundary(sql: str):
         raise StatementError(
             f"internal error: {type(exc).__name__}: {exc}",
             sql=sql) from exc
+
+
+def _rejected(diagnostics: tuple[Diagnostic, ...]) -> AnalysisError:
+    """The error strict mode raises for a statement's violations."""
+    return AnalysisError(
+        "statement rejected by strict analysis:\n"
+        + "\n".join(d.render() for d in diagnostics),
+        diagnostics=diagnostics)
 
 
 class Session:
@@ -322,10 +331,12 @@ class Session:
             with statement_boundary(sql):
                 yield
 
-    def _pre_statement(self, statement: n.Statement) -> None:
-        """Per-statement transaction gatekeeping: reject anything but
-        ROLLBACK on a poisoned transaction, and open the implicit
-        transaction when autocommit is off."""
+    def _pre_statement(self, statement: n.Statement,
+                       plan: Optional[lp.PlanNode]) -> None:
+        """Per-statement gatekeeping: reject anything but ROLLBACK on a
+        poisoned transaction, open the implicit transaction when
+        autocommit is off, and run strict analysis over ``plan``, the
+        statement's bound plan."""
         if self._txn_error is not None:
             raise TransactionError(
                 f"current transaction is aborted by a prior error "
@@ -334,6 +345,7 @@ class Session:
                 and self._batch_txn is None
                 and not isinstance(statement, _CONTROL_STATEMENTS)):
             self.begin()
+        self._enforce_strict(statement, plan)
 
     #: Attempt budget of one auto-commit DML statement under contention.
     _AUTOCOMMIT_ATTEMPTS = 5
@@ -398,33 +410,32 @@ class Session:
         A SELECT, INSERT, UPDATE or DELETE is bound eagerly (warming the
         shared plan cache), so a statement that does not bind — an
         unknown table or column, a type error, an INSERT arity mismatch,
-        a column assigned twice — raises here, not at execute. Binding is
-        also when bind-parameter types are inferred from their
-        comparison/arithmetic contexts: a parameter used in conflicting
-        type contexts raises a typed ``UserError`` here, and a bind value
-        of the wrong type is refused before the statement runs.
+        a column assigned twice, a parameter used in conflicting type
+        contexts — raises here, not at execute (under strict mode, as an
+        :class:`~repro.errors.AnalysisError`). Each execution checks its
+        bind values against the slot types of the plan it runs, so a
+        value of the wrong type is refused before the statement runs.
         """
         with statement_boundary(sql):
             statement, parameters = parse_prepared(sql)
-            spec = ParameterSpec(parameters)
-            prepared = PreparedStatement(self, sql, statement, spec)
-            if prepared.is_query or prepared.is_write:
-                prepared.plan()  # bind eagerly (and warm the shared cache)
+            prepared = PreparedStatement(self, sql, statement,
+                                         ParameterSpec(parameters))
+            self._bound(prepared)  # bind eagerly (and warm the shared cache)
             return prepared
 
     def execute(self, sql: str, binds: object = None,
                 ) -> Optional[QueryResult]:
         """Execute a single statement; returns rows for SELECTs.
 
-        One-shot statements are parsed and bound per call, by the same
-        binder a prepared statement uses (nothing is cached); use
-        :meth:`prepare` when the same statement runs repeatedly.
+        A one-shot statement takes a prepared one's steps — bind once,
+        check the binds against that plan's slot types, analyze that plan
+        under strict mode, run it — but is bound fresh, not cached (use
+        :meth:`prepare` for a statement that runs repeatedly). One that
+        does not bind, or whose binds fail their check, raises before it
+        runs and leaves an open transaction healthy.
         """
         with statement_boundary(sql):
-            statement, parameters = parse_prepared(sql)
-            spec = ParameterSpec(parameters)
-            values = spec.bind(binds)
-            result, __ = self._dispatch(statement, spec, values)
+            result, __ = self._execute_prepared(self._one_shot(sql), binds)
             return result
 
     def query(self, sql: str, binds: object = None) -> QueryResult:
@@ -441,15 +452,16 @@ class Session:
         6.1): "if you run the defining query as of the data timestamp, you
         should get the same result as in the DT." Works inside an open
         transaction too — the read is historical and ignores staged
-        writes.
+        writes. It is bound, bind-checked and (under strict mode) analyzed
+        as :meth:`execute` does.
         """
         with statement_boundary(sql):
-            statement, parameters = parse_prepared(sql)
-            if not isinstance(statement, n.Query):
+            statement = self._one_shot(sql)
+            if not statement.is_query:
                 raise UserError("query_at requires a SELECT")
-            spec = ParameterSpec(parameters)
-            values = spec.bind(binds)
-            plan = self._plan_select(statement.select, spec)
+            plan, slot_types = self._bound(statement)
+            values = statement.spec.bind(binds, slot_types)
+            self._enforce_strict(statement.statement, plan)
             return self._evaluate_select(plan, values, wall=wall)
 
     def execute_script(self, sql: str) -> list[Optional[QueryResult]]:
@@ -463,9 +475,15 @@ class Session:
         results = []
         empty = ParameterSpec()
         for statement in statements:
-            with statement_boundary(sql):
-                results.append(self._dispatch(statement, empty, ())[0])
+            one_shot = PreparedStatement(self, sql, statement, empty,
+                                         cached=False)
+            results.append(self._execute_prepared(one_shot, None)[0])
         return results
+
+    def _one_shot(self, sql: str) -> PreparedStatement:
+        statement, parameters = parse_prepared(sql)
+        return PreparedStatement(self, sql, statement,
+                                 ParameterSpec(parameters), cached=False)
 
     def cursor(self) -> "Cursor":
         from repro.api.cursor import Cursor
@@ -524,29 +542,40 @@ class Session:
                     hint="run Database.checkpoint() to capture it"))
         return tuple(diagnostics)
 
-    def _enforce_strict(self, statement: n.Statement, spec: ParameterSpec,
-                        prepared: Optional[PreparedStatement] = None,
-                        ) -> None:
+    def _bound(self, statement: PreparedStatement,
+               ) -> tuple[Optional[lp.PlanNode], SlotTypes]:
+        """``statement.bound()``, the first step of every entry point:
+        like the bind check that follows it, it runs before the statement
+        reaches the engine, so its failure never poisons an open
+        transaction. Under strict mode a statement that does not bind is
+        rejected with the diagnostic :meth:`analyze` reports for it."""
+        try:
+            return statement.bound()
+        except UserError as exc:
+            if self._analyze_level != "error":
+                raise
+            raise _rejected((diagnostic_from_error(
+                exc, self.database.catalog),)) from exc
+
+    def _enforce_strict(self, statement: n.Statement,
+                        plan: Optional[lp.PlanNode]) -> None:
         """Strict mode (``analyze_level="error"``): refuse to execute a
-        statement whose analysis reports warnings or errors. A prepared
-        SELECT or DML statement is analyzed over its cached plan, so
-        strict mode binds nothing again."""
+        statement whose analysis reports warnings or errors. A SELECT or
+        DML statement is analyzed over ``plan``, the plan that then runs,
+        so strict mode binds nothing again."""
         if self._analyze_level != "error":
             return
-        if prepared is not None and isinstance(statement, n.Query):
-            report = analyze_bound_query(statement.select, prepared.plan())
-        elif prepared is not None and prepared.is_write:
+        if isinstance(plan, lp.Write):
             report = analyze_bound_write(statement)
+        elif isinstance(statement, n.Query):
+            report = analyze_bound_query(statement.select, plan)
+        elif isinstance(statement, (n.CreateDynamicTable, n.CreateView)):
+            report = analyze_statement(statement, self.database.catalog,
+                                       self.database.registry)
         else:
-            report = analyze_statement(
-                statement, self.database.catalog, self.database.registry,
-                parameters=spec)
-        violations = report.strict_violations
-        if violations:
-            raise AnalysisError(
-                "statement rejected by strict analysis:\n"
-                + "\n".join(d.render() for d in violations),
-                diagnostics=violations)
+            return
+        if report.strict_violations:
+            raise _rejected(report.strict_violations)
 
     def explain(self, sql: str, optimized: bool = True) -> str:
         """The bound (and by default optimized) logical plan of a query,
@@ -702,35 +731,34 @@ class Session:
     def _execute_prepared(self, prepared: PreparedStatement,
                           binds: object) -> tuple[Optional[QueryResult], int]:
         with statement_boundary(prepared.sql):
-            values = prepared.spec.bind(binds)
-            if prepared.is_query:
-                self._pre_statement(prepared.statement)
-                self._enforce_strict(prepared.statement, prepared.spec,
-                                     prepared)
-                with self._execution_guard():
-                    result = self._evaluate_select(prepared.plan(), values)
-                return result, len(result.rows)
-            return self._dispatch(prepared.statement, prepared.spec, values,
-                                  prepared)
+            plan, slot_types = self._bound(prepared)
+            values = prepared.spec.bind(binds, slot_types)
+            return self._dispatch(prepared.statement, plan, values)
 
     def _executemany_prepared(self, prepared: PreparedStatement,
                               bind_sets: Iterable[object]) -> int:
         with statement_boundary(prepared.sql):
-            statement = prepared.statement
-            self._pre_statement(statement)
+            statement, spec = prepared.statement, prepared.spec
+            plan, slot_types = self._bound(prepared)
+            self._pre_statement(statement, plan)
             # Unlike single statements, the whole batch runs inside the
             # guard: a mid-batch bind error inside an *explicit*
             # transaction leaves earlier bind sets staged there, so the
             # transaction must poison until the user rolls back.
             with self._execution_guard():
-                if prepared.is_values_insert:
-                    return self._insert_many(prepared, bind_sets)
+                if isinstance(plan, lp.Write) and plan.source is None:
+                    # INSERT ... VALUES, column at a time (see
+                    # :mod:`repro.api.insert`): one block for the whole
+                    # batch, staged and committed once.
+                    count, columns = spec.bind_columns(bind_sets, slot_types)
+                    block = values_block(plan, columns, count,
+                                         self._write_ctx(()), batch=True)
+                    return self._stage_insert(plan.table, block)
                 total = 0
                 with self._batch_transaction():
                     for binds in bind_sets:
-                        values = prepared.spec.bind(binds)
                         __, rowcount = self._dispatch_inner(
-                            statement, prepared.spec, values, prepared)
+                            statement, plan, spec.bind(binds, slot_types))
                         total += max(rowcount, 0)
                 return total
 
@@ -741,13 +769,11 @@ class Session:
         with statement_boundary(prepared.sql):
             if not prepared.is_query:
                 raise UserError("cannot stream a non-SELECT statement")
-            self._pre_statement(prepared.statement)
-            # Bind validation happens before the statement reaches the
-            # engine, so a bad bind never poisons an open transaction
-            # (same contract as execute / prepared execution).
-            values = prepared.spec.bind(binds)
+            plan, slot_types = self._bound(prepared)
+            values = prepared.spec.bind(binds, slot_types)
+            assert plan is not None
+            self._pre_statement(prepared.statement, plan)
             with self._execution_guard():
-                plan = prepared.plan()
                 reader, ctx = self._read_state(values)
                 return plan.schema, stream_evaluate(plan, reader, ctx)
 
@@ -779,11 +805,6 @@ class Session:
         ctx = EvalContext(timestamp=ts, role=self._role, params=values)
         return reader, ctx
 
-    def _plan_select(self, select: n.Select,
-                     spec: ParameterSpec) -> lp.PlanNode:
-        return optimize(build_plan(select, self.database.catalog,
-                                   self.database.registry, parameters=spec))
-
     def _evaluate_select(self, plan: lp.PlanNode, values: tuple[Value, ...],
                          wall: Optional[Timestamp] = None) -> QueryResult:
         reader, ctx = self._read_state(values, wall)
@@ -791,16 +812,14 @@ class Session:
 
     # -- statement dispatch --------------------------------------------------
 
-    def _dispatch(self, statement: n.Statement, spec: ParameterSpec,
-                  values: tuple[Value, ...],
-                  prepared: Optional[PreparedStatement] = None,
+    def _dispatch(self, statement: n.Statement,
+                  plan: Optional[lp.PlanNode], values: tuple[Value, ...],
                   ) -> tuple[Optional[QueryResult], int]:
-        """Execute one parsed statement; returns (rows-or-None, rowcount).
+        """Execute one statement, bound to ``plan`` (None for DDL and
+        control statements); returns (rows-or-None, rowcount).
 
         ``rowcount`` follows DB-API: rows affected for DML, row count for
-        SELECTs, -1 for DDL and control statements. ``prepared`` is the
-        statement's prepared form, when it has one (its cached plan is
-        reused).
+        SELECTs, -1 for DDL and control statements.
         """
         # Transaction control first: ROLLBACK must work on a poisoned
         # transaction, and COMMIT of one wants its specific error.
@@ -813,33 +832,26 @@ class Session:
         if isinstance(statement, n.CommitTransaction):
             self.commit()
             return None, -1
-        self._pre_statement(statement)
+        self._pre_statement(statement, plan)
         if isinstance(statement, n.BeginTransaction):
             self.begin()
             return None, -1
         if isinstance(statement, n.Savepoint):
             self.savepoint(statement.name)
             return None, -1
-        self._enforce_strict(statement, spec, prepared)
         with self._execution_guard():
-            return self._dispatch_inner(statement, spec, values, prepared)
+            return self._dispatch_inner(statement, plan, values)
 
-    def _dispatch_inner(self, statement: n.Statement, spec: ParameterSpec,
+    def _dispatch_inner(self, statement: n.Statement,
+                        plan: Optional[lp.PlanNode],
                         values: tuple[Value, ...],
-                        prepared: Optional[PreparedStatement] = None,
                         ) -> tuple[Optional[QueryResult], int]:
         db = self.database
-        if isinstance(statement, n.Query):
-            plan = (prepared.plan() if prepared is not None
-                    else self._plan_select(statement.select, spec))
+        if isinstance(plan, lp.Write):
+            return None, self._run_write(plan, values)
+        if plan is not None:  # a SELECT's
             result = self._evaluate_select(plan, values)
             return result, len(result.rows)
-        if isinstance(statement, (n.Insert, n.Update, n.Delete)):
-            write = (prepared.plan() if prepared is not None
-                     else build_write(statement, db.catalog, db.registry,
-                                      spec))
-            assert isinstance(write, lp.Write)
-            return None, self._run_write(write, values)
         if isinstance(statement, n.CreateTable):
             schema = Schema(Column(col.name, t.type_from_name(col.type_name))
                             for col in statement.columns)
@@ -941,19 +953,6 @@ class Session:
             return len(rows)
 
         return self._stage_autocommit(stage)
-
-    def _insert_many(self, prepared: PreparedStatement,
-                     bind_sets: Iterable[object]) -> int:
-        """``executemany`` over INSERT ... VALUES, column at a time (see
-        :mod:`repro.api.insert`): one block for the whole batch, staged
-        into one transaction and committed once; a bad value anywhere
-        rolls the whole batch back."""
-        write = prepared.plan()
-        assert isinstance(write, lp.Write)
-        count, slot_columns = prepared.spec.bind_columns(bind_sets)
-        block = values_block(write, slot_columns, count, self._write_ctx(()),
-                             batch=True)
-        return self._stage_insert(write.table, block)
 
     def _stage_insert(self, table: str, block: list) -> int:
         count = len(block[0]) if block else 0

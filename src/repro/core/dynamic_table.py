@@ -39,8 +39,7 @@ from repro.errors import NotInitializedError, SuspendedError, UserError
 from repro.ivm.differentiator import DifferentiationStats
 from repro.sql import nodes as n
 from repro.storage.table import VersionedTable
-from repro.util.timeutil import (MINUTE, SECOND, Timestamp, format_duration,
-                                 parse_duration)
+from repro.util.timeutil import MINUTE, SECOND, Timestamp, parse_duration
 
 #: Consecutive refresh failures before automatic suspension
 #: (section 3.3.3). Snowflake uses five; so do we. Per-DT overridable
@@ -385,15 +384,6 @@ def decode_option_detail(detail: str) -> Optional[dict[str, str]]:
         key, __, value = part.partition("=")
         options[key.strip()] = value.strip()
     return options
-
-
-def describe_policy(dt: DynamicTable) -> str:
-    """One-line human rendering (EXPLAIN / SHOW surfaces)."""
-    policy = dt.retry_policy
-    return (f"retries={policy.max_retries}, "
-            f"backoff={format_duration(policy.backoff_base)}"
-            f"×{policy.backoff_factor}, "
-            f"error_threshold={dt.error_threshold}")
 
 
 def _int_option(key: str, raw: object, minimum: int) -> int:

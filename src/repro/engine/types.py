@@ -202,12 +202,6 @@ def compare(left: Value, right: Value) -> int | None:
     return 0
 
 
-def sql_equal(left: Value, right: Value) -> Value:
-    """SQL ``=``: NULL if either side is NULL."""
-    result = compare(left, right)
-    return None if result is None else result == 0
-
-
 # ---------------------------------------------------------------------------
 # Grouping keys (NULL == NULL, used by GROUP BY / DISTINCT / join hashing)
 # ---------------------------------------------------------------------------

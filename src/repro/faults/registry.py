@@ -151,10 +151,6 @@ class FaultRegistry:
     def armed(self) -> bool:
         return bool(self._rules)
 
-    def rules_for(self, point: str) -> list[FaultRule]:
-        with self._mutex:
-            return list(self._rules.get(point, ()))
-
     # -- tracing -----------------------------------------------------------------
 
     def trace(self, enabled: bool = True) -> None:

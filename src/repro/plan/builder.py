@@ -100,12 +100,7 @@ class DictSchemaProvider:
 class ParameterSlots(Protocol):
     """What the binder needs to bind an AST :class:`~repro.sql.nodes.Parameter`
     to a :class:`~repro.engine.expressions.BoundParameter` slot. Implemented
-    by :class:`repro.api.prepared.ParameterSpec`.
-
-    A spec may additionally expose ``observe_type(slot, sql_type, label)``
-    — the binder then reports the type each parameter's comparison or
-    arithmetic context implies, so bind values can be checked up front
-    (and conflicting contexts rejected at prepare time)."""
+    by :class:`repro.api.prepared.ParameterSpec`."""
 
     def slot_of(self, parameter: n.Parameter) -> int:
         ...
@@ -121,9 +116,11 @@ def build_plan(select: n.Select, provider: SchemaProvider,
     """Build a bound logical plan for a query.
 
     ``parameters`` enables bind parameters (``?`` / ``:name``): each AST
-    Parameter binds to the slot the spec assigns it. Without a spec,
-    parameters raise BindError — a DT defining query, for example, can
-    never contain one.
+    Parameter binds to the slot the spec assigns it, typed by its
+    comparison or arithmetic context; a slot whose contexts conflict —
+    say compared against both an INT and a TEXT column — raises
+    ``TypeError_``. Without a spec, parameters raise BindError — a DT
+    defining query, for example, can never contain one.
     """
     return _Builder(provider, registry, parameters).build_query(select)
 
@@ -131,10 +128,14 @@ def build_plan(select: n.Select, provider: SchemaProvider,
 def bind_expression(ast: n.Expr, schema: Schema,
                     registry: FunctionRegistry = DEFAULT_REGISTRY,
                     parameters: Optional[ParameterSlots] = None,
+                    slot_types: Optional[dict[int, SqlType]] = None,
                     ) -> e.Expression:
     """Bind a standalone AST expression against a schema (the DML paths:
-    VALUES rows, UPDATE assignments, WHERE predicates)."""
-    return _ExprBinder(registry, parameters).bind(ast, _Scope(schema))
+    VALUES rows, UPDATE assignments, WHERE predicates). ``slot_types`` is
+    the slot -> type map shared by every expression of one statement, so
+    conflicting parameter contexts across them are caught."""
+    return _ExprBinder(registry, parameters, slot_types).bind(
+        ast, _Scope(schema))
 
 
 def build_write(statement: n.Insert | n.Update | n.Delete,
@@ -151,6 +152,7 @@ def build_write(statement: n.Insert | n.Update | n.Delete,
     executor's one Filter kernel (zone-map pruned, row ids carried).
     """
     schema = provider.table_schema(statement.table)
+    slot_types: dict[int, SqlType] = {}
     source: lp.PlanNode
     if isinstance(statement, n.Insert):
         if statement.query is None:
@@ -160,7 +162,8 @@ def build_write(statement: n.Insert | n.Update | n.Delete,
                                              len(row))
             no_columns = Schema(())
             values = tuple(
-                tuple(bind_expression(expr, no_columns, registry, parameters)
+                tuple(bind_expression(expr, no_columns, registry, parameters,
+                                      slot_types)
                       for expr in row)
                 for row in statement.rows)
             return lp.Write("insert", statement.table, schema, None,
@@ -174,7 +177,7 @@ def build_write(statement: n.Insert | n.Update | n.Delete,
     source = lp.Scan(statement.table, scan_schema)
     if statement.where is not None:
         source = lp.Filter(source, bind_expression(
-            statement.where, scan_schema, registry, parameters))
+            statement.where, scan_schema, registry, parameters, slot_types))
     if isinstance(statement, n.Update):
         exprs: list[e.Expression] = [
             e.ColumnRef(index, column.type, column.name)
@@ -187,7 +190,8 @@ def build_write(statement: n.Insert | n.Update | n.Delete,
                                 f"than once in UPDATE")
             assigned.add(index)
             exprs[index] = e.Cast(
-                bind_expression(expr, scan_schema, registry, parameters),
+                bind_expression(expr, scan_schema, registry, parameters,
+                                slot_types),
                 scan_schema[index].type)
         source = lp.Project(source, tuple(exprs), scan_schema)
     kind = "update" if isinstance(statement, n.Update) else "delete"
@@ -250,9 +254,14 @@ class _Scope:
 
 class _ExprBinder:
     def __init__(self, registry: FunctionRegistry,
-                 parameters: "Optional[ParameterSlots]" = None) -> None:
+                 parameters: "Optional[ParameterSlots]" = None,
+                 slot_types: Optional[dict[int, SqlType]] = None) -> None:
         self._registry = registry
         self._parameters = parameters
+        #: Bind slot -> the type its contexts so far imply, one map per
+        #: bound statement.
+        self._slot_types: dict[int, SqlType] = (
+            {} if slot_types is None else slot_types)
 
     def bind(self, ast: n.Expr, scope: _Scope) -> e.Expression:
         try:
@@ -350,9 +359,8 @@ class _ExprBinder:
 
         When ``expr`` is a NULL-typed :class:`~repro.engine.expressions.
         BoundParameter` and the surrounding comparison/arithmetic context
-        supplies a concrete type, return a re-typed parameter and report
-        the inference to the spec (whose ``observe_type`` raises on
-        conflicting contexts — at prepare time for planned SELECTs).
+        supplies a concrete type, return a re-typed parameter. A slot
+        whose contexts in one statement conflict raises ``TypeError_``.
         Anything else passes through untouched.
         """
         if (not isinstance(expr, e.BoundParameter)
@@ -361,10 +369,15 @@ class _ExprBinder:
             return expr
         if allowed is not None and context_type not in allowed:
             return expr
-        if self._parameters is not None:
-            observe = getattr(self._parameters, "observe_type", None)
-            if observe is not None:
-                observe(expr.slot, context_type, expr.label)
+        existing = self._slot_types.get(expr.slot)
+        try:
+            self._slot_types[expr.slot] = (
+                context_type if existing is None
+                else unify_types(existing, context_type))
+        except TypeError_:
+            raise TypeError_(
+                f"bind parameter {expr.label} is used in conflicting type "
+                f"contexts: {existing} vs {context_type}") from None
         return e.BoundParameter(expr.slot, expr.label, context_type)
 
     def _bind_binop(self, ast: n.BinOp, scope: _Scope) -> e.Expression:

@@ -138,15 +138,6 @@ def is_append_only_plan(plan: lp.PlanNode) -> bool:
     return True
 
 
-def uses_context_functions(plan: lp.PlanNode) -> bool:
-    """Whether any expression reads the evaluation context (needed when
-    deciding if two refreshes at different data timestamps may share
-    results)."""
-    return any(expr.uses_context
-               for node in plan.walk()
-               for expr in _expressions_of(node))
-
-
 #: Figure 6 operator category names.
 OPERATOR_CATEGORIES = (
     "filter", "project", "inner_join", "outer_join", "union_all",

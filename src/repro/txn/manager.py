@@ -240,11 +240,6 @@ class Transaction:
         self._manager.catalog.versioned_table(table)
         return self._writes.setdefault(table, StagedWrite())
 
-    def is_provisional(self, table: str, row_id: str) -> bool:
-        """Whether ``row_id`` names a row this transaction staged (not yet
-        committed, so invisible to everyone else)."""
-        return row_id in self._insert_ids.get(table, ())
-
     def _provisional_ids(self, count: int) -> list[str]:
         start = self._provisional_seq
         self._provisional_seq += count

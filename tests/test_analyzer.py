@@ -531,6 +531,38 @@ def test_used_pragma_does_not_fire_unused(tmp_path):
                          "txn/locks.py") == []
 
 
+def test_untyped_def_scope_is_mypys_strict_packages():
+    from tools.analyzer.invariants import typed_def_scope
+    assert typed_def_scope(REPRO_CONFIG.mypy_config) == (
+        "plan/", "analysis/", "durability/", "server/")
+
+
+def test_dropping_an_annotation_fires_only_in_a_strict_package(tmp_path):
+    # The same edit of plan/cache.py fires ENG009 under plan/ and nowhere
+    # else; a pragma on the def line suppresses it.
+    untyped = "    def get(self, key):\n"
+
+    def strip(text):
+        return text.replace(
+            "    def get(self, key: Hashable) -> Optional[PlanNode]:\n",
+            untyped)
+
+    source = strip((SRC_ROOT / "plan" / "cache.py").read_text())
+    assert untyped in source
+    for rel_name in ("plan/cache.py", "engine/cache.py"):
+        target = tmp_path / rel_name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    config = AnalyzerConfig(mypy_config=REPRO_CONFIG.mypy_config)
+    __, __, findings = driver.analyze(tmp_path, config)
+    assert [(f.code, f.path, f.detail) for f in findings] == [
+        ("ENG009", "plan/cache.py", "key,return")]
+    (tmp_path / "plan" / "cache.py").write_text(source.replace(
+        untyped, "    def get(self, key):  # eng: allow-ENG009 (test)\n"))
+    __, __, findings = driver.analyze(tmp_path, config)
+    assert findings == []
+
+
 def test_pragma_on_a_line_without_its_finding_fires(tmp_path):
     # An ENG104 pragma copied onto a line of the durability manager that
     # has no ENG104 finding justifies nothing: the whole-tree run reports

@@ -15,7 +15,9 @@ tests pin what that buys:
   each bind exactly once more, and another session preparing the same
   text hits the plan cache;
 * strict mode analyzes a prepared statement's cached plan instead of
-  binding it again.
+  binding it again, and a strict one-shot statement binds once;
+* slot types are derived once per bound plan: an execution that hits
+  the plan cache walks nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ CASES = [
     ("DELETE FROM t WHERE nope = 1", BindError),
     ("UPDATE t SET nope = 1", BindError),
     ("INSERT INTO t (a) SELECT 1, 2", UserError),
+    # One-shot rows: a SELECT, and statements whose named parameter meets
+    # conflicting type contexts (one-shot execute checked its binds before
+    # binding, so it raised BindParameterError for the missing mapping).
+    ("SELECT nope FROM t", BindError),
+    ("SELECT b FROM t WHERE a = :x AND b = :x", TypeError_),
+    ("DELETE FROM t WHERE a = :x OR b = :x", TypeError_),
+    ("UPDATE t SET b = 'q' WHERE a < :x AND b > :x", TypeError_),
 ]
 
 
@@ -163,8 +172,9 @@ def counted(monkeypatch):
                             analyzer_mod)),
             ("optimize", (builder_mod, prepared_mod, session_mod))):
         for module in modules:
-            monkeypatch.setattr(module, name,
-                                counter(name, getattr(module, name)))
+            if hasattr(module, name):  # a module that imports it
+                monkeypatch.setattr(module, name,
+                                    counter(name, getattr(module, name)))
     return calls
 
 
@@ -207,6 +217,68 @@ def test_second_session_hits_the_plan_cache_and_keeps_bind_types(counted):
         other.execute(("x",))
     other.execute((1,))
     assert db.query("SELECT a FROM t").rows == [(2,), (3,)]
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Counts of slot-type derivations (walks of a bound plan)."""
+    calls = {"derivations": 0}
+    derive = prepared_mod._parameter_types
+
+    def wrapped(plan):
+        calls["derivations"] += 1
+        return derive(plan)
+
+    monkeypatch.setattr(prepared_mod, "_parameter_types", wrapped)
+    return calls
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("sql, binder", [
+    ("SELECT b FROM t WHERE a = 1", "build_plan"),
+    ("UPDATE t SET b = 'y' WHERE a = 1", "build_write"),
+    ("DELETE FROM t WHERE a = 1", "build_write"),
+])
+def test_strict_one_shot_statement_binds_once(counted, derived, sql, binder):
+    session = _db().session()
+    session.set_analyze_level("error")
+    counted.update(dict.fromkeys(counted, 0))
+    session.execute(sql)
+    assert counted["build_plan"] + counted["build_write"] == 1
+    assert counted[binder] == 1
+    assert derived["derivations"] == 0  # no bind slots, nothing derived
+
+
+#: A prepared SELECT and UPDATE and how to make their ``i``-th bind set.
+READS_AND_WRITES = {
+    "build_plan": ("SELECT b FROM t WHERE a = ?", lambda i: (i % 3 + 1,)),
+    "build_write": ("UPDATE t SET b = ? WHERE a = ?",
+                    lambda i: (f"v{i}", i % 3 + 1)),
+}
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("binder", sorted(READS_AND_WRITES))
+def test_prepared_execute_binds_and_derives_nothing(counted, derived,
+                                                    binder):
+    db = _db()
+    sql, binds_of = READS_AND_WRITES[binder]
+    statement = db.prepare(sql)
+    counted.update(dict.fromkeys(counted, 0))
+    derived["derivations"] = 0
+    for i in range(10):
+        statement.execute(binds_of(i))
+    statement.executemany([binds_of(i) for i in range(100)])
+    assert counted["build_plan"] + counted["build_write"] == 0
+    assert derived["derivations"] == 0
+
+    db.execute("CREATE TABLE other (x int)")  # any DDL moves the epoch
+    for i in range(10):
+        statement.execute(binds_of(i))
+    statement.executemany([binds_of(i) for i in range(100)])
+    assert counted["build_plan"] + counted["build_write"] == 1
+    assert counted[binder] == 1
+    assert derived["derivations"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,18 @@ class TestPoisonedTransaction:
         with pytest.raises(BindParameterError):
             session.cursor().execute("SELECT a FROM t WHERE a > ?",
                                      (object(),))
+        # One-shot statements: a wrongly typed bind is refused against the
+        # bound plan's slot types, and a statement that does not bind
+        # fails while binding — both before the engine runs anything.
+        with pytest.raises(BindParameterError, match="should be INT"):
+            session.execute("SELECT a FROM t WHERE a > ?", ("x",))
+        with pytest.raises(BindParameterError, match="should be INT"):
+            session.execute("DELETE FROM t WHERE a = ?", ("x",))
+        with pytest.raises(UserError, match="unknown column"):
+            session.execute("SELECT nope FROM t")
+        with pytest.raises(UserError, match="conflicting type contexts"):
+            session.execute("SELECT a FROM t WHERE a = :v AND b = :v",
+                            {"v": 1})
         assert session.query("SELECT count(*) c FROM t").rows == [(3,)]
         session.commit()
 

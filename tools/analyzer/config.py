@@ -23,6 +23,8 @@ The binding table and seam table deserve a word each:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,10 @@ class AnalyzerConfig:
     #: "Class.attr" writes exempt from ENG104 with a standing
     #: justification (documented at the declaration site).
     race_allow: frozenset = frozenset()
+
+    #: The mypy configuration whose ``disallow_untyped_defs`` sections
+    #: are ENG009's scope (None: no scope).
+    mypy_config: Optional[Path] = None
 
 
 #: The configuration for the real tree (src/repro).
@@ -180,4 +186,5 @@ REPRO_CONFIG = AnalyzerConfig(
         "Group", "subclasses-of:Accumulator",
     }),
     race_allow=frozenset(),
+    mypy_config=Path(__file__).resolve().parents[2] / "mypy.ini",
 )

@@ -34,6 +34,7 @@ RULES = {
     "ENG006": "bare-except",
     "ENG007": "wal-commit-mutex",
     "ENG008": "unused-pragma",
+    "ENG009": "untyped-def",
     "ENG101": "lock-order-inversion",
     "ENG102": "blocking-under-commit-mutex",
     "ENG104": "unsynchronized-shared-write",

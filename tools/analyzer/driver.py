@@ -10,10 +10,10 @@ Usage::
     python -m tools.analyzer --github         # CI annotation format
 
 The gated run builds the program model over ``src/repro`` and runs every
-rule: the engine invariants ENG001-ENG007 (:mod:`.invariants`), ENG101
-lock-order inversion, ENG102 blocking under the commit mutex, ENG104
-unsynchronized shared write and ENG105 materialization on the streaming
-hot path. It drops findings justified by an ``# eng: allow-<CODE>
+rule: the engine invariants ENG001-ENG007 and ENG009
+(:mod:`.invariants`), ENG101 lock-order inversion, ENG102 blocking under
+the commit mutex, ENG104 unsynchronized shared write and ENG105
+materialization on the streaming hot path. It drops findings justified by an ``# eng: allow-<CODE>
 (reason)`` pragma on their line, reports every pragma that justified
 nothing (ENG008), splits the rest against the baseline file, and exits
 non-zero iff any *new* finding remains.
@@ -92,6 +92,11 @@ FIXTURES: dict[str, tuple[AnalyzerConfig, frozenset]] = {
             commit_locks=frozenset({"Manager.commit_mutex"})),
         frozenset({"ENG007"})),
     "unused_pragma": (AnalyzerConfig(), frozenset({"ENG008"})),
+    # Untyped defs inside the mypy-strict package fire; the same defs
+    # outside it, and a typed __init__ without ``-> None``, do not.
+    "untyped_def": (
+        AnalyzerConfig(mypy_config=FIXTURE_ROOT / "untyped_def" / "mypy.ini"),
+        frozenset({"ENG009"})),
     "lock_cycle": (AnalyzerConfig(), frozenset({"ENG101"})),
     # A partition (table) lock taken inside a worker task submitted
     # under the coordinator's own mutex — the parallel-refresh deadlock

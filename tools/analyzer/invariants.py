@@ -1,4 +1,4 @@
-"""Engine invariants (``ENG001``-``ENG008``): rules judging one site.
+"""Engine invariants (``ENG001``-``ENG009``): rules judging one site.
 
 The runtime engine relies on invariants Python cannot express in types.
 These rules read the same :class:`~.callgraph.Program` as the
@@ -46,12 +46,21 @@ function), its class index, and its module ASTs.
 ``ENG008`` unused-pragma
     A pragma that suppressed nothing — its finding is gone, or it names
     no rule — reads as an exemption while exempting nothing. Delete it.
+``ENG009`` untyped-def
+    In the packages the mypy configuration (``mypy_config``) checks with
+    ``disallow_untyped_defs``, every def — nested ones included —
+    annotates each parameter but a leading ``self`` / ``cls``, and its
+    return (an ``__init__`` with an annotated parameter may omit
+    ``-> None``, as mypy allows). It is the stdlib stand-in for the
+    strict mypy gate wherever mypy is not installed.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+import configparser
+from pathlib import Path
+from typing import Iterator, Optional
 
 from .callgraph import FSYNC, IO, MATERIALIZE, WALL_CLOCK, Program
 from .diagnostics import RULES, Finding
@@ -75,10 +84,11 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def invariant_findings(program: Program) -> list[Finding]:
-    """ENG001-ENG007 (ENG008 runs after suppression, in the driver)."""
+    """ENG001-ENG007 and ENG009 (ENG008 runs after suppression, in the
+    driver)."""
     return (effect_findings(program) + lock_order_findings(program)
             + accumulator_findings(program) + bare_except_findings(program)
-            + wal_commit_findings(program))
+            + wal_commit_findings(program) + untyped_def_findings(program))
 
 
 def effect_findings(program: Program) -> list[Finding]:
@@ -265,6 +275,63 @@ def wal_commit_findings(program: Program) -> list[Finding]:
             "record order must match the commit apply order, which only "
             "the commit mutex guarantees", detail="log_commit")
             for line in lines]
+    return findings
+
+
+def typed_def_scope(mypy_config: Optional[Path]) -> tuple[str, ...]:
+    """The rel-path prefixes of the modules ``mypy_config`` checks with
+    ``disallow_untyped_defs``: ``[mypy-repro.plan.*]`` is ``plan/`` (the
+    root package is the analysis root), ``[mypy]`` every module."""
+    if mypy_config is None:
+        return ()
+    parser = configparser.ConfigParser()
+    parser.read(mypy_config)
+    prefixes = []
+    for section in parser.sections():
+        if not parser.getboolean(section, "disallow_untyped_defs",
+                                 fallback=False):
+            continue
+        if section == "mypy":
+            return ("",)
+        for pattern in section.removeprefix("mypy-").split(","):
+            parts = pattern.strip().split(".")[1:]
+            prefixes.append("/".join(parts[:-1]) + "/" if parts[-1:] == ["*"]
+                            else "/".join(parts) + ".py")
+    return tuple(prefixes)
+
+
+def _unannotated(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """What ``func`` leaves unannotated, as mypy's
+    ``disallow_untyped_defs`` judges it."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    params = [*positional, *args.kwonlyargs,
+              *filter(None, (args.vararg, args.kwarg))]
+    missing = [param.arg for param in params if param.annotation is None]
+    if func.returns is None and not (
+            func.name == "__init__"
+            and any(param.annotation is not None for param in params)):
+        missing.append("return")
+    return missing
+
+
+def untyped_def_findings(program: Program) -> list[Finding]:
+    """ENG009 over the modules in :func:`typed_def_scope`."""
+    scope = typed_def_scope(program.config.mypy_config)
+    findings = []
+    for path, qualname, node in _scoped_nodes(program, scope):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        missing = _unannotated(node)
+        if missing:
+            findings.append(Finding(
+                "ENG009", path, node.lineno, qualname,
+                f"{node.name} leaves {', '.join(missing)} unannotated in "
+                "a package mypy checks with disallow_untyped_defs",
+                hint="annotate every parameter and the return",
+                detail=",".join(missing)))
     return findings
 
 
